@@ -21,14 +21,12 @@ from .codec import (
     decompress_layer,
     partition_groups,
     sparsity_stats,
-    to_sign_magnitude,
     zre_size,
 )
 from .engine import bce_column, bce_group, dot_ref, parse_index, simulate_layer, smm
 from .mapper import (
     CATALOG,
     SpatialUnrolling,
-    bandwidth_requirements,
     select_su,
     spatial_utilization,
     weight_bank_layout,

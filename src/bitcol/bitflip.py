@@ -310,8 +310,8 @@ def load_strategy(path) -> Strategy:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        fields = dict(tok.split("=", 1) for tok in line.split())
         try:
+            fields = dict(tok.split("=", 1) for tok in line.split())
             strategy[fields["layer"]] = (int(fields["G"]), int(fields["z"]))
         except (KeyError, ValueError) as e:
             raise ManifestError(f"strategy line {lineno}: {e}") from e

@@ -18,15 +18,15 @@ from .workload import BitcolError, ConfigError
 VERIFY_FAILED = 2
 
 
-def _print_table(rows: list[dict], stream=sys.stdout) -> None:
+def _print_table(rows: list[dict]) -> None:
     if not rows:
         return
     cols = list(rows[0].keys())
     cells = [[model_io.render_value(r.get(c)) for c in cols] for r in rows]
     widths = [max(len(c), *(len(row[i]) for row in cells)) for i, c in enumerate(cols)]
-    print("  ".join(c.ljust(w) for c, w in zip(cols, widths)), file=stream)
+    print("  ".join(c.ljust(w) for c, w in zip(cols, widths)))
     for row in cells:
-        print("  ".join(v.ljust(w) for v, w in zip(row, widths)), file=stream)
+        print("  ".join(v.ljust(w) for v, w in zip(row, widths)))
 
 
 def _group_list(arg: str) -> list[int]:
@@ -192,7 +192,7 @@ def cmd_map(args) -> int:
         row.update({su_id.lower(): util for su_id, util in table.items()})
         row["chosen"] = chosen.id
         row["chosen_util"] = table[chosen.id]
-        row["w_bw"], row["act_bw"] = mapper.bandwidth_requirements(chosen)
+        row["w_bw"], row["act_bw"] = chosen.w_bw, chosen.act_bw
         rows.append(row)
     if args.out:
         model_io.write_report_csv(rows, args.out)

@@ -31,34 +31,6 @@ POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
 SIGN_BIT = 7  # index bit marking the sign column
 
 
-@dataclass(frozen=True)
-class SignMagnitude:
-    sign: int
-    magnitude: int
-    clamped: bool = False
-
-    @property
-    def value(self) -> int:
-        return -self.magnitude if self.sign else self.magnitude
-
-    @property
-    def bits(self) -> int:
-        return (self.sign << 7) | self.magnitude
-
-
-def to_sign_magnitude(v: int) -> SignMagnitude:
-    """Sign-magnitude encoding of an int8 value; -128 clamps to -127.
-
-    -0 is normalized to +0 (sign stays 0 when the magnitude is 0).
-    """
-    if not -128 <= v <= 127:
-        raise ValueError(f"{v} is not an int8 value")
-    clamped = v == -128
-    if clamped:
-        v = -127
-    return SignMagnitude(sign=1 if v < 0 else 0, magnitude=abs(v), clamped=clamped)
-
-
 def sm_encode(values: np.ndarray) -> tuple[np.ndarray, int]:
     """Vectorized sign-magnitude bits (uint8) plus the -128 clamp count."""
     v = np.asarray(values, dtype=np.int16)
@@ -97,16 +69,6 @@ def unpartition_groups(groups: np.ndarray, dims: tuple[int, int, int, int]) -> n
     k, c, fy, fx = dims
     arr = np.asarray(groups, dtype=np.int8).reshape(k, fy, fx, -1)[:, :, :, :c]
     return np.moveaxis(arr, 3, 1).copy()
-
-
-def group_coords(dims: tuple[int, int, int, int], group_size: int, i: int) -> tuple[int, int, int, int]:
-    """Source coordinates (k, fy, fx, channel offset) of group i."""
-    k, c, fy, fx = dims
-    blocks = math.ceil(c / group_size)
-    i, cb = divmod(i, blocks)
-    i, x = divmod(i, fx)
-    kk, y = divmod(i, fy)
-    return kk, y, x, cb * group_size
 
 
 def column_index(group: np.ndarray) -> np.ndarray | int:
@@ -232,6 +194,42 @@ def column_offsets(cl: CompressedLayer) -> np.ndarray:
     return offs
 
 
+def unpack_groups(cl: CompressedLayer) -> np.ndarray:
+    """A bcs layer's (n_groups, G) sign-magnitude bytes, one bit plane at a time.
+
+    Columns absent from a group's index unpack as zero bits, so bit 7 is set
+    only in groups whose index carries the sign column.
+    """
+    if cl.mode != "bcs":
+        raise ValueError("unpack_groups needs a bcs-mode layer")
+    g = cl.group_size
+    offs = column_offsets(cl)
+    if offs[-1] != len(cl.columns):
+        raise ContainerError(f"layer {cl.name!r}: index/payload length mismatch")
+    sm = np.zeros((cl.n_groups, g), dtype=np.uint8)
+    for b in range(7, -1, -1):
+        sel = ((cl.indexes >> b) & 1).astype(bool)
+        if not sel.any():
+            continue
+        # rank of bit b within each index, payload is ordered bit 7 first
+        rank = POPCOUNT[cl.indexes[sel] & (0xFF << (b + 1) & 0xFF)].astype(np.int64)
+        rows = offs[:-1][sel] + rank
+        bits = np.unpackbits(cl.columns[rows], axis=1, bitorder="little")[:, :g]
+        sm[sel] |= bits << b
+    return sm
+
+
+def nz_columns(cl: CompressedLayer, sign: bool = False) -> np.ndarray:
+    """Per-group count of scheduled columns: the non-zero magnitude columns,
+    plus the sign column when `sign` is set and the column is non-zero.
+
+    A dense-mode group streams all 8 columns.
+    """
+    if cl.mode == "dense":
+        return np.full(cl.n_groups, 8, dtype=np.int64)
+    return POPCOUNT[cl.indexes & (0xFF if sign else 0x7F)].astype(np.int64)
+
+
 def decompress_layer(cl: CompressedLayer,
                      dims: tuple[int, int, int, int] | None = None) -> np.ndarray:
     """Exact inverse of compress_layer (post-clamp when -128 occurred).
@@ -247,22 +245,7 @@ def decompress_layer(cl: CompressedLayer,
         raise ContainerError(f"layer {cl.name!r}: dims {dims} do not match element count {cl.n_values}")
     if cl.mode == "dense":
         return cl.dense_values.reshape(dims).copy()
-
-    g = cl.group_size
-    offs = column_offsets(cl)
-    if offs[-1] != len(cl.columns):
-        raise ContainerError(f"layer {cl.name!r}: index/payload length mismatch")
-    sm = np.zeros((cl.n_groups, g), dtype=np.uint8)
-    for b in range(7, -1, -1):
-        sel = ((cl.indexes >> b) & 1).astype(bool)
-        if not sel.any():
-            continue
-        # rank of bit b within each index, payload is ordered bit 7 first
-        rank = POPCOUNT[cl.indexes[sel] & (0xFF << (b + 1) & 0xFF)].astype(np.int64)
-        rows = offs[:-1][sel] + rank
-        bits = np.unpackbits(cl.columns[rows], axis=1, bitorder="little")[:, :g]
-        sm[sel] |= bits << b
-    return unpartition_groups(sm_decode(sm), dims)
+    return unpartition_groups(sm_decode(unpack_groups(cl)), dims)
 
 
 def compression_ratio(cl: CompressedLayer, include_index: bool = True) -> float:

@@ -10,6 +10,12 @@ dense mode).
 Sign columns load together with the activations and are modeled as free by
 default; pass sign_cycle=True to charge one cycle whenever the sign column
 is non-zero.
+
+The scalar per-group functions (packed_groups, bce_group, bce_column, smm)
+are the model as the paper states it. Whole layers run vectorized on the
+shared core: codec.unpack_groups for the column payload and
+mapper.lockstep_waves for the wave schedule, which perf and the bank layout
+use as well. Tests keep the scalar loops as their reference.
 """
 
 from __future__ import annotations
@@ -21,8 +27,10 @@ from typing import Iterator
 import numpy as np
 
 from . import codec
-from .mapper import SpatialUnrolling, check_kind_compatible
+from .mapper import SpatialUnrolling, check_kind_compatible, lockstep_waves
 from .workload import LayerShape, MappingError
+
+VERIFY_CHUNK = 1 << 14  # groups per activation draw; bounds verify_layer's working set
 
 
 @dataclass(frozen=True)
@@ -105,10 +113,11 @@ def bce_group(acts, group: PackedGroup, sign_cycle: bool = False) -> tuple[int, 
     if parsed.nz_count != len(group.columns):
         raise ValueError("schedule does not match stored columns")
     dot = 0
-    bound = g * 127 * 127
+    bound = g * 128 * 127  # int8 activations reach -128, magnitudes 127
     for sig in parsed.schedule:
         dot += bce_column(acts, group.columns[sig], signs, sig)
-        assert abs(dot) <= bound, "accumulator range exceeded"
+        if abs(dot) > bound:
+            raise ValueError(f"accumulator range exceeded: |{dot}| > {bound}")
     cycles = parsed.nz_count + (1 if sign_cycle and parsed.sign_rqst else 0)
     return dot, cycles
 
@@ -133,15 +142,6 @@ class CycleCount:
     group_repeat: int          # column-stream slices per group (G / C_u)
 
 
-def _group_nz(cl: codec.CompressedLayer, sign_cycle: bool) -> np.ndarray:
-    if cl.mode == "dense":
-        return np.full(cl.n_groups, 8, dtype=np.int64)
-    nz = codec.POPCOUNT[cl.indexes & 0x7F].astype(np.int64)
-    if sign_cycle:
-        nz += (cl.indexes >> 7) & 1
-    return nz
-
-
 def simulate_layer(cl: codec.CompressedLayer, shape: LayerShape,
                    su: SpatialUnrolling, sign_cycle: bool = False) -> CycleCount:
     """Lockstep cycle accounting of one layer on one spatial unrolling.
@@ -153,43 +153,19 @@ def simulate_layer(cl: codec.CompressedLayer, shape: LayerShape,
     check_kind_compatible(shape, su)
     if shape.n_weights != cl.n_values:
         raise MappingError(f"layer {cl.name!r}: container does not match layer shape")
-    nz = _group_nz(cl, sign_cycle)
+    nz = codec.nz_columns(cl, sign_cycle)
     blocks = math.ceil(shape.c / cl.group_size)
-    positions = shape.fy * shape.fx
-    if cl.n_groups != shape.k * positions * blocks:
+    if cl.n_groups != shape.k * shape.fy * shape.fx * blocks:
         raise MappingError(f"layer {cl.name!r}: group count does not match layer shape")
-
-    if su.g_u:  # depthwise unrolling: lanes run across kernel groups
-        lanes, repeat = su.g_u, 1
-    else:
-        if cl.group_size % su.c_u != 0:
-            raise MappingError(
-                f"group size {cl.group_size} is not a multiple of the unrolled "
-                f"channels C_u={su.c_u} of {su.id}")
-        lanes, repeat = su.k_u, cl.group_size // su.c_u
-
-    # walk the schedule wave by wave; a wave co-schedules the groups of one
-    # channel block across the kernel lanes
-    wave_max_sum = 0
-    loss = 0
-    n_waves = 0
-    for pos in range(positions):
-        for k0 in range(0, shape.k, lanes):
-            kernels = range(k0, min(k0 + lanes, shape.k))
-            for cb in range(blocks):
-                wave = [int(nz[(k * positions + pos) * blocks + cb]) for k in kernels]
-                step = max(wave)
-                wave_max_sum += step
-                loss += sum(step - w for w in wave)
-                n_waves += 1
-
+    steps, loss, repeat = lockstep_waves(nz, shape, cl.group_size, su)
+    wave_max_sum = int(steps.sum())
     t_out = math.ceil(shape.ox / su.ox_u) * shape.oy * shape.b
     return CycleCount(
         group_cycles=nz,
         total_cycles=wave_max_sum * repeat * t_out,
         barrier_loss=loss * repeat * t_out,
         wave_max_sum=wave_max_sum,
-        n_waves=n_waves,
+        n_waves=steps.size,
         t_out=t_out,
         group_repeat=repeat,
     )
@@ -199,18 +175,24 @@ def verify_layer(cl: codec.CompressedLayer, values: np.ndarray,
                  rng: np.random.Generator) -> int:
     """Exactness check: compare every group's engine dot against dot_ref.
 
-    Returns the mismatch count (0 when the engine is exact). Dense-mode
-    layers verify trivially against the raw values.
+    Each group's activations are G int8 draws from rng, in group order. The
+    engine dot sums the partial sums of the magnitude columns, each shifted
+    once; the reference is the exact dot of the manifest weights (-128
+    clamped). Returns the mismatch count (0 when the engine is exact).
+    Dense-mode layers verify trivially against the raw values.
     """
     if cl.mode == "dense":
         stored = cl.dense_values.reshape(values.shape)
         return int(np.count_nonzero(stored != values))
+    sm = codec.unpack_groups(cl)
     groups = codec.partition_groups(values, cl.group_size)
-    clamped = np.clip(groups.astype(np.int16), -127, 127).astype(np.int8)
     mismatches = 0
-    for i, pg in enumerate(packed_groups(cl)):
-        acts = rng.integers(-128, 128, size=cl.group_size, dtype=np.int64)
-        dot, _ = bce_group(acts, pg)
-        if dot != dot_ref(acts, clamped[i]):
-            mismatches += 1
+    for lo in range(0, cl.n_groups, VERIFY_CHUNK):
+        chunk, weights = sm[lo:lo + VERIFY_CHUNK], groups[lo:lo + VERIFY_CHUNK]
+        acts = rng.integers(-128, 128, size=chunk.shape, dtype=np.int64)
+        # bit 7 is set only where the group's index carries the sign column
+        signed = np.where(chunk >> 7, -acts, acts)
+        dot = sum((((chunk >> b) & 1) * signed).sum(axis=1) << b for b in range(7))
+        ref = (np.clip(weights, -127, 127) * acts).sum(axis=1)
+        mismatches += int(np.count_nonzero(dot != ref))
     return mismatches

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import codec
 from .workload import LayerShape, MappingError
 
 
@@ -109,12 +110,51 @@ def select_su(shape: LayerShape, catalog=CATALOG) -> SpatialUnrolling:
     return best
 
 
-def bandwidth_requirements(su: SpatialUnrolling) -> tuple[int, int]:
-    """(weight, activation) bits per cycle for a catalog or custom entry."""
-    return su.w_bw, su.act_bw
+def lockstep_waves(nz: np.ndarray, shape: LayerShape, group_size: int,
+                   su: SpatialUnrolling) -> tuple[np.ndarray, int, int]:
+    """Lockstep wave schedule of a layer's per-group column counts on one SU.
+
+    A wave co-schedules the groups of one kernel position and channel block
+    across the SU's kernel lanes (kernel groups on the depthwise entry) and
+    advances at its slowest lane; the gap to each real lane is barrier loss.
+    Lanes past the last kernel are idle and lose nothing. Returns the wave
+    steps in schedule order, shaped (positions, kernel blocks, channel
+    blocks), the barrier loss in lane-cycles, and the group repeat (column
+    stream slices per group, G / C_u).
+    """
+    if su.g_u:
+        lanes, repeat = su.g_u, 1
+    else:
+        if group_size % su.c_u != 0:
+            raise MappingError(
+                f"group size {group_size} is not a multiple of the unrolled "
+                f"channels C_u={su.c_u} of {su.id}")
+        lanes, repeat = su.k_u, group_size // su.c_u
+    positions, blocks = shape.fy * shape.fx, math.ceil(shape.c / group_size)
+    kb = math.ceil(shape.k / lanes)
+    grid = np.full((kb * lanes, positions, blocks), -1, dtype=np.int64)
+    grid[:shape.k] = nz.reshape(shape.k, positions, blocks)
+    steps = grid.reshape(kb, lanes, positions, blocks).max(axis=1)
+    real = np.minimum(shape.k - lanes * np.arange(kb), lanes)  # kernels per block
+    loss = int((steps.sum(axis=(1, 2)) * real).sum() - nz.sum())
+    return steps.transpose(1, 0, 2), loss, repeat
 
 
-def weight_bank_layout(cl, shape: LayerShape, su: SpatialUnrolling,
+def _slot_bits() -> np.ndarray:
+    """_SLOT_BIT[i, t]: index bit streamed in slot t of a group with index i
+    (sign column first, then significance descending), -1 past its columns."""
+    table = np.full((256, 8), -1, dtype=np.int64)
+    for i in range(256):
+        bits = [b for b in range(7, -1, -1) if i >> b & 1]
+        table[i, :len(bits)] = bits
+    return table
+
+
+_SLOT_BIT = _slot_bits()
+_SLOT_LABEL = np.array(["-", "0", "1", "2", "3", "4", "5", "6", "sign"])  # by slot bit + 1
+
+
+def weight_bank_layout(cl: codec.CompressedLayer, shape: LayerShape, su: SpatialUnrolling,
                        max_cycles: int | None = None) -> list[dict]:
     """SU1 weight-bank schedule: per cycle, 4 bank segments of 64 bits.
 
@@ -124,80 +164,45 @@ def weight_bank_layout(cl, shape: LayerShape, su: SpatialUnrolling,
     so one group's surviving columns occupy consecutive cycle slots; dense
     mode streams 8 slots per group, significance descending (sign first).
     """
-    from . import codec, engine  # local import: engine depends on this module
-
     if su.id != "SU1":
         raise MappingError("the weight-bank layout is defined for SU1 only")
-    if cl.group_size % su.c_u != 0:
-        raise MappingError(f"group size {cl.group_size} incompatible with C_u={su.c_u}")
-
     g = cl.group_size
-    blocks = math.ceil(shape.c / g)
-    positions = shape.fy * shape.fx
-    slices = g // su.c_u
-
+    steps, _, slices = lockstep_waves(codec.nz_columns(cl, sign=True), shape, g, su)
     if cl.mode == "bcs":
-        schedules = []
-        for pg in engine.packed_groups(cl):
-            parsed = engine.parse_index(pg.index)
-            sched = (["sign"] if parsed.sign_rqst else []) + list(parsed.schedule)
-            bits = {}
-            if parsed.sign_rqst:
-                bits["sign"] = pg.sign_bits
-            bits.update(pg.columns)
-            schedules.append((sched, bits))
+        sm, index = codec.unpack_groups(cl), cl.indexes
     else:
-        groups = codec.partition_groups(cl.dense_values.reshape(shape.weight_dims), g)
-        sm, _ = codec.sm_encode(groups)
-        schedules = []
-        for row in sm:
-            sched = ["sign"] + list(range(6, -1, -1))
-            bits = {"sign": (row >> 7) & 1}
-            for b in range(7):
-                bits[b] = (row >> b) & 1
-            schedules.append((sched, bits))
+        sm, _ = codec.sm_encode(codec.partition_groups(
+            cl.dense_values.reshape(shape.weight_dims), g))
+        index = np.full(cl.n_groups, 0xFF, dtype=np.uint8)
 
-    def group_at(k, pos, cb):
-        return (k * positions + pos) * blocks + cb
+    # per cycle: its wave (position, kernel block, channel block), the group
+    # slice it streams and its slot within the wave
+    positions, kb, blocks = steps.shape
+    steps = steps.reshape(-1)
+    per_wave = steps * slices
+    total = int(per_wave.sum())
+    n = total if max_cycles is None else min(total, max(max_cycles, 1))
+    wave = np.repeat(np.arange(steps.size), per_wave)[:n]
+    sl, slot = divmod(np.arange(n) - (np.cumsum(per_wave) - per_wave)[wave], steps[wave])
+    pos, rest = divmod(wave, kb * blocks)
+    kblock, cb = divmod(rest, blocks)
 
-    rows = []
-    cycle = 0
-    kb_count = math.ceil(shape.k / su.k_u)
-    for pos in range(positions):
-        for kb in range(kb_count):
-            k0 = kb * su.k_u
-            kernels = range(k0, min(k0 + su.k_u, shape.k))
-            for cb in range(blocks):
-                slots = max(len(schedules[group_at(k, pos, cb)][0]) for k in kernels)
-                for sl in range(slices):
-                    c_base = cb * g + sl * su.c_u
-                    for t in range(slots):
-                        for bank in range(4):
-                            seg = 0
-                            sigs = []
-                            for j in range(8):
-                                k = k0 + bank * 8 + j
-                                if k >= shape.k:
-                                    sigs.append("-")
-                                    continue
-                                sched, bits = schedules[group_at(k, pos, cb)]
-                                if t >= len(sched):
-                                    sigs.append("-")
-                                    continue
-                                sig = sched[t]
-                                sigs.append(str(sig))
-                                col = np.asarray(bits[sig])[sl * su.c_u:(sl + 1) * su.c_u]
-                                for i in range(su.c_u):
-                                    seg |= int(col[i]) << (i + 8 * j)
-                            rows.append({
-                                "cycle": cycle,
-                                "bank": bank,
-                                "k_base": k0 + bank * 8,
-                                "c_base": c_base,
-                                "significance": ",".join(sigs),
-                                "segment": f"{seg:016x}",
-                            })
-                        cycle += 1
-                        if max_cycles is not None and cycle >= max_cycles:
-                            return rows
-    return rows
+    # per (cycle, lane): the SU's k_u kernel lanes form 4 banks of 8 kernels
+    k = kblock[:, None] * su.k_u + np.arange(su.k_u)
+    group = (np.minimum(k, shape.k - 1) * positions + pos[:, None]) * blocks + cb[:, None]
+    bit = np.where(k < shape.k, _SLOT_BIT[index[group], slot[:, None]], -1)
+    chans = sl[:, None, None] * su.c_u + np.arange(su.c_u)
+    col = (sm[group[:, :, None], chans] >> np.maximum(bit, 0).astype(np.uint8)[:, :, None]) \
+        & (bit >= 0)[:, :, None]
+    segments = np.packbits(col, axis=2, bitorder="little").reshape(n, 4, 8) \
+        .view("<u8").reshape(n, 4).tolist()
+    labels = _SLOT_LABEL[bit + 1].reshape(n, 4, 8).tolist()
+    k0, c_base = (kblock * su.k_u).tolist(), (cb * g + sl * su.c_u).tolist()
+    return [{
+        "cycle": c,
+        "bank": bank,
+        "k_base": k0[c] + bank * 8,
+        "c_base": c_base[c],
+        "significance": ",".join(labels[c][bank]),
+        "segment": f"{segments[c][bank]:016x}",
+    } for c in range(n) for bank in range(4)]

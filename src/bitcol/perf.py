@@ -9,7 +9,9 @@ Four-step methodology per (layer, accelerator) pair:
    unrolling (per temporal step, C_u*OX_u activation and C_u*K_u weight
    elements); register traffic is two reads and one write per MAC.
 2. Sparsity statistics, adjusted for lockstep load imbalance where the
-   accelerator schedules at runtime.
+   accelerator schedules at runtime. Bit-column skipping counts the
+   compressed layer's lockstep waves with mapper.lockstep_waves, the kernel
+   behind the functional simulator's cycle count.
 3. Effective MACs/cycles (value skipping shrinks the MAC count; bit and
    bit-column skipping shrink cycles only) and effective memory traffic
    (dense counts divided by the per-tensor compression ratio).
@@ -30,13 +32,14 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Sequence
 
 import numpy as np
 
 from . import codec
-from .mapper import SpatialUnrolling, catalog_su, make_custom_su, select_su, temporal_steps
+from .mapper import (SpatialUnrolling, catalog_su, lockstep_waves, make_custom_su, select_su,
+                     temporal_steps)
 from .workload import ConfigError, Layer, LayerShape, Network
 
 SPARSITY_MODES = ("none", "value-skip", "bit-skip", "bit-column-skip")
@@ -318,37 +321,6 @@ def _lockstep_bit_fraction(weights: np.ndarray, sync_lanes: int) -> float:
     return float(pops.reshape(-1, sync_lanes).max(axis=1).mean() / 8.0)
 
 
-def _column_cycles(cl: codec.CompressedLayer, shape: LayerShape,
-                   su: SpatialUnrolling, sign_cycle: bool) -> tuple[int, int, int]:
-    """Lockstep compute cycles of a compressed layer (vectorized wave math).
-
-    Independent of the functional simulator's walk; returns (cycles,
-    sum of wave maxima, wave count).
-    """
-    if su.g_u:
-        lanes, repeat = su.g_u, 1
-    else:
-        if cl.group_size % su.c_u != 0:
-            raise ConfigError(f"group size {cl.group_size} incompatible with C_u={su.c_u}")
-        lanes, repeat = su.k_u, cl.group_size // su.c_u
-    if cl.mode == "dense":
-        nz = np.full(cl.n_groups, 8, dtype=np.int64)
-    else:
-        nz = codec.POPCOUNT[cl.indexes & 0x7F].astype(np.int64)
-        if sign_cycle:
-            nz += (cl.indexes >> 7) & 1
-    blocks = math.ceil(shape.c / cl.group_size)
-    positions = shape.fy * shape.fx
-    grid = nz.reshape(shape.k, positions * blocks)
-    kb = math.ceil(shape.k / lanes)
-    if kb * lanes > shape.k:
-        fill = np.full((kb * lanes - shape.k, positions * blocks), -1, dtype=np.int64)
-        grid = np.concatenate([grid, fill])
-    wave_max = grid.reshape(kb, lanes, -1).max(axis=1)
-    t_out = math.ceil(shape.ox / su.ox_u) * shape.oy * shape.b
-    return int(wave_max.sum()) * repeat * t_out, int(wave_max.sum()), wave_max.size
-
-
 def weight_compression(layer: Layer, spec: AcceleratorSpec
                        ) -> tuple[float, codec.CompressedLayer | None]:
     """Weight-tensor compression ratio under the spec's codec.
@@ -364,7 +336,7 @@ def weight_compression(layer: Layer, spec: AcceleratorSpec
         return n_bits / codec.zre_size(w), None
     if spec.weight_codec == "csr":
         row = layer.shape.c * layer.shape.fy * layer.shape.fx
-        return n_bits / csr_guard(w, row), None
+        return n_bits / max(codec.csr_size(w, row), 1), None
     sizes = (8, 16, 32) if spec.group_size == "auto" else (int(spec.group_size),)
     best = None
     for g in sizes:
@@ -373,10 +345,6 @@ def weight_compression(layer: Layer, spec: AcceleratorSpec
         if best is None or cr > best[0]:
             best = (cr, cl)
     return best
-
-
-def csr_guard(values: np.ndarray, row_length: int) -> int:
-    return max(codec.csr_size(values, row_length), 1)
 
 
 def act_compression(layer: Layer, spec: AcceleratorSpec, s_a: float) -> float:
@@ -459,7 +427,10 @@ def evaluate_layer(layer: Layer, spec: AcceleratorSpec) -> LayerPerf:
         if cl is None:
             cl = codec.compress_layer(layer.weights, 8 if spec.group_size == "auto"
                                       else int(spec.group_size), name=layer.name)
-        cycles_abs, _, _ = _column_cycles(cl, shape, su, spec.sign_cycle)
+        steps, _, repeat = lockstep_waves(codec.nz_columns(cl, spec.sign_cycle),
+                                          shape, cl.group_size, su)
+        t_out = math.ceil(shape.ox / su.ox_u) * shape.oy * shape.b
+        cycles_abs = int(steps.sum()) * repeat * t_out
         dense_cc = counts.n_mac / counts.n_mac_cycle
         n_mac_e, cc = effective_macs(counts, 0.0, 0.0, mode,
                                      nz_fraction=cycles_abs / dense_cc)
@@ -578,6 +549,7 @@ _FLOAT_FIELDS = ("e_mac", "e_dram_bit", "e_sram_bit", "e_reg_bit", "dram_bytes_p
 _INT_FIELDS = ("weight_sram_bytes", "act_sram_bytes", "sync_lanes", "peak_macs")
 _STR_FIELDS = ("su", "sparsity_mode", "weight_codec", "act_codec")
 _BOOL_FIELDS = ("bit_serial", "sign_cycle")
+_COST_FIELDS = {f.name for f in fields(UnitCosts)}  # keys that land in the spec's UnitCosts
 
 
 def load_spec_configs(path) -> dict[str, AcceleratorSpec]:
@@ -599,15 +571,12 @@ def load_spec_configs(path) -> dict[str, AcceleratorSpec]:
         costs = replace(spec.costs)
         su_val = items.pop("su", None)
         for key, val in items.items():
+            target = costs if key in _COST_FIELDS else spec
             try:
-                if key in ("e_mac", "e_dram_bit", "e_sram_bit", "e_reg_bit"):
-                    setattr(costs, key, float(val))
-                elif key in ("weight_sram_bytes", "act_sram_bytes"):
-                    setattr(costs, key, int(val))
-                elif key in _FLOAT_FIELDS:
-                    setattr(spec, key, float(val))
+                if key in _FLOAT_FIELDS:
+                    setattr(target, key, float(val))
                 elif key in _INT_FIELDS:
-                    setattr(spec, key, int(val))
+                    setattr(target, key, int(val))
                 elif key in _BOOL_FIELDS:
                     setattr(spec, key, val.strip().lower() in ("1", "true", "yes", "on"))
                 elif key == "group_size":

@@ -1,0 +1,186 @@
+"""Scalar reference versions of the vectorized column-serial core.
+
+These are the wave walk, the per-group exactness loop and the SU1 bank
+layout as they were written before the engine, perf and the mapper moved
+onto one bit-plane unpack and one lockstep wave kernel. They run on the
+engine's scalar per-group model (packed_groups, parse_index, bce_group,
+dot_ref) only, so the property tests that compare them with the library
+stay independent of the code they check.
+"""
+
+import math
+
+import numpy as np
+
+from bitcol import codec, engine
+from bitcol.engine import CycleCount, bce_group, dot_ref, packed_groups
+from bitcol.mapper import check_kind_compatible
+from bitcol.workload import MappingError
+
+
+def _group_nz(cl, sign_cycle):
+    if cl.mode == "dense":
+        return np.full(cl.n_groups, 8, dtype=np.int64)
+    nz = codec.POPCOUNT[cl.indexes & 0x7F].astype(np.int64)
+    if sign_cycle:
+        nz += (cl.indexes >> 7) & 1
+    return nz
+
+
+def simulate_layer(cl, shape, su, sign_cycle=False):
+    """Lockstep cycle accounting of one layer on one spatial unrolling.
+
+    Groups co-scheduled across the kernel lanes of a wave advance at the
+    slowest lane's non-zero column count; the difference is reported as
+    barrier loss in lane-cycles.
+    """
+    check_kind_compatible(shape, su)
+    if shape.n_weights != cl.n_values:
+        raise MappingError(f"layer {cl.name!r}: container does not match layer shape")
+    nz = _group_nz(cl, sign_cycle)
+    blocks = math.ceil(shape.c / cl.group_size)
+    positions = shape.fy * shape.fx
+    if cl.n_groups != shape.k * positions * blocks:
+        raise MappingError(f"layer {cl.name!r}: group count does not match layer shape")
+
+    if su.g_u:  # depthwise unrolling: lanes run across kernel groups
+        lanes, repeat = su.g_u, 1
+    else:
+        if cl.group_size % su.c_u != 0:
+            raise MappingError(
+                f"group size {cl.group_size} is not a multiple of the unrolled "
+                f"channels C_u={su.c_u} of {su.id}")
+        lanes, repeat = su.k_u, cl.group_size // su.c_u
+
+    # walk the schedule wave by wave; a wave co-schedules the groups of one
+    # channel block across the kernel lanes
+    wave_max_sum = 0
+    loss = 0
+    n_waves = 0
+    for pos in range(positions):
+        for k0 in range(0, shape.k, lanes):
+            kernels = range(k0, min(k0 + lanes, shape.k))
+            for cb in range(blocks):
+                wave = [int(nz[(k * positions + pos) * blocks + cb]) for k in kernels]
+                step = max(wave)
+                wave_max_sum += step
+                loss += sum(step - w for w in wave)
+                n_waves += 1
+
+    t_out = math.ceil(shape.ox / su.ox_u) * shape.oy * shape.b
+    return CycleCount(
+        group_cycles=nz,
+        total_cycles=wave_max_sum * repeat * t_out,
+        barrier_loss=loss * repeat * t_out,
+        wave_max_sum=wave_max_sum,
+        n_waves=n_waves,
+        t_out=t_out,
+        group_repeat=repeat,
+    )
+
+
+
+def verify_layer(cl, values, rng):
+    """Exactness check: compare every group's engine dot against dot_ref.
+
+    Returns the mismatch count (0 when the engine is exact). Dense-mode
+    layers verify trivially against the raw values.
+    """
+    if cl.mode == "dense":
+        stored = cl.dense_values.reshape(values.shape)
+        return int(np.count_nonzero(stored != values))
+    groups = codec.partition_groups(values, cl.group_size)
+    clamped = np.clip(groups.astype(np.int16), -127, 127).astype(np.int8)
+    mismatches = 0
+    for i, pg in enumerate(packed_groups(cl)):
+        acts = rng.integers(-128, 128, size=cl.group_size, dtype=np.int64)
+        dot, _ = bce_group(acts, pg)
+        if dot != dot_ref(acts, clamped[i]):
+            mismatches += 1
+    return mismatches
+
+
+def weight_bank_layout(cl, shape, su, max_cycles=None):
+    """SU1 weight-bank schedule: per cycle, 4 bank segments of 64 bits.
+
+    Each segment carries one same-significance bit from 8 consecutive input
+    channels across 8 consecutive kernels (element = channel i, kernel j at
+    bit i + 8*j). Kernel groups co-scheduled in a wave advance in lockstep,
+    so one group's surviving columns occupy consecutive cycle slots; dense
+    mode streams 8 slots per group, significance descending (sign first).
+    """
+    if su.id != "SU1":
+        raise MappingError("the weight-bank layout is defined for SU1 only")
+    if cl.group_size % su.c_u != 0:
+        raise MappingError(f"group size {cl.group_size} incompatible with C_u={su.c_u}")
+
+    g = cl.group_size
+    blocks = math.ceil(shape.c / g)
+    positions = shape.fy * shape.fx
+    slices = g // su.c_u
+
+    if cl.mode == "bcs":
+        schedules = []
+        for pg in engine.packed_groups(cl):
+            parsed = engine.parse_index(pg.index)
+            sched = (["sign"] if parsed.sign_rqst else []) + list(parsed.schedule)
+            bits = {}
+            if parsed.sign_rqst:
+                bits["sign"] = pg.sign_bits
+            bits.update(pg.columns)
+            schedules.append((sched, bits))
+    else:
+        groups = codec.partition_groups(cl.dense_values.reshape(shape.weight_dims), g)
+        sm, _ = codec.sm_encode(groups)
+        schedules = []
+        for row in sm:
+            sched = ["sign"] + list(range(6, -1, -1))
+            bits = {"sign": (row >> 7) & 1}
+            for b in range(7):
+                bits[b] = (row >> b) & 1
+            schedules.append((sched, bits))
+
+    def group_at(k, pos, cb):
+        return (k * positions + pos) * blocks + cb
+
+    rows = []
+    cycle = 0
+    kb_count = math.ceil(shape.k / su.k_u)
+    for pos in range(positions):
+        for kb in range(kb_count):
+            k0 = kb * su.k_u
+            kernels = range(k0, min(k0 + su.k_u, shape.k))
+            for cb in range(blocks):
+                slots = max(len(schedules[group_at(k, pos, cb)][0]) for k in kernels)
+                for sl in range(slices):
+                    c_base = cb * g + sl * su.c_u
+                    for t in range(slots):
+                        for bank in range(4):
+                            seg = 0
+                            sigs = []
+                            for j in range(8):
+                                k = k0 + bank * 8 + j
+                                if k >= shape.k:
+                                    sigs.append("-")
+                                    continue
+                                sched, bits = schedules[group_at(k, pos, cb)]
+                                if t >= len(sched):
+                                    sigs.append("-")
+                                    continue
+                                sig = sched[t]
+                                sigs.append(str(sig))
+                                col = np.asarray(bits[sig])[sl * su.c_u:(sl + 1) * su.c_u]
+                                for i in range(su.c_u):
+                                    seg |= int(col[i]) << (i + 8 * j)
+                            rows.append({
+                                "cycle": cycle,
+                                "bank": bank,
+                                "k_base": k0 + bank * 8,
+                                "c_base": c_base,
+                                "significance": ",".join(sigs),
+                                "segment": f"{seg:016x}",
+                            })
+                        cycle += 1
+                        if max_cycles is not None and cycle >= max_cycles:
+                            return rows
+    return rows

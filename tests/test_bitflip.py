@@ -315,3 +315,9 @@ class TestStrategyFile:
         path.write_text("layer=x G=eight z=1\n")
         with pytest.raises(ManifestError):
             load_strategy(path)
+
+    def test_token_without_equals(self, tmp_path):
+        path = tmp_path / "strategy.txt"
+        path.write_text("# header\nlayer=a G=8 z\n")
+        with pytest.raises(ManifestError, match="strategy line 2"):
+            load_strategy(path)

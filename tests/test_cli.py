@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import io
 
 import numpy as np
 import pytest
@@ -86,6 +88,16 @@ def test_report_reads_container(net_dir):
     out = net_dir / "report.csv"
     assert main(["report", "--container", str(cont), "--out", str(out)]) == 0
     assert len(read_csv(out)) == 3
+
+
+def test_tables_follow_stdout_redirection(net_dir):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        rc = main(["map", "--manifest", str(net_dir / "model/manifest.txt")])
+    assert rc == 0
+    lines = buf.getvalue().splitlines()
+    assert lines[0].split()[:2] == ["layer", "kind"]
+    assert len(lines) == 1 + 3
 
 
 def test_simulate_verify_clean(net_dir):

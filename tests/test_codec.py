@@ -13,7 +13,6 @@ from bitcol.codec import (
     decompress_layer,
     partition_groups,
     sparsity_stats,
-    to_sign_magnitude,
     zre_size,
 )
 
@@ -26,17 +25,17 @@ def tensor(values, k=1, c=None, fy=1, fx=1):
 
 class TestSignMagnitude:
     def test_minus_three(self):
-        sm = to_sign_magnitude(-3)
-        assert (sm.sign, sm.magnitude) == (1, 3)
-        assert sm.bits == 0b1000_0011
+        bits, clamps = codec.sm_encode(np.array([-3]))
+        assert (bits[0] >> 7, bits[0] & 0x7F, clamps) == (1, 3, 0)
+        assert bits[0] == 0b1000_0011
 
     def test_zero_normalized(self):
-        sm = to_sign_magnitude(0)
-        assert (sm.sign, sm.magnitude, sm.clamped) == (0, 0, False)
+        bits, clamps = codec.sm_encode(np.array([0]))
+        assert (bits[0], clamps) == (0, 0)
 
     def test_minus_128_clamps(self):
-        sm = to_sign_magnitude(-128)
-        assert (sm.sign, sm.magnitude, sm.clamped) == (1, 127, True)
+        bits, clamps = codec.sm_encode(np.array([-128]))
+        assert (bits[0] >> 7, bits[0] & 0x7F, clamps) == (1, 127, 1)
 
     def test_clamp_count_over_random_tensor(self, rng):
         vals = rng.integers(-128, 128, size=(4, 16, 1, 1), dtype=np.int8)
@@ -48,10 +47,6 @@ class TestSignMagnitude:
         bits, clamps = codec.sm_encode(vals)
         assert clamps == 0
         assert np.array_equal(codec.sm_decode(bits), vals)
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            to_sign_magnitude(200)
 
 
 class TestPartition:
@@ -79,10 +74,11 @@ class TestPartition:
         assert groups.tolist() == [[0, 2], [4, 6], [1, 3], [5, 7]]
 
     def test_coords(self):
-        dims = (2, 8, 1, 1)
-        assert codec.group_coords(dims, 4, 0) == (0, 0, 0, 0)
-        assert codec.group_coords(dims, 4, 1) == (0, 0, 0, 4)
-        assert codec.group_coords(dims, 4, 2) == (1, 0, 0, 0)
+        # group i starts at (k, channel offset) (0, 0), (0, 4), (1, 0)
+        vals = np.arange(16, dtype=np.int8).reshape(2, 8, 1, 1)
+        groups = partition_groups(vals, 4)
+        assert [groups[i][0] for i in range(3)] == [vals[0, 0, 0, 0], vals[0, 4, 0, 0],
+                                                   vals[1, 0, 0, 0]]
 
     def test_unpartition_inverse(self, rng):
         for _ in range(20):

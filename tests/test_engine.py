@@ -116,6 +116,20 @@ class TestBceGroup:
         dot, _ = bce_group(acts, next(packed_groups(cl)))
         assert dot == -g * 127 * 127
 
+    def test_accumulator_holds_minus_128_activations(self):
+        g = 8
+        weights = np.full((1, g), 127, dtype=np.int8)
+        cl = compress_groups(weights)
+        acts = np.full(g, -128, dtype=np.int64)
+        dot, _ = bce_group(acts, next(packed_groups(cl)))
+        assert dot == dot_ref(acts, weights[0]) == -g * 128 * 127
+
+    def test_accumulator_overflow_raises_value_error(self):
+        # activations outside int8 overrun the accumulator width
+        cl = compress_groups(np.full((1, 8), 127, dtype=np.int8))
+        with pytest.raises(ValueError, match="accumulator range exceeded"):
+            bce_group(np.full(8, 129, dtype=np.int64), next(packed_groups(cl)))
+
     def test_skip_soundness_full_walk(self, rng):
         # summing all 8 columns (zero columns included) equals the scheduled walk
         weights = rng.integers(-16, 17, size=(20, 8), dtype=np.int8)

@@ -4,7 +4,6 @@ import pytest
 from bitcol import codec, mapper
 from bitcol.mapper import (
     CATALOG,
-    bandwidth_requirements,
     catalog_su,
     make_custom_su,
     select_su,
@@ -40,15 +39,15 @@ class TestCatalog:
 
     def test_bandwidth_formula(self):
         for su in CATALOG:
-            w, act = bandwidth_requirements(su)
+            w, act = su.w_bw, su.act_bw
             c = su.g_u or su.c_u
             assert w == c * su.k_u          # one bit per weight lane per cycle
             assert act == c * su.ox_u * 8   # full-precision activations
 
     def test_su1_su4_su7_rows(self):
-        assert bandwidth_requirements(catalog_su("SU1")) == (256, 1024)
-        assert bandwidth_requirements(catalog_su("SU4")) == (1024, 64)
-        assert bandwidth_requirements(catalog_su("SU7")) == (64, 1024)
+        for su_id, bw in (("SU1", (256, 1024)), ("SU4", (1024, 64)), ("SU7", (64, 1024))):
+            su = catalog_su(su_id)
+            assert (su.w_bw, su.act_bw) == bw
 
     def test_unknown_id(self):
         with pytest.raises(MappingError):
