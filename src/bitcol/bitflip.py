@@ -1,13 +1,17 @@
 """Retraining-free bit-flip enhancement of bit-column sparsity.
 
-Per group, the solver searches column subsets to force to zero, replaces
-every element with its nearest representable value under the surviving
-magnitude columns, and keeps the minimum-squared-error candidate whose
-achieved zero-column index has at least z zero bits. The sign column is
-never zeroed directly; instead each magnitude subset is also tried with the
-search restricted to non-negative values, which covers candidates whose
-feasibility relies on a zero sign column (and makes the solver exhaustive
-over all value vectors meeting the constraint).
+Per group, the solver finds the minimum-squared-error vector whose
+zero-column index has at least z zero bits. Groups that already have z zero
+columns keep their values. For the others, a candidate zeroes a set of
+index bits and rounds each element to its nearest value under them, which
+is optimal for that set. Zeroing more bits only shrinks what a group can
+take, so an optimum zeroes exactly z bits: z magnitude columns with the
+sign free, or the sign column (values >= 0) and z-1 magnitude columns.
+These C(7,z) + C(7,z-1) candidates are feasible by construction.
+
+Ties: the first candidate of minimum error wins, sign-restricted before
+sign-free, each by ascending zeroed-column tuple; an element rounds to the
+smaller magnitude, then to its own sign.
 
 A network-level greedy search (one committed (layer, group size, z+1) move
 per sweep, driven by an accuracy oracle) tunes per-layer constraints.
@@ -34,16 +38,6 @@ GREEDY_GROUP_SIZES = (8, 16, 32)
 Strategy = dict[str, tuple[int, int]]  # layer name -> (group size, zero columns)
 
 _TABLES: dict[bool, np.ndarray] = {}
-
-# Candidate order: fewer zeroed columns first, within a size ascending by
-# significance (lexicographic), sign-free before sign-restricted. The first
-# strict improvement wins, which makes ties deterministic.
-_SUBSET_ORDER: list[tuple[int, bool]] = []
-for _r in range(8):
-    for _cols in combinations(range(7), _r):
-        _mask = sum(1 << c for c in _cols)
-        _SUBSET_ORDER.append((_mask, False))
-        _SUBSET_ORDER.append((_mask, True))
 
 
 def _nearest_table(nonneg: bool) -> np.ndarray:
@@ -78,60 +72,54 @@ def nearest_with_mask(v: int, allowed_mask: int, allow_negative: bool = True) ->
     return int(_nearest_table(not allow_negative)[allowed_mask, v + 128])
 
 
-def _solve_groups(groups: np.ndarray, z: int, include_sign: bool
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _candidate_tables(z: int) -> np.ndarray:
+    """(candidates, 256) nearest values of the candidates zeroing exactly z >= 1 bits."""
+    return np.array([_nearest_table(nonneg)[0x7F ^ sum(1 << c for c in cols)]
+                     for nonneg, n_mag in ((True, z - 1), (False, z))
+                     for cols in combinations(range(7), n_mag)])
+
+
+def _solve_groups(groups: np.ndarray, z: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Minimum-squared-error flip of every group to >= z zero index bits.
 
-    Returns (flipped groups, achieved indexes, per-group squared error,
-    zeroed-column masks with bit 7 marking a sign-restricted candidate).
+    Returns (flipped groups, achieved indexes, per-group squared error).
     """
     if not 0 <= z <= 8:
         raise ValueError("z must be in [0, 8]")
-    groups = np.asarray(groups, dtype=np.int8)
-    n, _ = groups.shape
-    vidx = groups.astype(np.int16) + 128
-    g32 = groups.astype(np.int32)
-
-    best_err = np.full(n, np.iinfo(np.int64).max, dtype=np.int64)
-    best_flip = np.zeros_like(groups)
-    best_idx = np.zeros(n, dtype=np.uint8)
-    best_mask = np.zeros(n, dtype=np.uint8)
-
-    for mag_mask, sign_forced in _SUBSET_ORDER:
-        if sign_forced and not include_sign:
-            continue
-        table = _nearest_table(sign_forced)[0x7F ^ mag_mask]
-        flip = table[vidx]
-        bits, _ = codec.sm_encode(flip)
-        idx = np.bitwise_or.reduce(bits, axis=1)
-        feasible = (8 - codec.POPCOUNT[idx]) >= z
-        if not feasible.any():
-            continue
-        err = ((g32 - flip.astype(np.int32)) ** 2).sum(axis=1, dtype=np.int64)
-        upd = feasible & (err < best_err)
-        if upd.any():
-            best_err[upd] = err[upd]
-            best_flip[upd] = flip[upd]
-            best_idx[upd] = idx[upd]
-            best_mask[upd] = mag_mask | (0x80 if sign_forced else 0)
-            if not best_err.any():  # every group flips error-free
-                break
-    return best_flip, best_idx, best_err, best_mask
+    flipped = np.array(groups, dtype=np.int8)
+    err = np.zeros(len(flipped), dtype=np.int64)
+    idx = np.bitwise_or.reduce(codec.sm_encode(flipped)[0], axis=1)
+    todo = np.flatnonzero(codec.POPCOUNT[idx] > 8 - z)
+    if todo.size:
+        tables = _candidate_tables(z)
+        v = np.arange(-128, 128, dtype=np.int32)
+        sq = (tables.astype(np.int32) - v) ** 2
+        vidx = flipped[todo].astype(np.intp) + 128
+        best = np.full(todo.size, np.iinfo(np.int32).max, dtype=np.int32)
+        pick = np.zeros(todo.size, dtype=np.intp)
+        for c, row in enumerate(sq):  # a group's error is at most 64 * 127**2
+            e = row[vidx].sum(axis=1, dtype=np.int32)
+            better = e < best
+            best[better] = e[better]
+            pick[better] = c
+        flipped[todo] = tables[pick[:, None], vidx]
+        err[todo] = best
+        idx[todo] = np.bitwise_or.reduce(codec.sm_encode(flipped[todo])[0], axis=1)
+    return flipped, idx, err
 
 
 @dataclass
 class BestFlip:
-    zeroed_mask: int      # zeroed magnitude columns; bit 7 = sign restricted
     flipped: np.ndarray   # (G,) int8
     index: int
     sq_error: int
 
 
-def best_column_set(group, z: int, include_sign_candidates: bool = True) -> BestFlip:
+def best_column_set(group, z: int) -> BestFlip:
     """Optimal flip of a single group (values clamped to [-127, 127])."""
     g = np.clip(np.asarray(group, dtype=np.int16), -127, 127).astype(np.int8)
-    flip, idx, err, mask = _solve_groups(g[None, :], z, include_sign_candidates)
-    return BestFlip(int(mask[0]), flip[0], int(idx[0]), int(err[0]))
+    flip, idx, err = _solve_groups(g[None, :], z)
+    return BestFlip(flip[0], int(idx[0]), int(err[0]))
 
 
 @dataclass
@@ -141,34 +129,31 @@ class FlipResult:
     total_sq_error: int
     max_abs_error: int
     zero_col_hist: np.ndarray     # (9,) groups by achieved zero-bit count
-    compression_ratio: float      # real CR after re-encoding at the same G
+    compression_ratio: float      # real CR of the achieved indexes at the same G
     group_size: int
     zero_cols: int
 
 
-def flip_layer(values: np.ndarray, group_size: int, z: int,
-               include_sign_candidates: bool = True) -> FlipResult:
+def flip_layer(values: np.ndarray, group_size: int, z: int) -> FlipResult:
     """Flip every group of a layer independently to >= z zero index bits.
 
     Error is measured against the sign-magnitude-clamped input (-128 reads
     as -127, matching the codec).
     """
     values = np.asarray(values, dtype=np.int8)
-    dims = values.shape
     groups = codec.partition_groups(values, group_size)
     clamped = np.clip(groups.astype(np.int16), -127, 127).astype(np.int8)
-    flipped, idx, err, _ = _solve_groups(clamped, z, include_sign_candidates)
+    flipped, idx, err = _solve_groups(clamped, z)
     zero_bits = 8 - codec.POPCOUNT[idx]
-    assert int(zero_bits.min(initial=8)) >= z
-    out = codec.unpartition_groups(flipped, dims)
-    cl = codec.compress_layer(out, group_size, mode="bcs")
+    if zero_bits.min(initial=8) < z:
+        raise RuntimeError(f"flip left a group with {zero_bits.min()} < z={z} zero columns")
     return FlipResult(
-        values=out,
+        values=codec.unpartition_groups(flipped, values.shape),
         indexes=idx,
         total_sq_error=int(err.sum()),
         max_abs_error=int(np.abs(flipped.astype(np.int32) - clamped).max(initial=0)),
         zero_col_hist=np.bincount(zero_bits, minlength=9),
-        compression_ratio=codec.compression_ratio(cl),
+        compression_ratio=8 * values.size / codec.bcs_size(idx, group_size),
         group_size=group_size,
         zero_cols=z,
     )
@@ -178,8 +163,7 @@ def default_strategy(net: Network, group_size: int = 8, z: int = 0) -> Strategy:
     return {l.name: (group_size, z) for l in net.layers}
 
 
-def apply_strategy(net: Network, strategy: Mapping[str, tuple[int, int]],
-                   include_sign_candidates: bool = True
+def apply_strategy(net: Network, strategy: Mapping[str, tuple[int, int]]
                    ) -> tuple[Network, dict[str, FlipResult]]:
     """Flip every layer of a network per its (group size, z) entry."""
     missing = [l.name for l in net.layers if l.name not in strategy]
@@ -189,7 +173,7 @@ def apply_strategy(net: Network, strategy: Mapping[str, tuple[int, int]],
     weights = {}
     for layer in net.layers:
         g, z = strategy[layer.name]
-        res = flip_layer(layer.weights, g, z, include_sign_candidates)
+        res = flip_layer(layer.weights, g, z)
         results[layer.name] = res
         weights[layer.name] = res.values
     return net.with_weights(weights), results
@@ -248,9 +232,7 @@ def external_oracle(command_template: str) -> ExternalOracle:
 
 def greedy_search(net: Network, initial: Mapping[str, tuple[int, int]], macc: float,
                   oracle: Callable[[Network], float],
-                  gs_options: Sequence[int] = GREEDY_GROUP_SIZES,
-                  layer_subset: Sequence[str] | None = None,
-                  include_sign_candidates: bool = True) -> Strategy:
+                  layer_subset: Sequence[str] | None = None) -> Strategy:
     """Greedy per-sweep search for the deepest strategy above the metric floor.
 
     Each sweep evaluates, for every layer and group size, bumping that
@@ -273,8 +255,7 @@ def greedy_search(net: Network, initial: Mapping[str, tuple[int, int]], macc: fl
     def flipped_weights(name: str, g: int, z: int) -> np.ndarray:
         key = (name, g, z)
         if key not in cache:
-            cache[key] = flip_layer(net.layer(name).weights, g, z,
-                                    include_sign_candidates).values
+            cache[key] = flip_layer(net.layer(name).weights, g, z).values
         return cache[key]
 
     while True:
@@ -282,7 +263,7 @@ def greedy_search(net: Network, initial: Mapping[str, tuple[int, int]], macc: fl
         bacc = -math.inf
         move = None
         for name in sweep_layers:
-            for gs in gs_options:
+            for gs in GREEDY_GROUP_SIZES:
                 z = strategy[name][1]
                 if z + 1 > 8:
                     continue
@@ -312,7 +293,10 @@ def load_strategy(path) -> Strategy:
             continue
         try:
             fields = dict(tok.split("=", 1) for tok in line.split())
-            strategy[fields["layer"]] = (int(fields["G"]), int(fields["z"]))
+            name, g, z = fields["layer"], int(fields["G"]), int(fields["z"])
+            if g not in codec.GROUP_SIZES or not 0 <= z <= 8:
+                raise ValueError(f"G={g} z={z}, need G in {codec.GROUP_SIZES} and z in 0..8")
         except (KeyError, ValueError) as e:
             raise ManifestError(f"strategy line {lineno}: {e}") from e
+        strategy[name] = (g, z)
     return strategy

@@ -29,12 +29,17 @@ def _print_table(rows: list[dict]) -> None:
         print("  ".join(v.ljust(w) for v, w in zip(row, widths)))
 
 
+def _int_in(allowed, what: str):
+    """argparse type: an int that must be one of `allowed`."""
+    def integer(arg: str) -> int:  # argparse names the function in its messages
+        if int(arg) not in allowed:
+            raise argparse.ArgumentTypeError(f"{what} {arg} is not one of {list(allowed)}")
+        return int(arg)
+    return integer
+
+
 def _group_list(arg: str) -> list[int]:
-    sizes = [int(tok) for tok in arg.split(",")]
-    for g in sizes:
-        if g not in codec.GROUP_SIZES:
-            raise argparse.ArgumentTypeError(f"group size {g} not in {codec.GROUP_SIZES}")
-    return sizes
+    return [_int_in(codec.GROUP_SIZES, "group size")(tok) for tok in arg.split(",")]
 
 
 def cmd_analyze(args) -> int:
@@ -271,8 +276,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--manifest", required=True)
     sp.add_argument("--out", required=True, help="output directory for the flipped model")
     sp.add_argument("--csv", help="flip report CSV path")
-    sp.add_argument("--group-size", dest="group_size_int", type=int, default=8)
-    sp.add_argument("--zero-cols", type=int, default=4)
+    sp.add_argument("--group-size", dest="group_size_int", default=8,
+                    type=_int_in(codec.GROUP_SIZES, "group size"))
+    sp.add_argument("--zero-cols", type=_int_in(range(9), "zero columns"), default=4)
     sp.add_argument("--strategy", help="initial strategy file")
     sp.add_argument("--oracle-cmd", help="external oracle command, {manifest} substituted")
     sp.add_argument("--proxy-oracle", action="store_true",

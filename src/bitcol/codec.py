@@ -88,6 +88,11 @@ def twos_complement_index(group: np.ndarray) -> np.ndarray | int:
     return int(idx) if np.ndim(idx) == 0 else idx
 
 
+def bcs_size(indexes: np.ndarray, group_size: int) -> int:
+    """Bcs size in bits for these group indexes: 8 each plus G per column."""
+    return 8 * len(indexes) + group_size * int(POPCOUNT[indexes].sum())
+
+
 @dataclass
 class CompressedLayer:
     """Bit-column-compressed (or dense passthrough) payload of one layer.
@@ -136,7 +141,7 @@ class CompressedLayer:
         """Size under the index+columns cost model (8 + popcount*G per group)."""
         if self.mode == "dense":
             return self.dense_bits
-        return 8 * self.n_groups + self.group_size * len(self.columns)
+        return bcs_size(self.indexes, self.group_size)
 
     @property
     def payload_bits(self) -> int:
@@ -175,8 +180,7 @@ def compress_layer(values: np.ndarray, group_size: int, mode: str = "auto",
     indexes = np.bitwise_or.reduce(sm_bits, axis=1)
     n_groups = len(groups)
 
-    bcs_bits = 8 * n_groups + group_size * int(POPCOUNT[indexes].sum())
-    use_bcs = mode == "bcs" or (mode == "auto" and bcs_bits < 8 * n_values)
+    use_bcs = mode == "bcs" or (mode == "auto" and bcs_size(indexes, group_size) < 8 * n_values)
     if not use_bcs:
         return CompressedLayer(name, group_size, "dense", n_values, n_groups,
                                dense_values=values.reshape(-1).copy(), dims=dims,

@@ -1,18 +1,24 @@
-"""Scalar reference versions of the vectorized column-serial core.
+"""Reference versions of vectorized library code.
 
-These are the wave walk, the per-group exactness loop and the SU1 bank
-layout as they were written before the engine, perf and the mapper moved
-onto one bit-plane unpack and one lockstep wave kernel. They run on the
-engine's scalar per-group model (packed_groups, parse_index, bce_group,
-dot_ref) only, so the property tests that compare them with the library
-stay independent of the code they check.
+The wave walk, the per-group exactness loop and the SU1 bank layout are
+written as they were before the engine, perf and the mapper moved onto one
+bit-plane unpack and one lockstep wave kernel. They run on the engine's
+scalar per-group model (packed_groups, parse_index, bce_group, dot_ref)
+only, so the property tests that compare them with the library stay
+independent of the code they check.
+
+The flip solver is the sweep over all 256 (zeroed magnitude columns, sign)
+candidates that the library used before it scored only the candidates
+zeroing exactly z index bits; it tests every candidate's achieved index.
 """
 
 import math
+from itertools import combinations
 
 import numpy as np
 
 from bitcol import codec, engine
+from bitcol.bitflip import _nearest_table
 from bitcol.engine import CycleCount, bce_group, dot_ref, packed_groups
 from bitcol.mapper import check_kind_compatible
 from bitcol.workload import MappingError
@@ -184,3 +190,55 @@ def weight_bank_layout(cl, shape, su, max_cycles=None):
                         if max_cycles is not None and cycle >= max_cycles:
                             return rows
     return rows
+
+
+# Candidate order: fewer zeroed columns first, within a size ascending by
+# significance (lexicographic), sign-free before sign-restricted. The first
+# strict improvement wins, which makes ties deterministic.
+_SUBSET_ORDER: list[tuple[int, bool]] = []
+for _r in range(8):
+    for _cols in combinations(range(7), _r):
+        _mask = sum(1 << c for c in _cols)
+        _SUBSET_ORDER.append((_mask, False))
+        _SUBSET_ORDER.append((_mask, True))
+
+
+def solve_groups(groups: np.ndarray, z: int, include_sign: bool = True
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Minimum-squared-error flip of every group to >= z zero index bits.
+
+    Returns (flipped groups, achieved indexes, per-group squared error,
+    zeroed-column masks with bit 7 marking a sign-restricted candidate).
+    """
+    if not 0 <= z <= 8:
+        raise ValueError("z must be in [0, 8]")
+    groups = np.asarray(groups, dtype=np.int8)
+    n, _ = groups.shape
+    vidx = groups.astype(np.int16) + 128
+    g32 = groups.astype(np.int32)
+
+    best_err = np.full(n, np.iinfo(np.int64).max, dtype=np.int64)
+    best_flip = np.zeros_like(groups)
+    best_idx = np.zeros(n, dtype=np.uint8)
+    best_mask = np.zeros(n, dtype=np.uint8)
+
+    for mag_mask, sign_forced in _SUBSET_ORDER:
+        if sign_forced and not include_sign:
+            continue
+        table = _nearest_table(sign_forced)[0x7F ^ mag_mask]
+        flip = table[vidx]
+        bits, _ = codec.sm_encode(flip)
+        idx = np.bitwise_or.reduce(bits, axis=1)
+        feasible = (8 - codec.POPCOUNT[idx]) >= z
+        if not feasible.any():
+            continue
+        err = ((g32 - flip.astype(np.int32)) ** 2).sum(axis=1, dtype=np.int64)
+        upd = feasible & (err < best_err)
+        if upd.any():
+            best_err[upd] = err[upd]
+            best_flip[upd] = flip[upd]
+            best_idx[upd] = idx[upd]
+            best_mask[upd] = mag_mask | (0x80 if sign_forced else 0)
+            if not best_err.any():  # every group flips error-free
+                break
+    return best_flip, best_idx, best_err, best_mask

@@ -170,6 +170,28 @@ class TestFlipLayer:
         res = flip_layer(vals, 8, 3)
         assert res.values.min() >= -127
 
+    def test_cr_equals_repacked_layer(self, rng):
+        vals = rng.integers(-128, 128, size=(3, 40, 2, 1), dtype=np.int8)
+        for g in codec.GROUP_SIZES:
+            for z in range(9):
+                res = flip_layer(vals, g, z)
+                cl = codec.compress_layer(res.values, g, mode="bcs")
+                assert res.compression_ratio == codec.compression_ratio(cl), (g, z)
+                assert np.array_equal(res.indexes, cl.indexes)
+
+    def test_postcondition_checked(self, rng, monkeypatch):
+        # a solver that misses the target must not pass silently, even
+        # under python -O
+        def short(groups, z):
+            flipped = np.asarray(groups, dtype=np.int8)
+            idx = np.full(len(flipped), 0xFF, dtype=np.uint8)
+            return flipped, idx, np.zeros(len(flipped), dtype=np.int64)
+
+        monkeypatch.setattr(bitflip, "_solve_groups", short)
+        vals = rng.integers(-127, 128, size=(1, 8, 1, 1), dtype=np.int8)
+        with pytest.raises(RuntimeError, match="zero columns"):
+            flip_layer(vals, 8, 3)
+
     def test_deterministic(self, rng):
         vals = rng.integers(-127, 128, size=(2, 32, 1, 1), dtype=np.int8)
         a = flip_layer(vals, 16, 4)
@@ -315,6 +337,19 @@ class TestStrategyFile:
         path.write_text("layer=x G=eight z=1\n")
         with pytest.raises(ManifestError):
             load_strategy(path)
+
+    def test_group_size_not_supported(self, tmp_path):
+        path = tmp_path / "strategy.txt"
+        path.write_text("layer=a G=8 z=1\nlayer=b G=12 z=1\n")
+        with pytest.raises(ManifestError, match="strategy line 2: G=12 z=1"):
+            load_strategy(path)
+
+    def test_z_out_of_range(self, tmp_path):
+        path = tmp_path / "strategy.txt"
+        for z in (-1, 9, 12):
+            path.write_text(f"layer=a G=8 z=1\n\nlayer=b G=8 z={z}\n")
+            with pytest.raises(ManifestError, match=f"strategy line 3: G=8 z={z}, need"):
+                load_strategy(path)
 
     def test_token_without_equals(self, tmp_path):
         path = tmp_path / "strategy.txt"

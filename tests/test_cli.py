@@ -5,7 +5,7 @@ import io
 import numpy as np
 import pytest
 
-from bitcol import model_io
+from bitcol import bitflip, model_io
 from bitcol.cli import main
 from bitcol.workload import Layer, LayerShape, Network
 
@@ -152,6 +152,31 @@ def test_bitflip_greedy_proxy(net_dir):
                "--proxy-oracle", "--macc", "-0.1"])
     assert rc == 0
     assert (out_dir / "strategy.txt").exists()
+
+
+@pytest.mark.parametrize("flag,value", [("--zero-cols", "9"), ("--zero-cols", "-1"),
+                                        ("--group-size", "3"), ("--group-size", "128")])
+def test_bitflip_bad_target_rejected_by_parser(tmp_path, capsys, flag, value):
+    # the manifest does not exist: the flag is rejected before it is read
+    rc = main(["bitflip", "--manifest", str(tmp_path / "nope.txt"),
+               "--out", str(tmp_path / "out"), flag, value])
+    assert rc == 1
+    assert f"argument {flag}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_bitflip_bad_strategy_line_rejected_before_flipping(net_dir, capsys, monkeypatch):
+    flips = []
+    real_flip = bitflip.flip_layer
+    monkeypatch.setattr(bitflip, "flip_layer", lambda *a: flips.append(a) or real_flip(*a))
+    strategy = net_dir / "strategy.txt"
+    strategy.write_text("layer=conv1 G=8 z=2\nlayer=dw1 G=8 z=2\nlayer=pw1 G=8 z=12\n")
+    out_dir = net_dir / "flipped"
+    rc = main(["bitflip", "--manifest", str(net_dir / "model/manifest.txt"),
+               "--out", str(out_dir), "--strategy", str(strategy)])
+    assert rc == 1
+    assert "strategy line 3: G=8 z=12" in capsys.readouterr().err
+    assert not flips and not out_dir.exists()
 
 
 def test_map(net_dir):
