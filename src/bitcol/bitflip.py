@@ -33,8 +33,6 @@ import numpy as np
 from . import codec, model_io
 from .workload import ManifestError, Network, OracleError
 
-GREEDY_GROUP_SIZES = (8, 16, 32)
-
 Strategy = dict[str, tuple[int, int]]  # layer name -> (group size, zero columns)
 
 _TABLES: dict[bool, np.ndarray] = {}
@@ -263,7 +261,7 @@ def greedy_search(net: Network, initial: Mapping[str, tuple[int, int]], macc: fl
         bacc = -math.inf
         move = None
         for name in sweep_layers:
-            for gs in GREEDY_GROUP_SIZES:
+            for gs in codec.AUTO_GROUP_SIZES:
                 z = strategy[name][1]
                 if z + 1 > 8:
                     continue

@@ -29,9 +29,11 @@ def _print_table(rows: list[dict]) -> None:
         print("  ".join(v.ljust(w) for v, w in zip(row, widths)))
 
 
-def _int_in(allowed, what: str):
-    """argparse type: an int that must be one of `allowed`."""
-    def integer(arg: str) -> int:  # argparse names the function in its messages
+def _int_in(allowed, what: str, auto: bool = False):
+    """argparse type: an int that must be one of `allowed` (or "auto" if `auto`)."""
+    def integer(arg: str) -> int | str:  # argparse names the function in its messages
+        if auto and arg == "auto":
+            return arg
         if int(arg) not in allowed:
             raise argparse.ArgumentTypeError(f"{what} {arg} is not one of {list(allowed)}")
         return int(arg)
@@ -68,15 +70,11 @@ def cmd_analyze(args) -> int:
 def _compress_network(net, group_arg):
     compressed = []
     rows = []
+    sizes = codec.AUTO_GROUP_SIZES if group_arg == "auto" else (group_arg,)
     for layer in net.layers:
-        sizes = (8, 16, 32) if group_arg == "auto" else [int(group_arg)]
-        best = None
-        for g in sizes:
-            cand = codec.compress_layer(layer.weights, g, mode="bcs", name=layer.name)
-            cr = codec.compression_ratio(cand)
-            if best is None or cr > best[0]:
-                best = (cr, g, cand)
-        _, g, forced = best
+        forced = max((codec.compress_layer(layer.weights, g, mode="bcs", name=layer.name)
+                      for g in sizes), key=codec.compression_ratio)
+        g = forced.group_size
         chosen = codec.compress_layer(layer.weights, g, mode="auto", name=layer.name)
         n_bits = 8 * layer.weights.size
         nnz = int(np.count_nonzero(layer.weights))
@@ -119,11 +117,14 @@ def cmd_bitflip(args) -> int:
         raise ConfigError("--oracle-cmd and --proxy-oracle are mutually exclusive")
     if args.macc is not None and not (args.oracle_cmd or args.proxy_oracle):
         raise ConfigError("--macc drives a greedy search; give --oracle-cmd or --proxy-oracle")
+    if args.strategy and (args.group_size_int, args.zero_cols) != (None, None):
+        raise ConfigError("--strategy sets G and z per layer; drop --group-size and --zero-cols")
     net = model_io.load_network(args.manifest)
     if args.strategy:
         strategy = bitflip.load_strategy(args.strategy)
     else:
-        strategy = bitflip.default_strategy(net, args.group_size_int, args.zero_cols)
+        strategy = bitflip.default_strategy(net, args.group_size_int or 8,
+                                            4 if args.zero_cols is None else args.zero_cols)
     if args.oracle_cmd or args.proxy_oracle:
         oracle = bitflip.external_oracle(args.oracle_cmd) if args.oracle_cmd \
             else bitflip.proxy_oracle(net)
@@ -267,8 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--manifest", required=True)
     sp.add_argument("--out", required=True, help="container output path")
     sp.add_argument("--csv", help="CR table CSV path")
-    sp.add_argument("--group-size", default="auto",
-                    help="group size or 'auto' (best of 8/16/32 per layer)")
+    sp.add_argument("--group-size", type=_int_in(codec.GROUP_SIZES, "group size", auto=True),
+                    default="auto", help="group size or 'auto' (best of 8/16/32 per layer)")
     sp.add_argument("--verify", action="store_true",
                     help="re-read the container and check the round trip")
 
@@ -276,9 +277,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--manifest", required=True)
     sp.add_argument("--out", required=True, help="output directory for the flipped model")
     sp.add_argument("--csv", help="flip report CSV path")
-    sp.add_argument("--group-size", dest="group_size_int", default=8,
-                    type=_int_in(codec.GROUP_SIZES, "group size"))
-    sp.add_argument("--zero-cols", type=_int_in(range(9), "zero columns"), default=4)
+    sp.add_argument("--group-size", dest="group_size_int",
+                    type=_int_in(codec.GROUP_SIZES, "group size"),
+                    help="group size of every layer (default 8; not with --strategy)")
+    sp.add_argument("--zero-cols", type=_int_in(range(9), "zero columns"),
+                    help="zero columns per group (default 4; not with --strategy)")
     sp.add_argument("--strategy", help="initial strategy file")
     sp.add_argument("--oracle-cmd", help="external oracle command, {manifest} substituted")
     sp.add_argument("--proxy-oracle", action="store_true",
@@ -288,7 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("simulate", cmd_simulate, help="cycle accounting and exactness check")
     sp.add_argument("--manifest", required=True)
     sp.add_argument("--container", help="existing container (otherwise compress on the fly)")
-    sp.add_argument("--group-size", default="auto")
+    sp.add_argument("--group-size", type=_int_in(codec.GROUP_SIZES, "group size", auto=True),
+                    default="auto")
     sp.add_argument("--su", default="auto", help="SU1..SU7 or 'auto'")
     sp.add_argument("--out", help="cycle report CSV path")
     sp.add_argument("--seed", type=int, default=0)

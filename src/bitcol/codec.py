@@ -25,6 +25,7 @@ import numpy as np
 from .workload import ContainerError
 
 GROUP_SIZES = (1, 2, 4, 8, 16, 32, 64)
+AUTO_GROUP_SIZES = (8, 16, 32)  # "auto" keeps the best CR of these; the smaller wins ties
 
 POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
 
@@ -118,6 +119,9 @@ class CompressedLayer:
             raise ContainerError(f"unknown mode {self.mode!r}")
         if self.group_size not in GROUP_SIZES:
             raise ContainerError(f"group size {self.group_size} not in {GROUP_SIZES}")
+        if not math.ceil(self.n_values / self.group_size) <= self.n_groups <= self.n_values:
+            raise ContainerError(f"layer {self.name!r}: {self.n_groups} groups cannot hold "
+                                 f"{self.n_values} values at G={self.group_size}")
         if self.mode == "bcs":
             if self.indexes is None or self.columns is None:
                 raise ContainerError("bcs layer needs indexes and columns")

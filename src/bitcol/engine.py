@@ -153,10 +153,10 @@ def simulate_layer(cl: codec.CompressedLayer, shape: LayerShape,
     check_kind_compatible(shape, su)
     if shape.n_weights != cl.n_values:
         raise MappingError(f"layer {cl.name!r}: container does not match layer shape")
-    nz = codec.nz_columns(cl, sign_cycle)
     blocks = math.ceil(shape.c / cl.group_size)
     if cl.n_groups != shape.k * shape.fy * shape.fx * blocks:
         raise MappingError(f"layer {cl.name!r}: group count does not match layer shape")
+    nz = codec.nz_columns(cl, sign_cycle)
     steps, loss, repeat = lockstep_waves(nz, shape, cl.group_size, su)
     wave_max_sum = int(steps.sum())
     t_out = math.ceil(shape.ox / su.ox_u) * shape.oy * shape.b

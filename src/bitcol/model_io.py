@@ -131,37 +131,36 @@ def save_network(net: Network, out_dir: str | Path, manifest_name: str = "manife
     return path
 
 
+def _index_mask(n_bytes: int, starts) -> np.ndarray:
+    """Bcs record split: index bytes at the record starts, column bytes elsewhere."""
+    mask = np.zeros(n_bytes, dtype=bool)
+    mask[starts] = True
+    return mask
+
+
 def write_compressed(path: str | Path, layers: Sequence[CompressedLayer]) -> None:
-    buf = bytearray()
-    buf += MAGIC
-    buf.append(VERSION)
+    buf = bytearray(MAGIC + bytes([VERSION]))
     for cl in layers:
         name = cl.name.encode("utf-8")
-        buf += struct.pack("<H", len(name))
-        buf += name
-        buf.append(cl.group_size)
-        buf.append(0 if cl.mode == "dense" else 1)
-        buf += struct.pack("<II", cl.n_values, cl.n_groups)
+        buf += struct.pack("<H", len(name)) + name
+        buf += struct.pack("<BBII", cl.group_size, cl.mode == "bcs", cl.n_values, cl.n_groups)
         if cl.mode == "dense":
             buf += cl.dense_values.astype(np.int8).tobytes()
         else:
-            offs = column_offsets(cl)
-            gb = cl.column_bytes
-            rec = np.zeros(cl.n_groups + len(cl.columns) * gb, dtype=np.uint8)
-            # index byte positions: record start of each group
-            starts = np.arange(cl.n_groups, dtype=np.int64) + offs[:-1] * gb
-            rec[starts] = cl.indexes
-            # column rows land right after their group's index byte
-            col_group = np.repeat(np.arange(cl.n_groups), POPCOUNT[cl.indexes])
-            col_rank = np.arange(len(cl.columns)) - offs[:-1][col_group]
-            col_pos = starts[col_group] + 1 + col_rank * gb
-            rec[(col_pos[:, None] + np.arange(gb)[None, :]).reshape(-1)] = cl.columns.reshape(-1)
+            starts = np.arange(cl.n_groups) + column_offsets(cl)[:-1] * cl.column_bytes
+            rec = np.empty(cl.n_groups + cl.columns.size, dtype=np.uint8)
+            mask = _index_mask(rec.size, starts)
+            rec[mask], rec[~mask] = cl.indexes, cl.columns.reshape(-1)
             buf += rec.tobytes()
     Path(path).write_bytes(bytes(buf))
 
 
 def read_compressed(path: str | Path) -> list[CompressedLayer]:
-    """Read a container; returned layers carry no tensor dims (see codec)."""
+    """Read a container; returned layers carry no tensor dims (see codec).
+
+    Every count in a layer header is checked against the bytes that remain
+    before anything is allocated from it, so no allocation exceeds the file.
+    """
     data = Path(path).read_bytes()
     if len(data) < 5 or data[:4] != MAGIC:
         raise ContainerError(f"{path}: bad magic")
@@ -176,42 +175,37 @@ def read_compressed(path: str | Path) -> list[CompressedLayer]:
         pos += 2
         if pos + nlen + 10 > len(data):
             raise ContainerError(f"{path}: truncated layer header")
-        name = data[pos:pos + nlen].decode("utf-8")
+        try:
+            name = data[pos:pos + nlen].decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise ContainerError(f"{path}: layer name at offset {pos} is not UTF-8") from e
         pos += nlen
-        gsize = data[pos]
-        mode = data[pos + 1]
-        pos += 2
-        n_values, n_groups = struct.unpack_from("<II", data, pos)
-        pos += 8
+        gsize, mode, n_values, n_groups = struct.unpack_from("<BBII", data, pos)
+        pos += 10
         if gsize not in GROUP_SIZES:
             raise ContainerError(f"{path}: layer {name!r} has invalid group size {gsize}")
         if mode not in (0, 1):
             raise ContainerError(f"{path}: layer {name!r} has invalid mode {mode}")
+        if (n_values if mode == 0 else n_groups) > len(data) - pos:
+            raise ContainerError(f"{path}: layer {name!r} payload truncated")
         if mode == 0:
-            if pos + n_values > len(data):
-                raise ContainerError(f"{path}: layer {name!r} payload truncated")
-            dense = np.frombuffer(data, dtype=np.int8, count=n_values, offset=pos).copy()
+            dense = np.frombuffer(data, np.int8, n_values, pos).copy()
+            layers.append(CompressedLayer(name, gsize, "dense", n_values, n_groups, dense_values=dense))
             pos += n_values
-            layers.append(CompressedLayer(name, gsize, "dense", n_values, n_groups,
-                                          dense_values=dense))
-        else:
-            gb = math.ceil(gsize / 8)
-            indexes = np.zeros(n_groups, dtype=np.uint8)
-            cols = []
+            continue
+        gb = math.ceil(gsize / 8)
+        step = (1 + POPCOUNT.astype(np.int64) * gb).tolist()  # record length by index byte
+        starts, end = [0] * n_groups, pos
+        try:  # the one sequential step: walk the record starts
             for g in range(n_groups):
-                if pos >= len(data):
-                    raise ContainerError(f"{path}: layer {name!r} payload truncated")
-                idx = data[pos]
-                pos += 1
-                indexes[g] = idx
-                nbytes = int(POPCOUNT[idx]) * gb
-                if pos + nbytes > len(data):
-                    raise ContainerError(f"{path}: layer {name!r} payload truncated")
-                cols.append(np.frombuffer(data, dtype=np.uint8, count=nbytes, offset=pos))
-                pos += nbytes
-            columns = (np.concatenate(cols) if cols else np.zeros(0, dtype=np.uint8)).reshape(-1, gb)
-            layers.append(CompressedLayer(name, gsize, "bcs", n_values, n_groups,
-                                          indexes=indexes, columns=columns))
+                starts[g], end = end - pos, end + step[data[end]]
+            rec = np.frombuffer(data, np.uint8, end - pos, pos)
+        except (IndexError, ValueError):  # a record runs past the end of the file
+            raise ContainerError(f"{path}: layer {name!r} payload truncated") from None
+        mask = _index_mask(rec.size, starts)
+        layers.append(CompressedLayer(name, gsize, "bcs", n_values, n_groups,
+                                      indexes=rec[mask], columns=rec[~mask].reshape(-1, gb)))
+        pos = end
     return layers
 
 

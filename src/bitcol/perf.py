@@ -93,6 +93,8 @@ class AcceleratorSpec:
             raise ConfigError("sync_lanes must be >= 1")
         if self.dram_bytes_per_cycle <= 0:
             raise ConfigError("dram_bytes_per_cycle must be > 0")
+        if self.group_size != "auto" and self.group_size not in codec.GROUP_SIZES:
+            raise ConfigError(f"group_size must be 'auto' or one of {codec.GROUP_SIZES}")
 
     def resolve_su(self, shape: LayerShape) -> SpatialUnrolling:
         if isinstance(self.su, SpatialUnrolling):
@@ -325,8 +327,9 @@ def weight_compression(layer: Layer, spec: AcceleratorSpec
                        ) -> tuple[float, codec.CompressedLayer | None]:
     """Weight-tensor compression ratio under the spec's codec.
 
-    For bcs, group_size "auto" picks the best real CR among 8/16/32 (smaller
-    wins ties); the chosen compressed layer is returned for cycle modeling.
+    For bcs, group_size "auto" picks the best real CR among
+    codec.AUTO_GROUP_SIZES; the chosen compressed layer is returned for
+    cycle modeling.
     """
     w = layer.weights
     n_bits = 8 * w.size
@@ -337,14 +340,10 @@ def weight_compression(layer: Layer, spec: AcceleratorSpec
     if spec.weight_codec == "csr":
         row = layer.shape.c * layer.shape.fy * layer.shape.fx
         return n_bits / max(codec.csr_size(w, row), 1), None
-    sizes = (8, 16, 32) if spec.group_size == "auto" else (int(spec.group_size),)
-    best = None
-    for g in sizes:
-        cl = codec.compress_layer(w, g, mode="auto", name=layer.name)
-        cr = n_bits / cl.bcs_bits if cl.mode == "bcs" else 1.0
-        if best is None or cr > best[0]:
-            best = (cr, cl)
-    return best
+    sizes = codec.AUTO_GROUP_SIZES if spec.group_size == "auto" else (spec.group_size,)
+    cl = max((codec.compress_layer(w, g, mode="auto", name=layer.name) for g in sizes),
+             key=codec.compression_ratio)
+    return codec.compression_ratio(cl), cl
 
 
 def act_compression(layer: Layer, spec: AcceleratorSpec, s_a: float) -> float:

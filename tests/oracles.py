@@ -10,14 +10,22 @@ independent of the code they check.
 The flip solver is the sweep over all 256 (zeroed magnitude columns, sign)
 candidates that the library used before it scored only the candidates
 zeroing exactly z index bits; it tests every candidate's achieved index.
+
+The container reader walks a bcs payload one group at a time, as it did
+before the library split each layer's records with one index-byte mask.
 """
 
 import math
+import struct
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 
 from bitcol import codec, engine
+from bitcol.codec import GROUP_SIZES, POPCOUNT, CompressedLayer
+from bitcol.model_io import MAGIC, VERSION
+from bitcol.workload import ContainerError
 from bitcol.bitflip import _nearest_table
 from bitcol.engine import CycleCount, bce_group, dot_ref, packed_groups
 from bitcol.mapper import check_kind_compatible
@@ -242,3 +250,58 @@ def solve_groups(groups: np.ndarray, z: int, include_sign: bool = True
             if not best_err.any():  # every group flips error-free
                 break
     return best_flip, best_idx, best_err, best_mask
+
+
+def read_compressed(path: str | Path) -> list[CompressedLayer]:
+    """Read a container; returned layers carry no tensor dims (see codec)."""
+    data = Path(path).read_bytes()
+    if len(data) < 5 or data[:4] != MAGIC:
+        raise ContainerError(f"{path}: bad magic")
+    if data[4] != VERSION:
+        raise ContainerError(f"{path}: unsupported version {data[4]}")
+    pos = 5
+    layers = []
+    while pos < len(data):
+        if pos + 2 > len(data):
+            raise ContainerError(f"{path}: truncated layer header")
+        (nlen,) = struct.unpack_from("<H", data, pos)
+        pos += 2
+        if pos + nlen + 10 > len(data):
+            raise ContainerError(f"{path}: truncated layer header")
+        name = data[pos:pos + nlen].decode("utf-8")
+        pos += nlen
+        gsize = data[pos]
+        mode = data[pos + 1]
+        pos += 2
+        n_values, n_groups = struct.unpack_from("<II", data, pos)
+        pos += 8
+        if gsize not in GROUP_SIZES:
+            raise ContainerError(f"{path}: layer {name!r} has invalid group size {gsize}")
+        if mode not in (0, 1):
+            raise ContainerError(f"{path}: layer {name!r} has invalid mode {mode}")
+        if mode == 0:
+            if pos + n_values > len(data):
+                raise ContainerError(f"{path}: layer {name!r} payload truncated")
+            dense = np.frombuffer(data, dtype=np.int8, count=n_values, offset=pos).copy()
+            pos += n_values
+            layers.append(CompressedLayer(name, gsize, "dense", n_values, n_groups,
+                                          dense_values=dense))
+        else:
+            gb = math.ceil(gsize / 8)
+            indexes = np.zeros(n_groups, dtype=np.uint8)
+            cols = []
+            for g in range(n_groups):
+                if pos >= len(data):
+                    raise ContainerError(f"{path}: layer {name!r} payload truncated")
+                idx = data[pos]
+                pos += 1
+                indexes[g] = idx
+                nbytes = int(POPCOUNT[idx]) * gb
+                if pos + nbytes > len(data):
+                    raise ContainerError(f"{path}: layer {name!r} payload truncated")
+                cols.append(np.frombuffer(data, dtype=np.uint8, count=nbytes, offset=pos))
+                pos += nbytes
+            columns = (np.concatenate(cols) if cols else np.zeros(0, dtype=np.uint8)).reshape(-1, gb)
+            layers.append(CompressedLayer(name, gsize, "bcs", n_values, n_groups,
+                                          indexes=indexes, columns=columns))
+    return layers

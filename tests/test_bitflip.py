@@ -298,6 +298,12 @@ class TestGreedySearch:
         # ties keep the later candidate: every committed move used gs=32
         assert out["a"][0] == 32 and out["b"][0] == 32
 
+    def test_search_tries_the_auto_group_sizes(self, rng, monkeypatch):
+        monkeypatch.setattr(codec, "AUTO_GROUP_SIZES", (16, 4))
+        net = make_network("one", [make_layer("l", rng, k=1, c=16, fy=1, fx=1, ox=1, oy=1)])
+        out = greedy_search(net, default_strategy(net), macc=0.0, oracle=lambda n: 1.0)
+        assert out["l"] == (4, 8)
+
     def test_layer_subset_budget(self, small_net):
         calls = []
 

@@ -5,7 +5,7 @@ import io
 import numpy as np
 import pytest
 
-from bitcol import bitflip, model_io
+from bitcol import bitflip, codec, model_io
 from bitcol.cli import main
 from bitcol.workload import Layer, LayerShape, Network
 
@@ -155,7 +155,8 @@ def test_bitflip_greedy_proxy(net_dir):
 
 
 @pytest.mark.parametrize("flag,value", [("--zero-cols", "9"), ("--zero-cols", "-1"),
-                                        ("--group-size", "3"), ("--group-size", "128")])
+                                        ("--group-size", "3"), ("--group-size", "128"),
+                                        ("--group-size", "auto")])
 def test_bitflip_bad_target_rejected_by_parser(tmp_path, capsys, flag, value):
     # the manifest does not exist: the flag is rejected before it is read
     rc = main(["bitflip", "--manifest", str(tmp_path / "nope.txt"),
@@ -177,6 +178,65 @@ def test_bitflip_bad_strategy_line_rejected_before_flipping(net_dir, capsys, mon
     assert rc == 1
     assert "strategy line 3: G=8 z=12" in capsys.readouterr().err
     assert not flips and not out_dir.exists()
+
+
+@pytest.mark.parametrize("flag,value", [("--group-size", "16"), ("--zero-cols", "2")])
+def test_bitflip_strategy_with_fixed_target_rejected(tmp_path, capsys, flag, value):
+    # the manifest does not exist: the combination is rejected before it is read
+    rc = main(["bitflip", "--manifest", str(tmp_path / "nope.txt"), "--out", str(tmp_path / "out"),
+               "--strategy", str(tmp_path / "strategy.txt"), flag, value])
+    assert rc == 1
+    assert "--strategy sets G and z per layer" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["compress", "simulate"])
+@pytest.mark.parametrize("value", ["3", "128", "eight"])
+def test_group_size_checked_by_parser(tmp_path, capsys, command, value):
+    rc = main([command, "--manifest", str(tmp_path / "nope.txt"), "--out", str(tmp_path / "c"),
+               "--group-size", value])
+    assert rc == 1
+    assert "argument --group-size" in capsys.readouterr().err
+
+
+def test_auto_group_size_is_best_cr_smaller_on_ties(tmp_path):
+    # "tie": channels 0..7 zero, 8..15 all 1: G=8 costs 2*8 + 8 bits, G=16
+    # costs 8 + 16, G=32 costs 8 + 32; "zero": all-zero, so G=32 costs least
+    tie = np.repeat([0, 1], 8).astype(np.int8)
+    net = make_network("ties", [make_layer("tie", values=tie, k=1, c=16, fy=1, fx=1, ox=1, oy=1),
+                                make_layer("zero", values=np.zeros(32), k=1, c=32, fy=1, fx=1,
+                                           ox=1, oy=1)])
+    manifest = model_io.save_network(net, tmp_path / "model")
+    csv_path = tmp_path / "cr.csv"
+    assert main(["compress", "--manifest", str(manifest), "--out", str(tmp_path / "c.bcsw"),
+                 "--csv", str(csv_path)]) == 0
+    assert [r["group_size"] for r in read_csv(csv_path)] == ["8", "32"]
+
+
+def test_auto_group_sizes_drive_compress(net_dir, monkeypatch):
+    monkeypatch.setattr(codec, "AUTO_GROUP_SIZES", (16,))
+    csv_path = net_dir / "cr.csv"
+    rc = main(["compress", "--manifest", str(net_dir / "model/manifest.txt"),
+               "--out", str(net_dir / "c.bcsw"), "--csv", str(csv_path)])
+    assert rc == 0
+    assert {r["group_size"] for r in read_csv(csv_path)} == {"16"}
+
+
+def test_simulate_rejects_unchecked_dense_group_count(net_dir, capsys, monkeypatch):
+    net = model_io.load_network(net_dir / "model/manifest.txt")
+    cont = net_dir / "model.bcsw"
+    model_io.write_compressed(cont, [codec.compress_layer(l.weights, 8, "dense", l.name)
+                                     for l in net.layers])
+    data = bytearray(cont.read_bytes())
+    assert data[7:12] == b"conv1" and data[14:18] == (288).to_bytes(4, "little")
+    data[18:22] = (2**32 - 1).to_bytes(4, "little")  # conv1's group count
+    cont.write_bytes(bytes(data))
+    # guard: the group count must never size an allocation
+    monkeypatch.setattr(codec, "nz_columns", lambda *_: pytest.fail("unchecked group count"))
+    rc = main(["simulate", "--manifest", str(net_dir / "model/manifest.txt"),
+               "--container", str(cont)])
+    assert rc == 1
+    assert "4294967295 groups cannot hold 288 values" in capsys.readouterr().err
 
 
 def test_map(net_dir):

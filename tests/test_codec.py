@@ -163,6 +163,14 @@ class TestCompression:
         with pytest.raises(codec.ContainerError):
             decompress_layer(broken)
 
+    @pytest.mark.parametrize("n_groups", [0, 3, 17, 2**32 - 1])
+    def test_group_count_outside_value_bounds_rejected(self, n_groups):
+        # 16 values at G=4 need between ceil(16/4) = 4 and 16 groups
+        with pytest.raises(codec.ContainerError, match="groups cannot hold"):
+            CompressedLayer("d", 4, "dense", 16, n_groups, dense_values=np.zeros(16, np.int8))
+        for ok in (4, 16):
+            CompressedLayer("d", 4, "dense", 16, ok, dense_values=np.zeros(16, np.int8))
+
 
 class TestCompressionRatio:
     def test_every_column_nonzero_g8(self):

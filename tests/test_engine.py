@@ -232,6 +232,18 @@ class TestSimulateLayer:
         assert cc.barrier_loss == 0
 
 
+    def test_group_count_checked_before_column_counts(self, monkeypatch):
+        shape = LayerShape(k=2, c=8, fy=1, fx=1, ox=16, oy=1)
+        cl = codec.compress_layer(np.ones(shape.weight_dims, np.int8), 8, mode="dense")
+        cl.n_groups = 2**32 - 1  # a header the container reader would reject
+
+        def nz_columns(*_):
+            raise AssertionError("nz_columns sized by an unchecked group count")
+        monkeypatch.setattr(codec, "nz_columns", nz_columns)
+        with pytest.raises(MappingError, match="group count"):
+            simulate_layer(cl, shape, mapper.catalog_su("SU1"))
+
+
 class TestVerifyLayer:
     def test_clean_layer_verifies(self, rng):
         shape = LayerShape(k=4, c=16, fy=1, fx=1, ox=4, oy=4)

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -157,6 +158,38 @@ class TestContainer:
         data = path.read_bytes()
         path.write_bytes(data[:-3])
         with pytest.raises(model_io.ContainerError, match="truncated"):
+            read_compressed(path)
+
+    def test_name_not_utf8_names_path_and_offset(self, tmp_path):
+        path = tmp_path / "c.bcsw"
+        write_compressed(path, [codec.compress_layer(np.ones((1, 8, 1, 1), np.int8), 8,
+                                                     mode="dense", name="ab")])
+        data = bytearray(path.read_bytes())
+        data[8] = 0xFF  # second name byte; the name starts at offset 7
+        path.write_bytes(bytes(data))
+        with pytest.raises(model_io.ContainerError, match=r"c\.bcsw: layer name at offset 7"):
+            read_compressed(path)
+
+    @pytest.mark.parametrize("mode", [0, 1])
+    def test_header_count_past_file_end_allocates_nothing(self, tmp_path, mode):
+        # a million elements (dense) or groups (bcs) claimed over a 4-byte payload
+        header = b"BCSW\x01" + struct.pack("<H", 1) + b"h" + bytes([8, mode])
+        path = tmp_path / "c.bcsw"
+        path.write_bytes(header + struct.pack("<II", 10**6, 10**6) + bytes(4))
+        tracemalloc.start()
+        try:
+            with pytest.raises(model_io.ContainerError, match="payload truncated"):
+                read_compressed(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+
+    def test_dense_group_count_checked(self, tmp_path):
+        path = tmp_path / "c.bcsw"
+        path.write_bytes(b"BCSW\x01" + struct.pack("<H", 1) + b"d" + bytes([8, 0])
+                         + struct.pack("<II", 8, 2**32 - 1) + bytes(8))
+        with pytest.raises(model_io.ContainerError, match="groups cannot hold"):
             read_compressed(path)
 
 

@@ -363,6 +363,31 @@ class TestPresetsAndConfig:
         with pytest.raises(ConfigError, match="warp_factor"):
             load_spec_configs(cfg)
 
+    @pytest.mark.parametrize("value", ["12", "0", "128"])
+    def test_config_group_size_outside_group_sizes_rejected_at_load(self, tmp_path, value):
+        cfg = tmp_path / "specs.ini"
+        cfg.write_text(f"[x]\nbase = bitcol\ngroup_size = {value}\n")
+        with pytest.raises(ConfigError, match="group_size must be"):
+            load_spec_configs(cfg)
+
+    def test_auto_group_size_is_best_cr_smaller_on_ties(self):
+        # G=8 and G=16 both cost 24 bits (see test_cli); G=32 costs 40
+        tie = make_layer("tie", values=np.repeat([0, 1], 8), k=1, c=16, fy=1, fx=1, ox=1, oy=1)
+        cr, cl = perf.weight_compression(tie, preset("bitcol"))
+        assert (cl.group_size, cr) == (8, 128 / 24)
+        zero = make_layer("zero", values=np.zeros(32), k=1, c=32, fy=1, fx=1, ox=1, oy=1)
+        assert perf.weight_compression(zero, preset("bitcol"))[1].group_size == 32
+
+    def test_auto_group_sizes_drive_weight_compression(self, rng, monkeypatch):
+        layer = make_layer("a", rng, k=4, c=32, fy=1, fx=1, ox=4, oy=4)
+        calls = []
+        real = codec.compress_layer
+        monkeypatch.setattr(codec, "compress_layer", lambda w, g, *a, **k: calls.append(g)
+                            or real(w, g, *a, **k))
+        monkeypatch.setattr(codec, "AUTO_GROUP_SIZES", (16, 64))
+        _, cl = perf.weight_compression(layer, preset("bitcol"))
+        assert calls == [16, 64] and cl.group_size in (16, 64)
+
     def test_act_bcs_rejected(self):
         with pytest.raises(ConfigError):
             AcceleratorSpec("bad", act_codec="bcs")
