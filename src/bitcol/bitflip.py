@@ -161,12 +161,21 @@ def default_strategy(net: Network, group_size: int = 8, z: int = 0) -> Strategy:
     return {l.name: (group_size, z) for l in net.layers}
 
 
+def _check_strategy(net: Network, strategy: Mapping[str, tuple[int, int]]) -> None:
+    """Raise ManifestError unless the strategy names exactly the network's layers."""
+    names = [l.name for l in net.layers]
+    missing = [name for name in names if name not in strategy]
+    if missing:
+        raise ManifestError(f"strategy is missing layers: {missing}")
+    unknown = [name for name in strategy if name not in names]
+    if unknown:
+        raise ManifestError(f"strategy names layers the network does not have: {unknown}")
+
+
 def apply_strategy(net: Network, strategy: Mapping[str, tuple[int, int]]
                    ) -> tuple[Network, dict[str, FlipResult]]:
     """Flip every layer of a network per its (group size, z) entry."""
-    missing = [l.name for l in net.layers if l.name not in strategy]
-    if missing:
-        raise ManifestError(f"strategy is missing layers: {missing}")
+    _check_strategy(net, strategy)
     results = {}
     weights = {}
     for layer in net.layers:
@@ -239,11 +248,8 @@ def greedy_search(net: Network, initial: Mapping[str, tuple[int, int]], macc: fl
     the reference procedure. Stops when the best tentative metric drops
     below macc or every slot is saturated at z=8.
     """
-    strategy = dict(default_strategy(net))
-    strategy.update(initial)
-    missing = [l.name for l in net.layers if l.name not in strategy]
-    if missing:
-        raise ManifestError(f"initial strategy is missing layers: {missing}")
+    _check_strategy(net, initial)
+    strategy = {l.name: initial[l.name] for l in net.layers}
     sweep_layers = list(layer_subset) if layer_subset is not None else [l.name for l in net.layers]
 
     # candidates differ from the committed strategy in one layer, so flips

@@ -149,6 +149,8 @@ def cmd_bitflip(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if args.container and args.group_size is not None:
+        raise ConfigError("--container fixes G per layer; drop --group-size")
     net = model_io.load_network(args.manifest)
     if args.container:
         compressed = model_io.read_compressed(args.container)
@@ -159,7 +161,7 @@ def cmd_simulate(args) -> int:
             return 1
         compressed = [by_name[l.name] for l in net.layers]
     else:
-        compressed, _ = _compress_network(net, args.group_size)
+        compressed, _ = _compress_network(net, args.group_size or "auto")
 
     rng = np.random.default_rng(args.seed)
     mismatches = 0
@@ -292,8 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--manifest", required=True)
     sp.add_argument("--container", help="existing container (otherwise compress on the fly)")
     sp.add_argument("--group-size", type=_int_in(codec.GROUP_SIZES, "group size", auto=True),
-                    default="auto")
-    sp.add_argument("--su", default="auto", help="SU1..SU7 or 'auto'")
+                    help="group size or 'auto' (the default; not with --container)")
+    sp.add_argument("--su", default="auto", choices=["auto", *(su.id for su in mapper.CATALOG)])
     sp.add_argument("--out", help="cycle report CSV path")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--verify", action="store_true",

@@ -40,7 +40,7 @@ import numpy as np
 from . import codec
 from .mapper import (SpatialUnrolling, catalog_su, lockstep_waves, make_custom_su, select_su,
                      temporal_steps)
-from .workload import ConfigError, Layer, LayerShape, Network
+from .workload import BitcolError, ConfigError, Layer, LayerShape, Network
 
 SPARSITY_MODES = ("none", "value-skip", "bit-skip", "bit-column-skip")
 WEIGHT_CODECS = ("none", "zre", "csr", "bcs")
@@ -61,8 +61,8 @@ class UnitCosts:
 
     def __post_init__(self):
         for name in ("e_mac", "e_dram_bit", "e_sram_bit", "e_reg_bit"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"unit cost {name} must be >= 0")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ConfigError(f"unit cost {name} must be finite and >= 0")
         if self.weight_sram_bytes <= 0 or self.act_sram_bytes <= 0:
             raise ConfigError("SRAM capacities must be > 0")
 
@@ -91,10 +91,18 @@ class AcceleratorSpec:
             raise ConfigError(f"activation codec must be one of {ACT_CODECS}")
         if self.sync_lanes < 1:
             raise ConfigError("sync_lanes must be >= 1")
-        if self.dram_bytes_per_cycle <= 0:
-            raise ConfigError("dram_bytes_per_cycle must be > 0")
+        if not 0 < self.dram_bytes_per_cycle < math.inf:
+            raise ConfigError("dram_bytes_per_cycle must be finite and > 0")
+        if self.peak_macs is not None and not 1 <= self.peak_macs < 2 ** 63:
+            raise ConfigError("peak_macs must be in 1..2^63-1")
         if self.group_size != "auto" and self.group_size not in codec.GROUP_SIZES:
             raise ConfigError(f"group_size must be 'auto' or one of {codec.GROUP_SIZES}")
+        # a catalog id is checked here, not at the first layer it maps
+        su = catalog_su(self.su) if isinstance(self.su, str) and self.su != "auto" else self.su
+        if (self.sparsity_mode == "bit-column-skip" and self.group_size != "auto"
+                and su != "auto" and su.c_u and self.group_size % su.c_u):
+            raise ConfigError(f"group_size {self.group_size} is not a multiple of the "
+                              f"unrolled channels C_u={su.c_u} of {su.id}")
 
     def resolve_su(self, shape: LayerShape) -> SpatialUnrolling:
         if isinstance(self.su, SpatialUnrolling):
@@ -302,25 +310,19 @@ def imbalance_adjust(raw_sparsity: float, spec: AcceleratorSpec,
     """
     if not 0.0 <= raw_sparsity <= 1.0:
         raise ValueError("sparsity must be in [0, 1]")
-    if spec.sparsity_mode == "none":
-        return raw_sparsity
-    if lane_fractions is None:
+    if spec.sparsity_mode == "none" or lane_fractions is None:
         return raw_sparsity
     lanes = np.asarray(lane_fractions, dtype=float)
     if lanes.size == 0:
         return raw_sparsity
-    sets = [lanes[i:i + spec.sync_lanes] for i in range(0, lanes.size, spec.sync_lanes)]
-    return float(np.mean([s.min() for s in sets]))
+    return float(np.minimum.reduceat(lanes, range(0, lanes.size, spec.sync_lanes)).mean())
 
 
 def _lockstep_bit_fraction(weights: np.ndarray, sync_lanes: int) -> float:
     """Effective work share for unstructured bit skipping: mean over lane sets
     of the slowest lane's two's-complement bit count / 8."""
     pops = codec.POPCOUNT[np.ascontiguousarray(weights).view(np.uint8)].reshape(-1)
-    pad = (-len(pops)) % sync_lanes
-    if pad:
-        pops = np.concatenate([pops, np.zeros(pad, dtype=pops.dtype)])
-    return float(pops.reshape(-1, sync_lanes).max(axis=1).mean() / 8.0)
+    return float(np.maximum.reduceat(pops, range(0, pops.size, sync_lanes)).mean() / 8.0)
 
 
 def weight_compression(layer: Layer, spec: AcceleratorSpec
@@ -413,28 +415,23 @@ def evaluate_layer(layer: Layer, spec: AcceleratorSpec) -> LayerPerf:
     cr_a = act_compression(layer, spec, s_a)
 
     mode = spec.sparsity_mode
+    dense_cc = counts.n_mac / counts.n_mac_cycle
+    s_w_e, s_a_e, frac = 0.0, 0.0, None
     if mode == "value-skip":
         kernel_fracs = np.count_nonzero(layer.weights == 0, axis=(1, 2, 3)) / (
             layer.shape.c * layer.shape.fy * layer.shape.fx)
-        s_w_adj = imbalance_adjust(s_w, spec, kernel_fracs)
-        s_a_adj = imbalance_adjust(s_a, spec, None)
-        n_mac_e, cc = effective_macs(counts, s_a_adj, s_w_adj, mode)
+        s_w_e, s_a_e = imbalance_adjust(s_w, spec, kernel_fracs), s_a
     elif mode == "bit-skip":
         frac = _lockstep_bit_fraction(layer.weights, spec.sync_lanes)
-        n_mac_e, cc = effective_macs(counts, 0.0, 0.0, mode, nz_fraction=frac)
     elif mode == "bit-column-skip":
         if cl is None:
-            cl = codec.compress_layer(layer.weights, 8 if spec.group_size == "auto"
-                                      else int(spec.group_size), name=layer.name)
+            g = 8 if spec.group_size == "auto" else spec.group_size
+            cl = codec.compress_layer(layer.weights, g, name=layer.name)
         steps, _, repeat = lockstep_waves(codec.nz_columns(cl, spec.sign_cycle),
                                           shape, cl.group_size, su)
         t_out = math.ceil(shape.ox / su.ox_u) * shape.oy * shape.b
-        cycles_abs = int(steps.sum()) * repeat * t_out
-        dense_cc = counts.n_mac / counts.n_mac_cycle
-        n_mac_e, cc = effective_macs(counts, 0.0, 0.0, mode,
-                                     nz_fraction=cycles_abs / dense_cc)
-    else:
-        n_mac_e, cc = effective_macs(counts, 0.0, 0.0, "none")
+        frac = int(steps.sum()) * repeat * t_out / dense_cc
+    n_mac_e, cc = effective_macs(counts, s_a_e, s_w_e, mode, nz_fraction=frac)
 
     eff = effective_memory(counts, cr_w, cr_a)
     eff.n_mac_e = n_mac_e
@@ -442,14 +439,13 @@ def evaluate_layer(layer: Layer, spec: AcceleratorSpec) -> LayerPerf:
     eff.s_w, eff.s_a = s_w, s_a
     # register traffic follows effective compute cycles (skipped columns and
     # skipped values both suppress the operand fetches of their cycles)
-    dense_cc = counts.n_mac / counts.n_mac_cycle
     scale = cc / dense_cc if dense_cc else 1.0
     eff.reg_read_e = counts.reg_read * scale
     eff.reg_write_e = counts.reg_write * scale
 
     energy = total_energy(eff, spec.costs)
     terms = latency_terms(eff, spec, su)
-    if mode == "bit-column-skip" and cl is not None:
+    if mode == "bit-column-skip":
         # the weight port streams one column slice per lane per cycle; index
         # bytes ride the parser side path, so the port term counts column
         # payload bits only (energy above still pays for the index via CR)
@@ -505,99 +501,94 @@ def compare(net: Network, specs: Sequence[AcceleratorSpec],
 # carry a 512 MAC/cycle peak to match the dense-equivalent throughput.
 # ---------------------------------------------------------------------------
 
-def _fixed_serial_su():
-    return make_custom_su(32, 4, 32, bit_serial=True, su_id="fixed[32,4,32]")
+_FIXED_SERIAL = make_custom_su(32, 4, 32, bit_serial=True, su_id="fixed[32,4,32]")
 
+_PRESETS = {
+    "dense": dict(su=make_custom_su(64, 1, 64, bit_serial=True, su_id="dense64"), bit_serial=True),
+    "stripes": dict(su=_FIXED_SERIAL, bit_serial=True),
+    "pragmatic": dict(su=_FIXED_SERIAL, bit_serial=True, sparsity_mode="bit-skip", sync_lanes=16),
+    "bitlet": dict(su=_FIXED_SERIAL, bit_serial=True, sparsity_mode="bit-skip", sync_lanes=128),
+    "scnn": dict(su=make_custom_su(8, 8, 8, su_id="scnn512"), sparsity_mode="value-skip",
+                 weight_codec="zre", act_codec="zre", sync_lanes=16),
+    "huaa": dict(peak_macs=512),
+    "bitcol": dict(bit_serial=True, sparsity_mode="bit-column-skip", weight_codec="bcs"),
+}
 
-def _preset_builders():
-    return {
-        "dense": lambda: AcceleratorSpec(
-            "dense", su=make_custom_su(64, 1, 64, bit_serial=True, su_id="dense64"),
-            bit_serial=True),
-        "stripes": lambda: AcceleratorSpec(
-            "stripes", su=_fixed_serial_su(), bit_serial=True),
-        "pragmatic": lambda: AcceleratorSpec(
-            "pragmatic", su=_fixed_serial_su(), bit_serial=True,
-            sparsity_mode="bit-skip", sync_lanes=16),
-        "bitlet": lambda: AcceleratorSpec(
-            "bitlet", su=_fixed_serial_su(), bit_serial=True,
-            sparsity_mode="bit-skip", sync_lanes=128),
-        "scnn": lambda: AcceleratorSpec(
-            "scnn", su=make_custom_su(8, 8, 8, su_id="scnn512"),
-            sparsity_mode="value-skip", weight_codec="zre", act_codec="zre",
-            sync_lanes=16),
-        "huaa": lambda: AcceleratorSpec(
-            "huaa", su="auto", bit_serial=False, peak_macs=512),
-        "bitcol": lambda: AcceleratorSpec(
-            "bitcol", su="auto", bit_serial=True, sparsity_mode="bit-column-skip",
-            weight_codec="bcs"),
-    }
-
-
-PRESET_NAMES = tuple(_preset_builders())
+PRESET_NAMES = tuple(_PRESETS)
 
 
 def preset(name: str) -> AcceleratorSpec:
     try:
-        return _preset_builders()[name]()
+        return AcceleratorSpec(name, **_PRESETS[name])
     except KeyError:
         raise ConfigError(f"unknown preset {name!r}; have {PRESET_NAMES}") from None
 
 
-_FLOAT_FIELDS = ("e_mac", "e_dram_bit", "e_sram_bit", "e_reg_bit", "dram_bytes_per_cycle")
-_INT_FIELDS = ("weight_sram_bytes", "act_sram_bytes", "sync_lanes", "peak_macs")
-_STR_FIELDS = ("su", "sparsity_mode", "weight_codec", "act_codec")
-_BOOL_FIELDS = ("bit_serial", "sign_cycle")
-_COST_FIELDS = {f.name for f in fields(UnitCosts)}  # keys that land in the spec's UnitCosts
+def _boolean(val: str) -> bool:
+    if val.lower() not in configparser.ConfigParser.BOOLEAN_STATES:
+        raise ValueError(f"{val!r} is not a boolean (1/yes/true/on, 0/no/false/off)")
+    return configparser.ConfigParser.BOOLEAN_STATES[val.lower()]
+
+
+def _su(val: str) -> str | tuple[int, int, int]:
+    """A catalog id or `auto` as is; `custom:C,OX,K` as its three unrolls."""
+    if not val.startswith("custom:"):
+        return val
+    dims = tuple(int(x) for x in val[len("custom:"):].split(","))
+    if len(dims) != 3 or not all(1 <= d <= 1024 for d in dims):
+        raise ValueError(f"{val!r}: need custom:C,OX,K with each in 1..1024")
+    return dims
+
+
+# INI key -> value parser; cost keys land in the spec's UnitCosts
+_KEY_PARSERS = {
+    "e_mac": float, "e_dram_bit": float, "e_sram_bit": float, "e_reg_bit": float,
+    "weight_sram_bytes": int, "act_sram_bytes": int,
+    "dram_bytes_per_cycle": float, "sync_lanes": int, "peak_macs": int,
+    "bit_serial": _boolean, "sign_cycle": _boolean,
+    "sparsity_mode": str, "weight_codec": str, "act_codec": str, "su": _su,
+    "group_size": lambda val: val if val == "auto" else int(val),
+}
+_COST_KEYS = {f.name for f in fields(UnitCosts)}
+
+
+def _section_spec(section: str, items: dict[str, str]) -> AcceleratorSpec:
+    base = preset(items.pop("base", "bitcol"))
+    keys = {}
+    for key, val in items.items():
+        if key not in _KEY_PARSERS:
+            raise ConfigError(f"unknown key {key!r}")
+        try:
+            keys[key] = _KEY_PARSERS[key](val)
+        except ValueError as e:
+            raise ConfigError(f"bad value for {key!r}: {e}") from e
+    if isinstance(keys.get("su"), tuple):  # custom bandwidths follow the section's bit_serial
+        keys["su"] = make_custom_su(*keys["su"], bit_serial=keys.get("bit_serial", base.bit_serial))
+    costs = {k: keys.pop(k) for k in _COST_KEYS & keys.keys()}
+    return replace(base, name=section, costs=replace(base.costs, **costs), **keys)
 
 
 def load_spec_configs(path) -> dict[str, AcceleratorSpec]:
     """Text config: one INI section per spec, `base = <preset>` plus overrides.
 
-    Unit-cost keys land in the spec's UnitCosts; `group_size` accepts an
-    integer or `auto`; `su` accepts a catalog id, `auto`, or
-    `custom:C,OX,K`.
+    Every value is checked at load; an error raises ConfigError naming the
+    section. Unit-cost keys land in the spec's UnitCosts; `group_size`
+    accepts an integer or `auto`; `su` accepts a catalog id, `auto`, or
+    `custom:C,OX,K`. Values are read literally (no `%` interpolation).
     """
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        read = parser.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as e:
+        raise ConfigError(f"spec config {path}: {e}") from e
     if not read:
         raise ConfigError(f"cannot read spec config {path}")
     specs = {}
     for section in parser.sections():
-        items = dict(parser[section])
-        spec = preset(items.pop("base", "bitcol"))
-        spec.name = section
-        costs = replace(spec.costs)
-        su_val = items.pop("su", None)
-        for key, val in items.items():
-            target = costs if key in _COST_FIELDS else spec
-            try:
-                if key in _FLOAT_FIELDS:
-                    setattr(target, key, float(val))
-                elif key in _INT_FIELDS:
-                    setattr(target, key, int(val))
-                elif key in _BOOL_FIELDS:
-                    setattr(spec, key, val.strip().lower() in ("1", "true", "yes", "on"))
-                elif key == "group_size":
-                    spec.group_size = val if val == "auto" else int(val)
-                elif key in _STR_FIELDS:
-                    setattr(spec, key, val)
-                else:
-                    raise ConfigError(f"[{section}] unknown key {key!r}")
-            except ValueError as e:
-                raise ConfigError(f"[{section}] bad value for {key!r}: {e}") from e
-        if su_val is not None:  # after bit_serial, which shapes custom bandwidths
-            if su_val.startswith("custom:"):
-                try:
-                    c, ox, k = (int(x) for x in su_val[len("custom:"):].split(","))
-                except ValueError as e:
-                    raise ConfigError(f"[{section}] bad custom su {su_val!r}") from e
-                spec.su = make_custom_su(c, ox, k, bit_serial=spec.bit_serial)
-            else:
-                spec.su = su_val
-        spec.costs = costs
-        spec.__post_init__()
-        specs[section] = spec
+        try:
+            specs[section] = _section_spec(section, dict(parser[section]))
+        except BitcolError as e:
+            raise ConfigError(f"[{section}] {e}") from e
     if not specs:
         raise ConfigError(f"spec config {path} has no sections")
     return specs

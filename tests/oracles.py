@@ -13,6 +13,10 @@ zeroing exactly z index bits; it tests every candidate's achieved index.
 
 The container reader walks a bcs payload one group at a time, as it did
 before the library split each layer's records with one index-byte mask.
+
+The two lockstep lane-set reductions of the perf model (value skipping's
+slowest kernel, bit skipping's slowest lane) slice or zero-pad the lanes
+into sets, as they did before each became one numpy reduceat.
 """
 
 import math
@@ -305,3 +309,21 @@ def read_compressed(path: str | Path) -> list[CompressedLayer]:
             layers.append(CompressedLayer(name, gsize, "bcs", n_values, n_groups,
                                           indexes=indexes, columns=columns))
     return layers
+
+
+def imbalance_adjust(raw_sparsity, sync_lanes, lane_fractions):
+    """Mean over lane sets of the set's smallest skip fraction."""
+    lanes = np.asarray(lane_fractions, dtype=float)
+    if lanes.size == 0:
+        return raw_sparsity
+    sets = [lanes[i:i + sync_lanes] for i in range(0, lanes.size, sync_lanes)]
+    return float(np.mean([s.min() for s in sets]))
+
+
+def lockstep_bit_fraction(weights, sync_lanes):
+    """Mean over lane sets of the slowest lane's two's-complement bit count / 8."""
+    pops = POPCOUNT[np.ascontiguousarray(weights).view(np.uint8)].reshape(-1)
+    pad = (-len(pops)) % sync_lanes
+    if pad:
+        pops = np.concatenate([pops, np.zeros(pad, dtype=pops.dtype)])
+    return float(pops.reshape(-1, sync_lanes).max(axis=1).mean() / 8.0)

@@ -1,11 +1,12 @@
 import contextlib
 import csv
 import io
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bitcol import bitflip, codec, model_io
+from bitcol import bitflip, codec, model_io, perf
 from bitcol.cli import main
 from bitcol.workload import Layer, LayerShape, Network
 
@@ -306,3 +307,90 @@ def test_deterministic_outputs(net_dir):
         main(["analyze", "--manifest", str(net_dir / "model/manifest.txt"),
               "--out", str(path)])
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("search", [[], ["--proxy-oracle", "--macc", "-1.0"]])
+@pytest.mark.parametrize("lines,message", [
+    (["layer=conv1 G=8 z=2"], "strategy is missing layers: ['dw1', 'pw1']"),
+    (["layer=conv1 G=8 z=2", "layer=dw1 G=8 z=2", "layer=pw1 G=8 z=2", "layer=fc G=8 z=2"],
+     "strategy names layers the network does not have: ['fc']"),
+])
+def test_bitflip_strategy_must_name_exactly_the_layers(net_dir, capsys, search, lines, message):
+    strategy = net_dir / "strategy.txt"
+    strategy.write_text("\n".join(lines) + "\n")
+    out_dir = net_dir / "flipped"
+    rc = main(["bitflip", "--manifest", str(net_dir / "model/manifest.txt"),
+               "--out", str(out_dir), "--strategy", str(strategy), *search])
+    assert rc == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_simulate_container_with_group_size_rejected(tmp_path, capsys):
+    # the manifest does not exist: the combination is rejected before it is read
+    rc = main(["simulate", "--manifest", str(tmp_path / "nope.txt"),
+               "--container", str(tmp_path / "c.bcsw"), "--group-size", "32"])
+    assert rc == 1
+    assert "--container fixes G per layer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("su", ["SU9", "su1", "custom"])
+def test_simulate_su_checked_by_parser(tmp_path, capsys, su):
+    rc = main(["simulate", "--manifest", str(tmp_path / "nope.txt"), "--su", su])
+    assert rc == 1
+    assert "argument --su" in capsys.readouterr().err
+
+
+def test_simulate_group_size_without_container(net_dir):
+    out = net_dir / "sim.csv"
+    rc = main(["simulate", "--manifest", str(net_dir / "model/manifest.txt"),
+               "--group-size", "16", "--out", str(out)])
+    assert rc == 0
+    assert {r["group_size"] for r in read_csv(out)} == {"16"}
+
+
+def _readme_ini() -> str:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    return readme.split("```ini\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_spec_config_example_runs(tmp_path):
+    net = make_network("plain", [
+        make_layer("conv1", np.random.default_rng(5), k=16, c=32, fy=3, fx=3, ox=8, oy=8),
+        make_layer("fc", np.random.default_rng(6), k=10, c=64, fy=1, fx=1, ox=1, oy=1,
+                   kind="fully-connected"),
+    ])
+    model_io.save_network(net, tmp_path / "m")
+    cfg = tmp_path / "readme.ini"
+    cfg.write_text(_readme_ini())
+    out = tmp_path / "perf.csv"
+    rc = main(["perf", "--manifest", str(tmp_path / "m/manifest.txt"),
+               "--spec-config", str(cfg), "--out", str(out)])
+    assert rc == 0
+    assert [r["spec"] for r in read_csv(out)] == ["tuned"]
+
+
+# each malformed spec INI exits 1 with an `error:` line, never a traceback
+@pytest.mark.parametrize("text,message", [
+    ("[a]\nweight_sram_bytes = 0\n", "[a] SRAM capacities must be > 0"),
+    ("[a]\ne_mac = -5\n", "[a] unit cost e_mac must be finite and >= 0"),
+    ("[a]\nbase = stripes\nbit_serial = ture\n", "[a] bad value for 'bit_serial': 'ture'"),
+    ("[a]\nbase = scnn\n\n[b]\nsu = SU9\n", "[b] unknown spatial unrolling 'SU9'"),
+    ("[a]\nbase = bitcol\n\n[a]\nbase = scnn\n", "section 'a' already exists"),
+    ("base = bitcol\n[a]\nbase = scnn\n", "File contains no section headers"),
+    ("[a]\nbase = bitcol\njunk line\n", "Source contains parsing errors"),
+    ("[a]\nbase = bitcol\nsu = %(x)s\n", "[a] unknown spatial unrolling '%(x)s'"),
+    ("[a]\nbase = bitcol\nsu = SU3\ngroup_size = 16\n",
+     "[a] group_size 16 is not a multiple of the unrolled channels C_u=32 of SU3"),
+])
+def test_perf_bad_spec_config_is_input_error(net_dir, capsys, monkeypatch, text, message):
+    evaluated = []
+    monkeypatch.setattr(perf, "evaluate_network", lambda *a: evaluated.append(a))
+    cfg = net_dir / "bad.ini"
+    cfg.write_text(text)
+    rc = main(["perf", "--manifest", str(net_dir / "model/manifest.txt"),
+               "--spec-config", str(cfg)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ") and message in err
+    assert not evaluated  # rejected at load, before any spec runs

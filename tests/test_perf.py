@@ -1,3 +1,4 @@
+import configparser
 import math
 
 import numpy as np
@@ -387,6 +388,57 @@ class TestPresetsAndConfig:
         monkeypatch.setattr(codec, "AUTO_GROUP_SIZES", (16, 64))
         _, cl = perf.weight_compression(layer, preset("bitcol"))
         assert calls == [16, 64] and cl.group_size in (16, 64)
+
+    def test_presets_do_not_share_costs(self):
+        first = preset("bitcol")
+        first.costs.e_mac = 9.0
+        assert preset("bitcol").costs.e_mac == UnitCosts().e_mac
+
+    @pytest.mark.parametrize("su,group_size,ok", [
+        ("SU3", 16, False), ("SU3", 32, True), ("SU3", 64, True), ("SU3", "auto", True),
+        ("SU1", 8, True), ("SU2", 8, False), ("SU7", 8, True), ("auto", 8, True),
+        (mapper.make_custom_su(16, 4, 16), 8, False), (mapper.make_custom_su(16, 4, 16), 16, True),
+    ])
+    def test_fixed_su_and_group_size_checked_for_column_skip(self, su, group_size, ok):
+        kw = dict(su=su, group_size=group_size, bit_serial=True)
+        AcceleratorSpec("other", sparsity_mode="bit-skip", **kw)  # only column skip groups by G
+        if ok:
+            AcceleratorSpec("col", sparsity_mode="bit-column-skip", **kw)
+        else:
+            with pytest.raises(ConfigError, match="is not a multiple of the unrolled channels"):
+                AcceleratorSpec("col", sparsity_mode="bit-column-skip", **kw)
+
+    def test_unknown_catalog_su_rejected_at_construction(self):
+        with pytest.raises(mapper.MappingError, match="SU9"):
+            AcceleratorSpec("x", su="SU9")
+
+    @pytest.mark.parametrize("line,message", [
+        ("peak_macs = 0", "peak_macs must be"),
+        pytest.param("peak_macs = " + "9" * 400, "peak_macs must be", id="peak_macs-huge"),
+        ("sync_lanes = 0", "sync_lanes must be"),
+        ("dram_bytes_per_cycle = nan", "dram_bytes_per_cycle must be"),
+        ("dram_bytes_per_cycle = 1e400", "dram_bytes_per_cycle must be"),
+        ("e_reg_bit = inf", "unit cost e_reg_bit must be"),
+        ("act_sram_bytes = -1", "SRAM capacities must be"),
+        ("su = custom:0,4,4", "bad value for 'su'"),
+        ("su = custom:8,4", "bad value for 'su'"),
+        ("su = custom:8,4,2048", "bad value for 'su'"),
+        ("sign_cycle = maybe", "bad value for 'sign_cycle'"),
+        ("group_size = eight", "bad value for 'group_size'"),
+    ])
+    def test_config_value_checked_at_load(self, tmp_path, line, message):
+        cfg = tmp_path / "specs.ini"
+        cfg.write_text(f"[x]\nbase = bitcol\n{line}\n")
+        with pytest.raises(ConfigError, match=r"^\[x\] " + message):
+            load_spec_configs(cfg)
+
+    @pytest.mark.parametrize("word", [*configparser.ConfigParser.BOOLEAN_STATES, "TRUE", "Off"])
+    def test_config_boolean_words(self, tmp_path, word):
+        cfg = tmp_path / "specs.ini"
+        cfg.write_text(f"[x]\nbase = bitcol\nsign_cycle = {word}\nbit_serial = {word}\n")
+        spec = load_spec_configs(cfg)["x"]
+        want = configparser.ConfigParser.BOOLEAN_STATES[word.lower()]
+        assert spec.sign_cycle is want and spec.bit_serial is want
 
     def test_act_bcs_rejected(self):
         with pytest.raises(ConfigError):
