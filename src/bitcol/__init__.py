@@ -5,7 +5,6 @@ from .bitflip import (
     FlipResult,
     apply_strategy,
     best_column_set,
-    external_oracle,
     flip_layer,
     greedy_search,
     nearest_with_mask,

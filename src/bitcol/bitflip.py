@@ -26,7 +26,7 @@ import tempfile
 from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -232,14 +232,8 @@ class ExternalOracle:
                 raise OracleError(f"unparseable oracle output: {lines[-1]!r}") from None
 
 
-def external_oracle(command_template: str) -> ExternalOracle:
-    """Accuracy oracle backed by an external command."""
-    return ExternalOracle(command_template)
-
-
 def greedy_search(net: Network, initial: Mapping[str, tuple[int, int]], macc: float,
-                  oracle: Callable[[Network], float],
-                  layer_subset: Sequence[str] | None = None) -> Strategy:
+                  oracle: Callable[[Network], float]) -> Strategy:
     """Greedy per-sweep search for the deepest strategy above the metric floor.
 
     Each sweep evaluates, for every layer and group size, bumping that
@@ -250,7 +244,6 @@ def greedy_search(net: Network, initial: Mapping[str, tuple[int, int]], macc: fl
     """
     _check_strategy(net, initial)
     strategy = {l.name: initial[l.name] for l in net.layers}
-    sweep_layers = list(layer_subset) if layer_subset is not None else [l.name for l in net.layers]
 
     # candidates differ from the committed strategy in one layer, so flips
     # are cached per (layer, gs, z); all flips start from the pristine weights
@@ -266,7 +259,7 @@ def greedy_search(net: Network, initial: Mapping[str, tuple[int, int]], macc: fl
         committed = {l.name: flipped_weights(l.name, *strategy[l.name]) for l in net.layers}
         bacc = -math.inf
         move = None
-        for name in sweep_layers:
+        for name in strategy:
             for gs in codec.AUTO_GROUP_SIZES:
                 z = strategy[name][1]
                 if z + 1 > 8:

@@ -126,7 +126,7 @@ def cmd_bitflip(args) -> int:
         strategy = bitflip.default_strategy(net, args.group_size_int or 8,
                                             4 if args.zero_cols is None else args.zero_cols)
     if args.oracle_cmd or args.proxy_oracle:
-        oracle = bitflip.external_oracle(args.oracle_cmd) if args.oracle_cmd \
+        oracle = bitflip.ExternalOracle(args.oracle_cmd) if args.oracle_cmd \
             else bitflip.proxy_oracle(net)
         strategy = bitflip.greedy_search(net, strategy, args.macc or 0.0, oracle)
     flipped, results = bitflip.apply_strategy(net, strategy)

@@ -14,8 +14,9 @@ is non-zero.
 The scalar per-group functions (packed_groups, bce_group, bce_column, smm)
 are the model as the paper states it. Whole layers run vectorized on the
 shared core: codec.unpack_groups for the column payload and
-mapper.lockstep_waves for the wave schedule, which perf and the bank layout
-use as well. Tests keep the scalar loops as their reference.
+mapper.lockstep_waves for the wave schedule, which the bank layout uses as
+well; perf takes its bit-column cycle count from simulate_layer. Tests keep
+the scalar loops as their reference.
 """
 
 from __future__ import annotations

@@ -89,17 +89,17 @@ def spatial_utilization(shape: LayerShape, su: SpatialUnrolling) -> float:
     return shape.macs / (temporal_steps(shape, su) * su.lanes)
 
 
-def utilization_table(shape: LayerShape, catalog=CATALOG) -> dict[str, float | None]:
+def utilization_table(shape: LayerShape) -> dict[str, float | None]:
     """Per-SU utilization; incompatible entries report None."""
     return {su.id: spatial_utilization(shape, su) if is_compatible(shape, su) else None
-            for su in catalog}
+            for su in CATALOG}
 
 
-def select_su(shape: LayerShape, catalog=CATALOG) -> SpatialUnrolling:
+def select_su(shape: LayerShape) -> SpatialUnrolling:
     """Best-utilization SU; ties break by lower weight bandwidth, then id."""
     best = None
     best_key = None
-    for pos, su in enumerate(catalog):
+    for pos, su in enumerate(CATALOG):
         if not is_compatible(shape, su):
             continue
         key = (-spatial_utilization(shape, su), su.w_bw, pos)

@@ -64,7 +64,6 @@ def load_network(manifest_path: str | Path) -> Network:
         raise ManifestError(f"manifest not found: {manifest_path}")
     base = manifest_path.parent
     name = None
-    quant_note = ""
     layers: list[Layer] = []
     for lineno, raw in enumerate(manifest_path.read_text(encoding="utf-8").splitlines(), 1):
         line = raw.strip()
@@ -73,9 +72,6 @@ def load_network(manifest_path: str | Path) -> Network:
         fields = _parse_fields(line, lineno)
         if "network" in fields:
             name = fields["network"]
-            continue
-        if "quant" in fields:
-            quant_note = fields["quant"]
             continue
         if "layer" not in fields:
             raise ManifestError(f"line {lineno}: expected a layer record")
@@ -103,16 +99,14 @@ def load_network(manifest_path: str | Path) -> Network:
         layers.append(Layer(fields["layer"], shape, weights, s_a=s_a, acts=acts))
     if name is None:
         raise ManifestError("manifest has no network= line")
-    return Network(name, layers, quant_note)
+    return Network(name, layers)
 
 
-def save_network(net: Network, out_dir: str | Path, manifest_name: str = "manifest.txt") -> Path:
+def save_network(net: Network, out_dir: str | Path) -> Path:
     """Write manifest plus raw tensors; load_network(save_network(n)) == n."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     lines = [f"network={net.name}"]
-    if net.quant_note:
-        lines.append(f"quant={net.quant_note}")
     for l in net.layers:
         s = l.shape
         wfile = f"{l.name}.w.bin"
@@ -126,7 +120,7 @@ def save_network(net: Network, out_dir: str | Path, manifest_name: str = "manife
             l.acts.astype(np.int8).tofile(out_dir / afile)
             rec += f" acts={afile}"
         lines.append(rec)
-    path = out_dir / manifest_name
+    path = out_dir / "manifest.txt"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
 

@@ -9,9 +9,9 @@ Four-step methodology per (layer, accelerator) pair:
    unrolling (per temporal step, C_u*OX_u activation and C_u*K_u weight
    elements); register traffic is two reads and one write per MAC.
 2. Sparsity statistics, adjusted for lockstep load imbalance where the
-   accelerator schedules at runtime. Bit-column skipping counts the
-   compressed layer's lockstep waves with mapper.lockstep_waves, the kernel
-   behind the functional simulator's cycle count.
+   accelerator schedules at runtime. Bit-column skipping takes the
+   compressed layer's lockstep cycle count from engine.simulate_layer, the
+   functional simulator.
 3. Effective MACs/cycles (value skipping shrinks the MAC count; bit and
    bit-column skipping shrink cycles only) and effective memory traffic
    (dense counts divided by the per-tensor compression ratio).
@@ -37,9 +37,8 @@ from typing import Sequence
 
 import numpy as np
 
-from . import codec
-from .mapper import (SpatialUnrolling, catalog_su, lockstep_waves, make_custom_su, select_su,
-                     temporal_steps)
+from . import codec, engine
+from .mapper import SpatialUnrolling, catalog_su, make_custom_su, select_su, temporal_steps
 from .workload import BitcolError, ConfigError, Layer, LayerShape, Network
 
 SPARSITY_MODES = ("none", "value-skip", "bit-skip", "bit-column-skip")
@@ -95,6 +94,9 @@ class AcceleratorSpec:
             raise ConfigError("dram_bytes_per_cycle must be finite and > 0")
         if self.peak_macs is not None and not 1 <= self.peak_macs < 2 ** 63:
             raise ConfigError("peak_macs must be in 1..2^63-1")
+        if self.sparsity_mode == "bit-column-skip" and self.weight_codec != "bcs":
+            raise ConfigError("sparsity_mode bit-column-skip reads the bcs zero-column "
+                              "index; it needs weight_codec bcs")
         if self.group_size != "auto" and self.group_size not in codec.GROUP_SIZES:
             raise ConfigError(f"group_size must be 'auto' or one of {codec.GROUP_SIZES}")
         # a catalog id is checked here, not at the first layer it maps
@@ -424,13 +426,7 @@ def evaluate_layer(layer: Layer, spec: AcceleratorSpec) -> LayerPerf:
     elif mode == "bit-skip":
         frac = _lockstep_bit_fraction(layer.weights, spec.sync_lanes)
     elif mode == "bit-column-skip":
-        if cl is None:
-            g = 8 if spec.group_size == "auto" else spec.group_size
-            cl = codec.compress_layer(layer.weights, g, name=layer.name)
-        steps, _, repeat = lockstep_waves(codec.nz_columns(cl, spec.sign_cycle),
-                                          shape, cl.group_size, su)
-        t_out = math.ceil(shape.ox / su.ox_u) * shape.oy * shape.b
-        frac = int(steps.sum()) * repeat * t_out / dense_cc
+        frac = engine.simulate_layer(cl, shape, su, spec.sign_cycle).total_cycles / dense_cc
     n_mac_e, cc = effective_macs(counts, s_a_e, s_w_e, mode, nz_fraction=frac)
 
     eff = effective_memory(counts, cr_w, cr_a)

@@ -136,7 +136,6 @@ class Layer:
 class Network:
     name: str
     layers: list[Layer] = field(default_factory=list)
-    quant_note: str = ""
 
     def __post_init__(self):
         names = [l.name for l in self.layers]
@@ -162,4 +161,4 @@ class Network:
                 layers.append(replace(l, weights=np.asarray(new_weights[l.name], dtype=np.int8)))
             else:
                 layers.append(replace(l))
-        return Network(self.name, layers, self.quant_note)
+        return Network(self.name, layers)

@@ -304,17 +304,6 @@ class TestGreedySearch:
         out = greedy_search(net, default_strategy(net), macc=0.0, oracle=lambda n: 1.0)
         assert out["l"] == (4, 8)
 
-    def test_layer_subset_budget(self, small_net):
-        calls = []
-
-        def oracle(net):
-            calls.append(1)
-            return -1.0
-
-        greedy_search(small_net, default_strategy(small_net), macc=0.0,
-                      oracle=oracle, layer_subset=["conv1"])
-        assert len(calls) == 3  # one sweep, one layer, three group sizes
-
     def test_nonfinite_metric_raises(self, small_net):
         with pytest.raises(OracleError, match="non-finite"):
             greedy_search(small_net, default_strategy(small_net), macc=0.0,

@@ -394,3 +394,17 @@ def test_perf_bad_spec_config_is_input_error(net_dir, capsys, monkeypatch, text,
     assert rc == 1
     assert err.startswith("error: ") and message in err
     assert not evaluated  # rejected at load, before any spec runs
+
+
+@pytest.mark.parametrize("weight_codec", ["none", "zre", "csr"])
+def test_perf_column_skip_without_bcs_rejected_at_load(net_dir, capsys, monkeypatch,
+                                                      weight_codec):
+    monkeypatch.setattr(perf, "evaluate_network", lambda *a: pytest.fail("a spec ran"))
+    cfg = net_dir / "nobcs.ini"
+    cfg.write_text(f"[plain]\nbase = scnn\n\n[cols]\nbase = bitcol\n"
+                   f"weight_codec = {weight_codec}\n")
+    rc = main(["perf", "--manifest", str(net_dir / "model/manifest.txt"),
+               "--spec-config", str(cfg)])
+    assert rc == 1
+    assert capsys.readouterr().err == ("error: [cols] sparsity_mode bit-column-skip reads the "
+                                       "bcs zero-column index; it needs weight_codec bcs\n")

@@ -236,6 +236,21 @@ class TestBitColumnCycles:
         sim = engine.simulate_layer(cl, layer.shape, mapper.catalog_su("SU1"))
         assert rep.eff.cc_mac_e == pytest.approx(sim.total_cycles)
 
+    @pytest.mark.parametrize("sign_cycle", [False, True])
+    def test_cycles_are_the_simulator_count_of_the_one_pack(self, rng, monkeypatch, sign_cycle):
+        spec = AcceleratorSpec("col", su="SU1", bit_serial=True, sparsity_mode="bit-column-skip",
+                               weight_codec="bcs", group_size=8, sign_cycle=sign_cycle)
+        layer = make_layer("r", rng, k=48, c=16, fy=3, fx=3, ox=20, oy=5)
+        packs = []
+        real = codec.compress_layer
+        monkeypatch.setattr(codec, "compress_layer",
+                            lambda *a, **k: packs.append(a[1]) or real(*a, **k))
+        rep = perf.evaluate_layer(layer, spec)
+        assert packs == [8]  # weight_compression packs once; nothing else packs
+        sim = engine.simulate_layer(real(layer.weights, 8), layer.shape,
+                                    mapper.catalog_su("SU1"), sign_cycle)
+        assert rep.eff.cc_mac_e == pytest.approx(sim.total_cycles, rel=1e-12)
+
     def test_model_matches_simulator_on_random_net(self, rng):
         spec = preset("bitcol")
         spec.dram_bytes_per_cycle = 512
@@ -400,13 +415,18 @@ class TestPresetsAndConfig:
         (mapper.make_custom_su(16, 4, 16), 8, False), (mapper.make_custom_su(16, 4, 16), 16, True),
     ])
     def test_fixed_su_and_group_size_checked_for_column_skip(self, su, group_size, ok):
-        kw = dict(su=su, group_size=group_size, bit_serial=True)
+        kw = dict(su=su, group_size=group_size, bit_serial=True, weight_codec="bcs")
         AcceleratorSpec("other", sparsity_mode="bit-skip", **kw)  # only column skip groups by G
         if ok:
             AcceleratorSpec("col", sparsity_mode="bit-column-skip", **kw)
         else:
             with pytest.raises(ConfigError, match="is not a multiple of the unrolled channels"):
                 AcceleratorSpec("col", sparsity_mode="bit-column-skip", **kw)
+
+    @pytest.mark.parametrize("weight_codec", ["none", "zre", "csr"])
+    def test_column_skip_needs_bcs(self, weight_codec):
+        with pytest.raises(ConfigError, match="needs weight_codec bcs"):
+            AcceleratorSpec("col", sparsity_mode="bit-column-skip", weight_codec=weight_codec)
 
     def test_unknown_catalog_su_rejected_at_construction(self):
         with pytest.raises(mapper.MappingError, match="SU9"):
