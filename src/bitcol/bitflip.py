@@ -187,8 +187,12 @@ def apply_strategy(net: Network, strategy: Mapping[str, tuple[int, int]]
 
 
 def proxy_oracle(original: Network) -> Callable[[Network], float]:
-    """Dataset-free metric: -(total squared flip error / total weight count)."""
-    ref = {l.name: l.weights.astype(np.int32) for l in original.layers}
+    """Dataset-free metric: -(total squared flip error / total weight count).
+
+    Error is measured against the codec-clamped original (-128 reads as
+    -127), as flip_layer measures it, so the metric is -sum(total_sq_error)/N.
+    """
+    ref = {l.name: np.clip(l.weights.astype(np.int32), -127, 127) for l in original.layers}
     total = original.n_weights
 
     def evaluate(flipped: Network) -> float:

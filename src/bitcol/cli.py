@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bitflip, codec, engine, mapper, model_io, perf
-from .workload import BitcolError, ConfigError
+from .workload import BitcolError, ConfigError, ContainerError
 
 VERIFY_FAILED = 2
 
@@ -151,14 +151,19 @@ def cmd_bitflip(args) -> int:
 def cmd_simulate(args) -> int:
     if args.container and args.group_size is not None:
         raise ConfigError("--container fixes G per layer; drop --group-size")
+    fixed_su = None if args.su == "auto" else mapper.catalog_su(args.su)
+    if fixed_su and isinstance(args.group_size, int):
+        mapper.check_group_size(args.group_size, fixed_su)
     net = model_io.load_network(args.manifest)
+    if fixed_su:
+        for layer in net.layers:
+            mapper.check_kind_compatible(layer.shape, fixed_su)
     if args.container:
         compressed = model_io.read_compressed(args.container)
         by_name = {cl.name: cl for cl in compressed}
         missing = [l.name for l in net.layers if l.name not in by_name]
         if missing:
-            print(f"container is missing layers: {missing}", file=sys.stderr)
-            return 1
+            raise ContainerError(f"container is missing layers: {missing}")
         compressed = [by_name[l.name] for l in net.layers]
     else:
         compressed, _ = _compress_network(net, args.group_size or "auto")
@@ -167,7 +172,7 @@ def cmd_simulate(args) -> int:
     mismatches = 0
     rows = []
     for layer, cl in zip(net.layers, compressed):
-        su = mapper.select_su(layer.shape) if args.su == "auto" else mapper.catalog_su(args.su)
+        su = fixed_su or mapper.select_su(layer.shape)
         if args.verify:
             # reference dot products come from the manifest weights, so a
             # corrupt container cannot vouch for itself

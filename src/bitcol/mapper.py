@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import codec
-from .workload import LayerShape, MappingError
+from .workload import ConfigError, LayerShape, MappingError
 
 
 @dataclass(frozen=True)
@@ -72,6 +72,13 @@ def is_compatible(shape: LayerShape, su: SpatialUnrolling) -> bool:
 def check_kind_compatible(shape: LayerShape, su: SpatialUnrolling) -> None:
     if not is_compatible(shape, su):
         raise MappingError(f"{su.id} cannot map a {shape.kind} layer")
+
+
+def check_group_size(group_size: int, su: SpatialUnrolling) -> None:
+    """A fixed G must split into the C_u-channel slices a fixed SU streams."""
+    if su.c_u and group_size % su.c_u:
+        raise ConfigError(f"group_size {group_size} is not a multiple of the unrolled "
+                          f"channels C_u={su.c_u} of {su.id}")
 
 
 def temporal_steps(shape: LayerShape, su: SpatialUnrolling) -> int:

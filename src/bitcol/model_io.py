@@ -1,13 +1,16 @@
 """Network ingest and on-disk formats.
 
-Manifest: UTF-8 text, one `network=<name>` line, then one line per layer:
+Manifest: UTF-8 text, one `network=<name>` line, then one line per layer
+(at least one):
 
     layer=<name> kind=<kind> K=<n> C=<n> FX=<n> FY=<n> OX=<n> OY=<n> B=<n>
         stride=<n> weights=<relpath> [s_a=<float>] [acts=<relpath>]
 
 Weight files are raw two's-complement int8 bytes in K-major (K, C, FY, FX)
 order; activation sample files are raw int8 of any length. All sizes are
-explicit in the manifest; nothing is inferred from file size.
+explicit in the manifest; nothing is inferred from file size. A layer name
+is also the stem of the layer's file names, so it must be a file-name-safe
+token (see workload.Network).
 
 Compressed container (byte exact): magic "BCSW", version 0x01; per layer:
 name length u16-LE + name bytes, group size u8, mode u8 (0=dense, 1=bcs),
@@ -65,12 +68,20 @@ def load_network(manifest_path: str | Path) -> Network:
     base = manifest_path.parent
     name = None
     layers: list[Layer] = []
-    for lineno, raw in enumerate(manifest_path.read_text(encoding="utf-8").splitlines(), 1):
+    try:
+        text = manifest_path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise ManifestError(f"manifest {manifest_path} is not UTF-8: {e}") from e
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         fields = _parse_fields(line, lineno)
         if "network" in fields:
+            if len(fields) > 1:
+                raise ManifestError(f"line {lineno}: the network= line takes no other keys")
+            if name is not None:
+                raise ManifestError(f"line {lineno}: a second network= line")
             name = fields["network"]
             continue
         if "layer" not in fields:
@@ -93,12 +104,17 @@ def load_network(manifest_path: str | Path) -> Network:
             raise ManifestError(f"line {lineno}: {e}") from e
         weights = _read_int8(base / fields["weights"], shape.n_weights,
                              f"layer {fields['layer']!r} weights").reshape(shape.weight_dims)
-        s_a = float(fields["s_a"]) if "s_a" in fields else None
+        try:
+            s_a = float(fields["s_a"]) if "s_a" in fields else None
+        except ValueError as e:
+            raise ManifestError(f"line {lineno}: s_a: {e}") from e
         acts = _read_int8(base / fields["acts"], -1, f"layer {fields['layer']!r} acts") \
             if "acts" in fields else None
         layers.append(Layer(fields["layer"], shape, weights, s_a=s_a, acts=acts))
     if name is None:
         raise ManifestError("manifest has no network= line")
+    if not layers:
+        raise ManifestError("manifest has no layers")
     return Network(name, layers)
 
 

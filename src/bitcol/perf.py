@@ -38,7 +38,8 @@ from typing import Sequence
 import numpy as np
 
 from . import codec, engine
-from .mapper import SpatialUnrolling, catalog_su, make_custom_su, select_su, temporal_steps
+from .mapper import (SpatialUnrolling, catalog_su, check_group_size, check_kind_compatible,
+                     make_custom_su, select_su, temporal_steps)
 from .workload import BitcolError, ConfigError, Layer, LayerShape, Network
 
 SPARSITY_MODES = ("none", "value-skip", "bit-skip", "bit-column-skip")
@@ -101,10 +102,8 @@ class AcceleratorSpec:
             raise ConfigError(f"group_size must be 'auto' or one of {codec.GROUP_SIZES}")
         # a catalog id is checked here, not at the first layer it maps
         su = catalog_su(self.su) if isinstance(self.su, str) and self.su != "auto" else self.su
-        if (self.sparsity_mode == "bit-column-skip" and self.group_size != "auto"
-                and su != "auto" and su.c_u and self.group_size % su.c_u):
-            raise ConfigError(f"group_size {self.group_size} is not a multiple of the "
-                              f"unrolled channels C_u={su.c_u} of {su.id}")
+        if self.sparsity_mode == "bit-column-skip" and self.group_size != "auto" and su != "auto":
+            check_group_size(self.group_size, su)
 
     def resolve_su(self, shape: LayerShape) -> SpatialUnrolling:
         if isinstance(self.su, SpatialUnrolling):
@@ -478,11 +477,16 @@ def compare(net: Network, specs: Sequence[AcceleratorSpec],
     """
     if not specs:
         raise ConfigError("no accelerator specs to evaluate")
-    reports = [evaluate_network(net, s) for s in specs]
-    base_name = baseline or specs[0].name
-    base = next((r for r in reports if r.spec == base_name), None)
-    if base is None:
+    names = [s.name for s in specs]
+    base_name = baseline or names[0]
+    if base_name not in names:
         raise ConfigError(f"baseline {base_name!r} is not among the evaluated specs")
+    for spec in specs:  # a fixed SU must map every layer before any spec runs
+        if spec.su != "auto":
+            for layer in net.layers:
+                check_kind_compatible(layer.shape, spec.resolve_su(layer.shape))
+    reports = [evaluate_network(net, s) for s in specs]
+    base = reports[names.index(base_name)]
     for r in reports:
         r.baseline = base_name
         r.speedup = base.total_cycles / r.total_cycles if r.total_cycles else math.inf

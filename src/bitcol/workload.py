@@ -17,6 +17,12 @@ LAYER_KINDS = ("conv", "depthwise-conv", "pointwise-conv", "fully-connected", "m
 # Kinds whose kernel window is forced to 1x1.
 _UNIT_KERNEL_KINDS = ("pointwise-conv", "fully-connected", "matmul")
 
+# loop bounds stay far below float range in every cycle and traffic product
+MAX_DIM = 2**31 - 1
+
+# a layer name is a file name stem (`<name>.w.bin`), which must fit in 255 bytes
+NAME_MAX_BYTES = 240
+
 
 class BitcolError(Exception):
     """Base class for toolkit input/contract errors."""
@@ -64,8 +70,9 @@ class LayerShape:
 
     def __post_init__(self):
         for name in ("k", "c", "fy", "fx", "ox", "oy", "b", "stride"):
-            if getattr(self, name) < 1:
-                raise ManifestError(f"layer dimension {name}={getattr(self, name)} must be >= 1")
+            if not 1 <= getattr(self, name) <= MAX_DIM:
+                raise ManifestError(
+                    f"layer dimension {name}={getattr(self, name)} must be in 1..{MAX_DIM}")
         if self.kind not in LAYER_KINDS:
             raise ManifestError(f"unknown layer kind {self.kind!r}")
         if self.kind == "depthwise-conv" and self.c != 1:
@@ -132,12 +139,24 @@ class Layer:
         return default
 
 
+def _check_name(name: str) -> None:
+    """A layer name names files, so it must be one safe path token."""
+    if (not name or ".." in name or any(c in "/\\" or c.isspace() or not c.isprintable()
+                                        for c in name)
+            or len(name.encode("utf-8")) > NAME_MAX_BYTES):
+        raise ManifestError(
+            f"layer name {name!r} is not a file-name-safe token (1 to {NAME_MAX_BYTES} "
+            "UTF-8 bytes, no '/', '\\', '..', whitespace or control characters)")
+
+
 @dataclass
 class Network:
     name: str
     layers: list[Layer] = field(default_factory=list)
 
     def __post_init__(self):
+        for l in self.layers:
+            _check_name(l.name)
         names = [l.name for l in self.layers]
         dupes = {n for n in names if names.count(n) > 1}
         if dupes:

@@ -218,6 +218,15 @@ class TestOracles:
                   for f, o in zip(flipped.layers, small_net.layers))
         assert proxy_oracle(small_net)(flipped) == pytest.approx(-sse / small_net.n_weights)
 
+    def test_proxy_measures_against_the_clamped_original(self):
+        # -128 reads as -127, so the proxy counts the error the flip report counts
+        layer = make_layer("l", values=[-128, 5, 3, 1, 0, 0, 0, 0], k=1, c=8, fy=1, fx=1,
+                           ox=1, oy=1)
+        net = make_network("m", [layer])
+        flipped, results = apply_strategy(net, {"l": (8, 4)})
+        assert results["l"].total_sq_error == 260
+        assert proxy_oracle(net)(flipped) == -260 / 8
+
     def test_proxy_shape_mismatch(self, small_net, rng):
         other = make_network("other", [
             make_layer("conv1", rng, k=1, c=4, fy=1, fx=1, ox=1, oy=1),

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bitcol import bitflip, codec, model_io, perf
+from bitcol import bitflip, codec, engine, mapper, model_io, perf
 from bitcol.cli import main
 from bitcol.workload import Layer, LayerShape, Network
 
@@ -408,3 +408,104 @@ def test_perf_column_skip_without_bcs_rejected_at_load(net_dir, capsys, monkeypa
     assert rc == 1
     assert capsys.readouterr().err == ("error: [cols] sparsity_mode bit-column-skip reads the "
                                        "bcs zero-column index; it needs weight_codec bcs\n")
+
+
+def _fail(what):
+    def fail(*a, **k):
+        pytest.fail(f"{what} ran before the input was rejected")
+    return fail
+
+
+def test_bitflip_unsafe_layer_name_rejected_before_writing(tmp_path, capsys, monkeypatch):
+    # a layer named ../x would be written to out/x.w.bin, outside --out out/deep
+    (tmp_path / "w.bin").write_bytes(bytes(8))
+    (tmp_path / "manifest.txt").write_text(
+        "network=n\nlayer=../x kind=conv K=1 C=8 FX=1 FY=1 OX=1 OY=1 B=1 stride=1 "
+        "weights=w.bin\n")
+    monkeypatch.setattr(bitflip, "flip_layer", _fail("flip_layer"))
+    rc = main(["bitflip", "--manifest", str(tmp_path / "manifest.txt"),
+               "--out", str(tmp_path / "out" / "deep")])
+    assert rc == 1
+    assert "error: layer name '../x' is not a file-name-safe token" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--out", "o.csv"], ["compress", "--out", "c.bcsw", "--csv", "o.csv"],
+    ["map", "--out", "o.csv"], ["simulate", "--out", "o.csv"], ["perf", "--out", "o.csv"],
+    ["bitflip", "--out", "flipped", "--csv", "o.csv"],
+])
+def test_manifest_without_layers_rejected_at_load(tmp_path, capsys, monkeypatch, argv):
+    (tmp_path / "manifest.txt").write_text("network=empty\n")
+    monkeypatch.chdir(tmp_path)
+    rc = main([argv[0], "--manifest", "manifest.txt", *argv[1:]])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: manifest has no layers\n"
+    assert list(tmp_path.iterdir()) == [tmp_path / "manifest.txt"]  # nothing written
+
+
+def test_simulate_fixed_su_checked_against_every_layer_first(net_dir, capsys, monkeypatch):
+    # conv1 maps onto SU1 and dw1 does not: nothing may run for conv1 first
+    for mod, name in ((codec, "compress_layer"), (engine, "verify_layer"),
+                      (engine, "simulate_layer")):
+        monkeypatch.setattr(mod, name, _fail(name))
+    rc = main(["simulate", "--manifest", str(net_dir / "model/manifest.txt"),
+               "--su", "SU1", "--verify"])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: SU1 cannot map a depthwise-conv layer\n"
+
+
+def test_simulate_fixed_su_checked_before_reading_the_container(net_dir, capsys, monkeypatch):
+    monkeypatch.setattr(model_io, "read_compressed", _fail("read_compressed"))
+    rc = main(["simulate", "--manifest", str(net_dir / "model/manifest.txt"),
+               "--container", str(net_dir / "none.bcsw"), "--su", "SU2"])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: SU2 cannot map a depthwise-conv layer\n"
+
+
+@pytest.mark.parametrize("su,group_size,ok", [("SU2", "8", False), ("SU3", "16", False),
+                                               ("SU2", "16", True), ("SU7", "8", True),
+                                               ("SU1", "auto", True)])
+def test_simulate_fixed_su_and_group_size_checked_before_load(tmp_path, capsys, su,
+                                                              group_size, ok):
+    # the manifest does not exist: a bad pair is rejected before it is read
+    rc = main(["simulate", "--manifest", str(tmp_path / "nope.txt"), "--su", su,
+               "--group-size", group_size])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert ("manifest not found" in err) == ok
+    if not ok:
+        c_u = mapper.catalog_su(su).c_u
+        assert err == (f"error: group_size {group_size} is not a multiple of the unrolled "
+                       f"channels C_u={c_u} of {su}\n")
+
+
+def test_perf_fixed_su_checked_against_every_layer_first(net_dir, capsys, monkeypatch):
+    monkeypatch.setattr(perf, "evaluate_network", _fail("evaluate_network"))
+    cfg = net_dir / "su1.ini"
+    cfg.write_text("[fixed]\nbase = bitcol\nsu = SU1\n")
+    rc = main(["perf", "--manifest", str(net_dir / "model/manifest.txt"),
+               "--preset", "scnn", "--spec-config", str(cfg)])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: SU1 cannot map a depthwise-conv layer\n"
+
+
+def test_perf_baseline_checked_before_any_spec_runs(net_dir, capsys, monkeypatch):
+    monkeypatch.setattr(perf, "evaluate_network", _fail("evaluate_network"))
+    rc = main(["perf", "--manifest", str(net_dir / "model/manifest.txt"),
+               "--preset", "bitcol", "--baseline", "scnn"])
+    assert rc == 1
+    assert capsys.readouterr().err == \
+        "error: baseline 'scnn' is not among the evaluated specs\n"
+
+
+def test_simulate_container_missing_layers_is_an_error_line(net_dir, capsys, monkeypatch):
+    net = model_io.load_network(net_dir / "model/manifest.txt")
+    cont = net_dir / "part.bcsw"
+    model_io.write_compressed(cont, [codec.compress_layer(net.layers[0].weights, 8,
+                                                          name="conv1")])
+    monkeypatch.setattr(engine, "simulate_layer", _fail("simulate_layer"))
+    rc = main(["simulate", "--manifest", str(net_dir / "model/manifest.txt"),
+               "--container", str(cont)])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: container is missing layers: ['dw1', 'pw1']\n"

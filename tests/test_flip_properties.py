@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import oracles
 from bitcol import bitflip, codec
+from bitcol.workload import Layer, LayerShape, Network
 
 PROPERTY = settings(max_examples=80, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -91,3 +92,25 @@ def test_tie_rule_first_candidate_wins():
     # (7, -1) at z=5: (7, 0) drops the sign column, (8, -1) two magnitude
     # columns, both at cost 1; sign-restricted candidates come first
     assert bitflip.best_column_set([7, -1], 5).flipped.tolist() == [7, 0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_layers=st.integers(1, 3),
+       p_min=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+       moves=st.lists(st.tuples(st.sampled_from(codec.GROUP_SIZES), st.integers(0, 8)),
+                      min_size=3, max_size=3))
+def test_proxy_metric_is_the_reported_flip_error(seed, n_layers, p_min, moves):
+    """On nets holding -128, proxy * N is minus the summed flip-report error."""
+    rng = np.random.default_rng(seed)
+    layers = []
+    for i in range(n_layers):
+        shape = LayerShape(k=int(rng.integers(1, 4)), c=int(rng.integers(1, 40)), fy=1, fx=1,
+                           ox=1, oy=1)
+        w = rng.integers(-128, 128, size=shape.weight_dims)
+        w[rng.random(w.shape) < p_min] = -128
+        layers.append(Layer(f"l{i}", shape, w.astype(np.int8)))
+    net = Network("n", layers)
+    strategy = {l.name: moves[i] for i, l in enumerate(layers)}
+    flipped, results = bitflip.apply_strategy(net, strategy)
+    sse = sum(r.total_sq_error for r in results.values())
+    assert bitflip.proxy_oracle(net)(flipped) == -sse / net.n_weights

@@ -92,6 +92,58 @@ class TestManifest:
             load_network(p)
 
 
+LAYER = "kind=conv K=1 C=4 FX=1 FY=1 OX=1 OY=1 B=1 stride=1 weights=w.bin"
+
+
+class TestManifestRules:
+    """Each rule rejects at load, before any subcommand does work."""
+
+    @pytest.mark.parametrize("name", ["../x", "a/b", "a\\b", "..", "up..", "", "a b",
+                                      "a\tb", "a\x00b", "a\x7fb", "a\u200bb", "\ud800",
+                                      "n" * 241, "é" * 121])
+    def test_unsafe_layer_name_rejected(self, rng, name):
+        layer = make_layer(name, rng, k=1, c=4, fy=1, fx=1, ox=1, oy=1)
+        with pytest.raises(ManifestError, match="not a file-name-safe token"):
+            Network("n", [layer])
+
+    def test_bench_and_readme_names_accepted(self, rng):
+        nets = pytest.importorskip("perfbench.nets")
+        names = {s.name for build in nets.NETS.values() for s in build()}
+        names |= {"conv1", "dw1", "pw1", "layer3.0.conv2", "features.1.dw", "conv_last",
+                  "n" * 240, "é" * 120, "层-1"}
+        Network("n", [make_layer(name, rng, k=1, c=4, fy=1, fx=1, ox=1, oy=1)
+                      for name in sorted(names)])
+
+    def test_unsafe_name_in_manifest_rejected_at_load(self, tmp_path):
+        (tmp_path / "w.bin").write_bytes(bytes(4))
+        p = write_manifest(tmp_path, ["network=x", f"layer=../x {LAYER}"])
+        with pytest.raises(ManifestError, match="'../x' is not a file-name-safe token"):
+            load_network(p)
+
+    @pytest.mark.parametrize("lines,message", [
+        (["network=n layer=a " + LAYER], "line 1: the network= line takes no other keys"),
+        ([f"layer=a {LAYER} network=n"], "line 1: the network= line takes no other keys"),
+        (["network=n", f"layer=a {LAYER}", "network=m"], "line 3: a second network= line"),
+        (["network=n"], "manifest has no layers"),
+        (["# nothing", "network=n", ""], "manifest has no layers"),
+        (["network=n", f"layer=a {LAYER} s_a=abc"], "line 2: s_a: could not convert"),
+        (["network=n", "layer=a " + LAYER.replace("OX=1", "OX=" + "9" * 400)],
+         "layer dimension ox=9+ must be in 1..2147483647"),
+        (["network=n", "quant=int8-per-channel", f"layer=a {LAYER}"],
+         "line 2: expected a layer record"),
+    ])
+    def test_manifest_rule(self, tmp_path, lines, message):
+        (tmp_path / "w.bin").write_bytes(bytes(4))
+        with pytest.raises(ManifestError, match=message):
+            load_network(write_manifest(tmp_path, lines))
+
+    def test_manifest_not_utf8(self, tmp_path):
+        p = tmp_path / "manifest.txt"
+        p.write_bytes(b"network=\xff\n")
+        with pytest.raises(ManifestError, match="is not UTF-8"):
+            load_network(p)
+
+
 class TestContainer:
     def test_empty_layer_list_header_only(self, tmp_path):
         path = tmp_path / "c.bcsw"
