@@ -161,67 +161,82 @@ def default_strategy(net: Network, group_size: int = 8, z: int = 0) -> Strategy:
     return {l.name: (group_size, z) for l in net.layers}
 
 
-def _check_strategy(net: Network, strategy: Mapping[str, tuple[int, int]]) -> None:
-    """Raise ManifestError unless the strategy names exactly the network's layers."""
+def _check_strategy(net: Network, strategy: Mapping[str, tuple[int, int]],
+                    error: type[Exception] = ManifestError) -> None:
+    """Raise `error` unless the strategy names exactly the network's layers."""
     names = [l.name for l in net.layers]
     missing = [name for name in names if name not in strategy]
     if missing:
-        raise ManifestError(f"strategy is missing layers: {missing}")
+        raise error(f"strategy is missing layers: {missing}")
     unknown = [name for name in strategy if name not in names]
     if unknown:
-        raise ManifestError(f"strategy names layers the network does not have: {unknown}")
+        raise error(f"strategy names layers the network does not have: {unknown}")
 
 
 def apply_strategy(net: Network, strategy: Mapping[str, tuple[int, int]]
                    ) -> tuple[Network, dict[str, FlipResult]]:
     """Flip every layer of a network per its (group size, z) entry."""
     _check_strategy(net, strategy)
-    results = {}
-    weights = {}
-    for layer in net.layers:
-        g, z = strategy[layer.name]
-        res = flip_layer(layer.weights, g, z)
-        results[layer.name] = res
-        weights[layer.name] = res.values
-    return net.with_weights(weights), results
+    results = {l.name: flip_layer(l.weights, *strategy[l.name]) for l in net.layers}
+    return net.with_weights({name: res.values for name, res in results.items()}), results
 
 
-def proxy_oracle(original: Network) -> Callable[[Network], float]:
-    """Dataset-free metric: -(total squared flip error / total weight count).
+def _flip_table(net: Network, keep: Callable[[FlipResult], object]) -> Callable:
+    """Per-layer `keep(flip_layer(...))` of a strategy, one flip per distinct (layer, G, z).
 
-    Error is measured against the codec-clamped original (-128 reads as
-    -127), as flip_layer measures it, so the metric is -sum(total_sq_error)/N.
+    A strategy must name exactly the network's layers (OracleError otherwise).
     """
-    ref = {l.name: np.clip(l.weights.astype(np.int32), -127, 127) for l in original.layers}
-    total = original.n_weights
+    weights = {l.name: l.weights for l in net.layers}
+    table: dict[tuple[str, int, int], object] = {}
 
-    def evaluate(flipped: Network) -> float:
-        sse = 0
-        for layer in flipped.layers:
-            if layer.name not in ref or layer.weights.shape != ref[layer.name].shape:
-                raise OracleError(f"layer {layer.name!r} does not match the reference network")
-            sse += int(((layer.weights.astype(np.int32) - ref[layer.name]) ** 2).sum())
-        return -sse / total
+    def lookup(strategy: Mapping[str, tuple[int, int]]) -> dict[str, object]:
+        if strategy.keys() != weights.keys():
+            _check_strategy(net, strategy, OracleError)
+        out = {}
+        for name, w in weights.items():
+            key = (name, *strategy[name])
+            if key not in table:
+                table[key] = keep(flip_layer(w, key[1], key[2]))
+            out[name] = table[key]
+        return out
+
+    return lookup
+
+
+def proxy_oracle(net: Network) -> Callable[[Mapping[str, tuple[int, int]]], float]:
+    """Dataset-free metric of a strategy: -(total squared flip error / total weight count).
+
+    The error is flip_layer's total_sq_error (against the codec-clamped
+    weights), additive over layers, so only each (layer, G, z)'s error is kept.
+    """
+    sse = _flip_table(net, lambda res: res.total_sq_error)
+    total = net.n_weights
+
+    def evaluate(strategy: Mapping[str, tuple[int, int]]) -> float:
+        return -sum(sse(strategy).values()) / total
 
     return evaluate
 
 
 class ExternalOracle:
-    """Runs a command on the flipped model and parses the metric.
+    """Runs a command on the network flipped per a strategy and parses the metric.
 
     The template's `{manifest}` placeholder receives the path of a freshly
-    written manifest; the metric is the last non-empty line of standard
-    output parsed as a decimal float.
+    written manifest of apply_strategy's network; the metric is the last
+    non-empty line of standard output parsed as a decimal float.
     """
 
-    def __init__(self, command_template: str):
+    def __init__(self, command_template: str, net: Network):
         self.argv = shlex.split(command_template)
         if not self.argv:
             raise OracleError("empty oracle command")
+        self.net = net
+        self._flipped = _flip_table(net, lambda res: res.values)
 
-    def __call__(self, net: Network) -> float:
+    def __call__(self, strategy: Mapping[str, tuple[int, int]]) -> float:
+        flipped = self.net.with_weights(self._flipped(strategy))
         with tempfile.TemporaryDirectory(prefix="bitcol-oracle-") as tmp:
-            manifest = model_io.save_network(net, Path(tmp))
+            manifest = model_io.save_network(flipped, Path(tmp))
             argv = [a.replace("{manifest}", str(manifest)) for a in self.argv]
             proc = subprocess.run(argv, capture_output=True, text=True)
             if proc.returncode != 0:
@@ -237,40 +252,25 @@ class ExternalOracle:
 
 
 def greedy_search(net: Network, initial: Mapping[str, tuple[int, int]], macc: float,
-                  oracle: Callable[[Network], float]) -> Strategy:
+                  oracle: Callable[[Strategy], float]) -> Strategy:
     """Greedy per-sweep search for the deepest strategy above the metric floor.
 
-    Each sweep evaluates, for every layer and group size, bumping that
-    layer's zero-column target by one (flips always start from the pristine
-    weights); the single best move commits. Later candidates win ties, as in
-    the reference procedure. Stops when the best tentative metric drops
-    below macc or every slot is saturated at z=8.
+    Each sweep scores, for every layer and group size, the strategy that
+    bumps that layer's zero-column target by one; the single best move
+    commits. Later candidates win ties, as in the reference procedure.
+    Stops when the best tentative metric drops below macc or every slot is
+    saturated at z=8.
     """
     _check_strategy(net, initial)
     strategy = {l.name: initial[l.name] for l in net.layers}
-
-    # candidates differ from the committed strategy in one layer, so flips
-    # are cached per (layer, gs, z); all flips start from the pristine weights
-    cache: dict[tuple[str, int, int], np.ndarray] = {}
-
-    def flipped_weights(name: str, g: int, z: int) -> np.ndarray:
-        key = (name, g, z)
-        if key not in cache:
-            cache[key] = flip_layer(net.layer(name).weights, g, z).values
-        return cache[key]
-
     while True:
-        committed = {l.name: flipped_weights(l.name, *strategy[l.name]) for l in net.layers}
         bacc = -math.inf
         move = None
-        for name in strategy:
+        for name, (_, z) in strategy.items():
+            if z + 1 > 8:
+                continue
             for gs in codec.AUTO_GROUP_SIZES:
-                z = strategy[name][1]
-                if z + 1 > 8:
-                    continue
-                candidate = dict(committed)
-                candidate[name] = flipped_weights(name, gs, z + 1)
-                metric = oracle(net.with_weights(candidate))
+                metric = oracle({**strategy, name: (gs, z + 1)})
                 if not math.isfinite(metric):
                     raise OracleError(f"non-finite metric {metric!r} for layer {name!r}")
                 if metric >= bacc:

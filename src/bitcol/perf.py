@@ -47,7 +47,7 @@ WEIGHT_CODECS = ("none", "zre", "csr", "bcs")
 ACT_CODECS = ("none", "zre", "csr")
 
 
-@dataclass
+@dataclass(frozen=True)
 class UnitCosts:
     """Per-event energy costs (arbitrary energy unit, pJ-like defaults)
     and on-chip SRAM capacities."""
@@ -67,7 +67,7 @@ class UnitCosts:
             raise ConfigError("SRAM capacities must be > 0")
 
 
-@dataclass
+@dataclass(frozen=True)
 class AcceleratorSpec:
     name: str
     su: str | SpatialUnrolling = "auto"   # "auto" = per-layer catalog selection

@@ -20,6 +20,9 @@ _UNIT_KERNEL_KINDS = ("pointwise-conv", "fully-connected", "matmul")
 # loop bounds stay far below float range in every cycle and traffic product
 MAX_DIM = 2**31 - 1
 
+# the compressed container counts a layer's values in a u32
+MAX_LAYER_VALUES = 2**32 - 1
+
 # a layer name is a file name stem (`<name>.w.bin`), which must fit in 255 bytes
 NAME_MAX_BYTES = 240
 
@@ -73,6 +76,9 @@ class LayerShape:
             if not 1 <= getattr(self, name) <= MAX_DIM:
                 raise ManifestError(
                     f"layer dimension {name}={getattr(self, name)} must be in 1..{MAX_DIM}")
+        if self.n_weights > MAX_LAYER_VALUES:
+            raise ManifestError(f"layer has {self.n_weights} weight values; "
+                                f"a container layer holds at most {MAX_LAYER_VALUES}")
         if self.kind not in LAYER_KINDS:
             raise ManifestError(f"unknown layer kind {self.kind!r}")
         if self.kind == "depthwise-conv" and self.c != 1:

@@ -17,6 +17,10 @@ before the library split each layer's records with one index-byte mask.
 The two lockstep lane-set reductions of the perf model (value skipping's
 slowest kernel, bit skipping's slowest lane) slice or zero-pad the lanes
 into sets, as they did before each became one numpy reduceat.
+
+The greedy search and the proxy metric score flipped networks, as they did
+before the search scored strategies: each candidate is a copy of the
+network, and the metric rescans every weight against the clamped original.
 """
 
 import math
@@ -30,10 +34,10 @@ from bitcol import codec, engine
 from bitcol.codec import GROUP_SIZES, POPCOUNT, CompressedLayer
 from bitcol.model_io import MAGIC, VERSION
 from bitcol.workload import ContainerError
-from bitcol.bitflip import _nearest_table
+from bitcol.bitflip import _check_strategy, _nearest_table, flip_layer
 from bitcol.engine import CycleCount, bce_group, dot_ref, packed_groups
 from bitcol.mapper import check_kind_compatible
-from bitcol.workload import MappingError
+from bitcol.workload import MappingError, OracleError
 
 
 def _group_nz(cl, sign_cycle):
@@ -327,3 +331,51 @@ def lockstep_bit_fraction(weights, sync_lanes):
     if pad:
         pops = np.concatenate([pops, np.zeros(pad, dtype=pops.dtype)])
     return float(pops.reshape(-1, sync_lanes).max(axis=1).mean() / 8.0)
+
+
+def proxy_metric(original):
+    """-(squared error of a flipped network against the clamped original) / N."""
+    ref = {l.name: np.clip(l.weights.astype(np.int32), -127, 127) for l in original.layers}
+
+    def evaluate(flipped):
+        sse = 0
+        for layer in flipped.layers:
+            if layer.name not in ref or layer.weights.shape != ref[layer.name].shape:
+                raise OracleError(f"layer {layer.name!r} does not match the reference network")
+            sse += int(((layer.weights.astype(np.int32) - ref[layer.name]) ** 2).sum())
+        return -sse / original.n_weights
+
+    return evaluate
+
+
+def greedy_search(net, initial, macc, oracle):
+    """The sweep search with `oracle` called on a flipped copy of the network."""
+    _check_strategy(net, initial)
+    strategy = {l.name: initial[l.name] for l in net.layers}
+    cache = {}
+
+    def flipped_weights(name, g, z):
+        if (name, g, z) not in cache:
+            cache[name, g, z] = flip_layer(net.layer(name).weights, g, z).values
+        return cache[name, g, z]
+
+    while True:
+        committed = {l.name: flipped_weights(l.name, *strategy[l.name]) for l in net.layers}
+        bacc = -math.inf
+        move = None
+        for name in strategy:
+            for gs in codec.AUTO_GROUP_SIZES:
+                z = strategy[name][1]
+                if z + 1 > 8:
+                    continue
+                candidate = dict(committed)
+                candidate[name] = flipped_weights(name, gs, z + 1)
+                metric = oracle(net.with_weights(candidate))
+                if not math.isfinite(metric):
+                    raise OracleError(f"non-finite metric {metric!r} for layer {name!r}")
+                if metric >= bacc:
+                    bacc = metric
+                    move = (name, gs, z + 1)
+        if move is None or bacc < macc:
+            return strategy
+        strategy[move[0]] = (move[1], move[2])

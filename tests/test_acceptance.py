@@ -11,6 +11,7 @@ import math
 import os
 import time
 from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -184,8 +185,7 @@ def test_08_model_simulator_agreement(announce):
             make_layer("l3", rng, k=64, c=64, fy=1, fx=1, ox=16, oy=16,
                        kind="pointwise-conv"),
         ])
-        spec = perf.preset("bitcol")
-        spec.dram_bytes_per_cycle = 512
+        spec = replace(perf.preset("bitcol"), dram_bytes_per_cycle=512)
         model_cycles = perf.evaluate_network(net, spec).total_cycles
         sim_cycles = 0
         for layer in net.layers:

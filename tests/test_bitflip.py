@@ -202,21 +202,24 @@ class TestFlipLayer:
 
 class TestOracles:
     def test_proxy_zero_without_flips(self, small_net):
-        assert proxy_oracle(small_net)(small_net) == 0.0
+        for g in codec.AUTO_GROUP_SIZES:
+            assert proxy_oracle(small_net)(default_strategy(small_net, g, 0)) == 0.0
 
-    def test_proxy_one_unit_change(self, small_net):
-        w = small_net.layers[0].weights.copy()
-        w[0, 0, 0, 0] = np.int8(int(w[0, 0, 0, 0]) + 1 if w[0, 0, 0, 0] < 127 else 126)
-        delta = int(w[0, 0, 0, 0]) - int(small_net.layers[0].weights[0, 0, 0, 0])
-        flipped = small_net.with_weights({"conv1": w})
-        assert proxy_oracle(small_net)(flipped) == pytest.approx(-delta ** 2 / small_net.n_weights)
+    def test_proxy_one_unit_change(self):
+        # z=7 leaves one magnitude column: 3 moves to 2 or 4, every 0 stays
+        net = make_network("m", [make_layer("conv1", values=[3] + [0] * 15, k=2, c=8, fy=1,
+                                            fx=1, ox=1, oy=1)])
+        flipped, _ = apply_strategy(net, {"conv1": (8, 7)})
+        delta = int(flipped.layers[0].weights[0, 0, 0, 0]) - 3
+        assert abs(delta) == 1
+        assert proxy_oracle(net)({"conv1": (8, 7)}) == pytest.approx(-delta ** 2 / net.n_weights)
 
     def test_proxy_matches_brute_sum(self, small_net, rng):
         strategy = {l.name: (8, 3) for l in small_net.layers}
         flipped, _ = apply_strategy(small_net, strategy)
         sse = sum(((f.weights.astype(np.int64) - o.weights.astype(np.int64)) ** 2).sum()
                   for f, o in zip(flipped.layers, small_net.layers))
-        assert proxy_oracle(small_net)(flipped) == pytest.approx(-sse / small_net.n_weights)
+        assert proxy_oracle(small_net)(strategy) == pytest.approx(-sse / small_net.n_weights)
 
     def test_proxy_measures_against_the_clamped_original(self):
         # -128 reads as -127, so the proxy counts the error the flip report counts
@@ -225,26 +228,34 @@ class TestOracles:
         net = make_network("m", [layer])
         flipped, results = apply_strategy(net, {"l": (8, 4)})
         assert results["l"].total_sq_error == 260
-        assert proxy_oracle(net)(flipped) == -260 / 8
+        assert proxy_oracle(net)({"l": (8, 4)}) == -260 / 8
 
-    def test_proxy_shape_mismatch(self, small_net, rng):
-        other = make_network("other", [
-            make_layer("conv1", rng, k=1, c=4, fy=1, fx=1, ox=1, oy=1),
-            make_layer("conv2", rng, k=1, c=4, fy=1, fx=1, ox=1, oy=1),
-        ])
-        with pytest.raises(OracleError):
-            proxy_oracle(small_net)(other)
+    def test_proxy_unknown_layer(self, small_net):
+        strategy = {**default_strategy(small_net), "fc": (8, 1)}
+        with pytest.raises(OracleError, match=r"does not have: \['fc'\]"):
+            proxy_oracle(small_net)(strategy)
+
+    def test_proxy_missing_layer(self, small_net):
+        with pytest.raises(OracleError, match=r"missing layers: \['conv2'\]"):
+            proxy_oracle(small_net)({"conv1": (8, 1)})
+
+    def test_external_strategy_must_name_the_layers(self, small_net):
+        oracle = ExternalOracle("echo 0", small_net)
+        with pytest.raises(OracleError, match=r"does not have: \['fc'\]"):
+            oracle({**default_strategy(small_net), "fc": (8, 1)})
+        with pytest.raises(OracleError, match=r"missing layers: \['conv2'\]"):
+            oracle({"conv1": (8, 1)})
 
     def test_external_echo(self, small_net):
-        assert ExternalOracle("echo 0.75")(small_net) == 0.75
+        assert ExternalOracle("echo 0.75", small_net)(default_strategy(small_net)) == 0.75
 
     def test_external_nonzero_exit(self, small_net):
         with pytest.raises(OracleError, match="exit"):
-            ExternalOracle("false")(small_net)
+            ExternalOracle("false", small_net)(default_strategy(small_net))
 
     def test_external_unparseable(self, small_net):
         with pytest.raises(OracleError, match="unparseable"):
-            ExternalOracle("echo not-a-float")(small_net)
+            ExternalOracle("echo not-a-float", small_net)(default_strategy(small_net))
 
     def test_external_stub_script_reads_manifest(self, small_net, tmp_path):
         # stub inference: metric derived from the manifest it receives
@@ -256,8 +267,8 @@ class TestOracles:
             "print('log: evaluating')\n"
             "print(0.5 + 0.1 * len(layers))\n"
         )
-        metric = ExternalOracle(f"python3 {script} {{manifest}}")(small_net)
-        assert metric == pytest.approx(0.7)
+        oracle = ExternalOracle(f"python3 {script} {{manifest}}", small_net)
+        assert oracle(default_strategy(small_net)) == pytest.approx(0.7)
 
 
 class TestGreedySearch:

@@ -444,6 +444,19 @@ def test_manifest_without_layers_rejected_at_load(tmp_path, capsys, monkeypatch,
     assert list(tmp_path.iterdir()) == [tmp_path / "manifest.txt"]  # nothing written
 
 
+def test_layer_too_large_for_the_container_rejected_at_load(tmp_path, capsys):
+    # no weight file: the value count is checked before any tensor is read
+    (tmp_path / "manifest.txt").write_text(
+        "network=n\nlayer=big kind=fully-connected K=65536 C=65536 FX=1 FY=1 OX=1 OY=1 B=1 "
+        "stride=1 weights=big.w.bin\n")
+    rc = main(["compress", "--manifest", str(tmp_path / "manifest.txt"),
+               "--out", str(tmp_path / "c.bcsw")])
+    assert rc == 1
+    assert capsys.readouterr().err == ("error: layer has 4294967296 weight values; "
+                                       "a container layer holds at most 4294967295\n")
+    assert list(tmp_path.iterdir()) == [tmp_path / "manifest.txt"]
+
+
 def test_simulate_fixed_su_checked_against_every_layer_first(net_dir, capsys, monkeypatch):
     # conv1 maps onto SU1 and dw1 does not: nothing may run for conv1 first
     for mod, name in ((codec, "compress_layer"), (engine, "verify_layer"),

@@ -113,4 +113,5 @@ def test_proxy_metric_is_the_reported_flip_error(seed, n_layers, p_min, moves):
     strategy = {l.name: moves[i] for i, l in enumerate(layers)}
     flipped, results = bitflip.apply_strategy(net, strategy)
     sse = sum(r.total_sq_error for r in results.values())
-    assert bitflip.proxy_oracle(net)(flipped) == -sse / net.n_weights
+    assert bitflip.proxy_oracle(net)(strategy) == -sse / net.n_weights
+    assert oracles.proxy_metric(net)(flipped) == -sse / net.n_weights

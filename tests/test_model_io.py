@@ -131,11 +131,19 @@ class TestManifestRules:
          "layer dimension ox=9+ must be in 1..2147483647"),
         (["network=n", "quant=int8-per-channel", f"layer=a {LAYER}"],
          "line 2: expected a layer record"),
+        (["network=n", "layer=a " + LAYER.replace("K=1", "K=65536").replace("C=4", "C=65536")],
+         "layer has 4294967296 weight values; a container layer holds at most 4294967295"),
     ])
     def test_manifest_rule(self, tmp_path, lines, message):
         (tmp_path / "w.bin").write_bytes(bytes(4))
         with pytest.raises(ManifestError, match=message):
             load_network(write_manifest(tmp_path, lines))
+
+    def test_layer_value_count_fits_the_container(self):
+        # shapes only, no weights: 65535 * 65537 = 2**32 - 1 values is the u32 maximum
+        assert LayerShape(k=65535, c=65537, fy=1, fx=1, ox=1, oy=1).n_weights == 2**32 - 1
+        with pytest.raises(ManifestError, match="at most 4294967295"):
+            LayerShape(k=2**16, c=2**14, fy=2, fx=2, ox=1, oy=1)
 
     def test_manifest_not_utf8(self, tmp_path):
         p = tmp_path / "manifest.txt"

@@ -1,5 +1,6 @@
 import configparser
 import math
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -96,8 +97,7 @@ class TestEffectiveMemory:
         from bitcol import model_io
         layer = make_layer("w", rng, k=4, c=32, fy=3, fx=3, ox=8, oy=8)
         layer.weights[rng.random(size=layer.weights.shape) < 0.6] = 0
-        spec = preset("bitcol")
-        spec.group_size = 8
+        spec = replace(preset("bitcol"), group_size=8)
         cr_w, cl = weight_compression(layer, spec)
         counts = dense_activity(layer.shape, spec)
         eff = effective_memory(counts, cr_w, 1.0)
@@ -173,8 +173,7 @@ class TestImbalance:
         assert imbalance_adjust(0.5, spec, np.full(32, 0.5)) == pytest.approx(0.5)
 
     def test_lockstep_max_work(self):
-        spec = preset("scnn")
-        spec.sync_lanes = 2
+        spec = replace(preset("scnn"), sync_lanes=2)
         assert imbalance_adjust(0.25, spec, np.array([0.5, 0.0])) == 0.0
 
     def test_scalar_passthrough(self):
@@ -200,9 +199,9 @@ class TestDenseActivity:
         assert counts.dram_read_w == shape.n_weights
 
     def test_two_passes_double_weight_reads(self):
-        spec = preset("bitcol")
         shape = LayerShape(k=8, c=8, fy=3, fx=3, ox=8, oy=8)
-        spec.costs.weight_sram_bytes = shape.n_weights // 2
+        spec = preset("bitcol")
+        spec = replace(spec, costs=replace(spec.costs, weight_sram_bytes=shape.n_weights // 2))
         counts = dense_activity(shape, spec)
         assert counts.passes == 2
         assert counts.dram_read_w == 2 * shape.n_weights
@@ -252,8 +251,7 @@ class TestBitColumnCycles:
         assert rep.eff.cc_mac_e == pytest.approx(sim.total_cycles, rel=1e-12)
 
     def test_model_matches_simulator_on_random_net(self, rng):
-        spec = preset("bitcol")
-        spec.dram_bytes_per_cycle = 512
+        spec = replace(preset("bitcol"), dram_bytes_per_cycle=512)
         net = make_network("synth", [
             make_layer("l1", rng, k=32, c=32, fy=3, fx=3, ox=32, oy=32),
             make_layer("l2", rng, k=64, c=32, fy=3, fx=3, ox=16, oy=16),
@@ -406,8 +404,19 @@ class TestPresetsAndConfig:
 
     def test_presets_do_not_share_costs(self):
         first = preset("bitcol")
-        first.costs.e_mac = 9.0
+        with pytest.raises(FrozenInstanceError):
+            first.costs.e_mac = 9.0
         assert preset("bitcol").costs.e_mac == UnitCosts().e_mac
+
+    def test_spec_fields_cannot_skip_validation(self):
+        # bit-column skipping without bcs weights is rejected at construction;
+        # a field set afterwards would reach evaluate_network unchecked
+        spec = preset("bitcol")
+        with pytest.raises(FrozenInstanceError):
+            spec.weight_codec = "none"
+        with pytest.raises(ConfigError, match="needs weight_codec bcs"):
+            replace(spec, weight_codec="none")
+        assert spec.weight_codec == "bcs"
 
     @pytest.mark.parametrize("su,group_size,ok", [
         ("SU3", 16, False), ("SU3", 32, True), ("SU3", 64, True), ("SU3", "auto", True),

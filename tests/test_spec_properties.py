@@ -12,6 +12,7 @@ group size that is not a multiple of the SU's C_u).
 import configparser
 import contextlib
 import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -154,8 +155,7 @@ def test_perf_spec_config_exits_0_or_1_without_traceback(tmp_path_factory, net_d
 @given(fracs=st.lists(st.floats(0, 1), max_size=70), sync_lanes=st.integers(1, 80),
        raw=st.floats(0, 1))
 def test_imbalance_adjust_matches_slice_reference(fracs, sync_lanes, raw):
-    spec = perf.preset("scnn")
-    spec.sync_lanes = sync_lanes
+    spec = replace(perf.preset("scnn"), sync_lanes=sync_lanes)
     assert perf.imbalance_adjust(raw, spec, np.array(fracs)) == \
         oracles.imbalance_adjust(raw, sync_lanes, fracs)
 
