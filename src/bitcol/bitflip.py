@@ -86,7 +86,7 @@ def _solve_groups(groups: np.ndarray, z: int) -> tuple[np.ndarray, np.ndarray, n
         raise ValueError("z must be in [0, 8]")
     flipped = np.array(groups, dtype=np.int8)
     err = np.zeros(len(flipped), dtype=np.int64)
-    idx = np.bitwise_or.reduce(codec.sm_encode(flipped)[0], axis=1)
+    idx = codec.column_index(flipped)
     todo = np.flatnonzero(codec.POPCOUNT[idx] > 8 - z)
     if todo.size:
         tables = _candidate_tables(z)
@@ -102,7 +102,7 @@ def _solve_groups(groups: np.ndarray, z: int) -> tuple[np.ndarray, np.ndarray, n
             pick[better] = c
         flipped[todo] = tables[pick[:, None], vidx]
         err[todo] = best
-        idx[todo] = np.bitwise_or.reduce(codec.sm_encode(flipped[todo])[0], axis=1)
+        idx[todo] = codec.column_index(flipped[todo])
     return flipped, idx, err
 
 
@@ -287,17 +287,28 @@ def save_strategy(strategy: Mapping[str, tuple[int, int]], path) -> None:
 
 
 def load_strategy(path) -> Strategy:
+    """Read `layer=NAME G=.. z=..` lines, each layer once, as strictly as a manifest."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise ManifestError(f"strategy {path} is not UTF-8: {e}") from e
     strategy: Strategy = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         try:
-            fields = dict(tok.split("=", 1) for tok in line.split())
+            fields = model_io._parse_fields(line, lineno)
+            if fields.keys() != {"layer", "G", "z"}:
+                raise ValueError(f"keys {sorted(fields)}, need exactly layer, G and z")
             name, g, z = fields["layer"], int(fields["G"]), int(fields["z"])
             if g not in codec.GROUP_SIZES or not 0 <= z <= 8:
                 raise ValueError(f"G={g} z={z}, need G in {codec.GROUP_SIZES} and z in 0..8")
-        except (KeyError, ValueError) as e:
+            if name in strategy:
+                raise ValueError(f"layer {name!r} is named on an earlier line")
+        except ManifestError as e:  # _parse_fields names the line itself
+            raise ManifestError(f"strategy {e}") from e
+        except ValueError as e:
             raise ManifestError(f"strategy line {lineno}: {e}") from e
         strategy[name] = (g, z)
     return strategy

@@ -68,19 +68,27 @@ def cmd_analyze(args) -> int:
 
 
 def _compress_network(net, group_arg):
-    compressed = []
-    rows = []
+    """Per layer: (best forced-bcs pack over the candidate Gs, auto-mode pack at its G)."""
     sizes = codec.AUTO_GROUP_SIZES if group_arg == "auto" else (group_arg,)
+    packs = []
     for layer in net.layers:
         forced = max((codec.compress_layer(layer.weights, g, mode="bcs", name=layer.name)
                       for g in sizes), key=codec.compression_ratio)
-        g = forced.group_size
-        chosen = codec.compress_layer(layer.weights, g, mode="auto", name=layer.name)
+        packs.append((forced, codec.compress_layer(layer.weights, forced.group_size,
+                                                   mode="auto", name=layer.name)))
+    return packs
+
+
+def cmd_compress(args) -> int:
+    net = model_io.load_network(args.manifest)
+    packs = _compress_network(net, args.group_size)
+    rows = []
+    for layer, (forced, chosen) in zip(net.layers, packs):
         n_bits = 8 * layer.weights.size
         nnz = int(np.count_nonzero(layer.weights))
         row_len = layer.shape.c * layer.shape.fy * layer.shape.fx
         rows.append({
-            "layer": layer.name, "group_size": g, "mode": chosen.mode,
+            "layer": layer.name, "group_size": forced.group_size, "mode": chosen.mode,
             "cr_real": codec.compression_ratio(forced),
             "cr_ideal": codec.compression_ratio(forced, include_index=False),
             "cr_zre": n_bits / codec.zre_size(layer.weights),
@@ -88,14 +96,7 @@ def _compress_network(net, group_arg):
             "cr_value_ideal": n_bits / (8 * nnz) if nnz else float("inf"),
             "clamped": chosen.clamp_count,
         })
-        compressed.append(chosen)
-    return compressed, rows
-
-
-def cmd_compress(args) -> int:
-    net = model_io.load_network(args.manifest)
-    compressed, rows = _compress_network(net, args.group_size)
-    model_io.write_compressed(args.out, compressed)
+    model_io.write_compressed(args.out, [chosen for _, chosen in packs])
     if args.csv:
         model_io.write_report_csv(rows, args.csv)
     _print_table(rows)
@@ -166,7 +167,7 @@ def cmd_simulate(args) -> int:
             raise ContainerError(f"container is missing layers: {missing}")
         compressed = [by_name[l.name] for l in net.layers]
     else:
-        compressed, _ = _compress_network(net, args.group_size or "auto")
+        compressed = [chosen for _, chosen in _compress_network(net, args.group_size or "auto")]
 
     rng = np.random.default_rng(args.seed)
     mismatches = 0

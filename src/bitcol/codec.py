@@ -8,8 +8,9 @@ zero-column index per group records which columns survive (bit 7 = sign
 column, bits 6..0 = magnitude columns by significance).
 
 Group order is K-major, then kernel position (FY, FX), then channel blocks
-of G; the last channel block per (k, fy, fx) is zero padded. Payload column
-order within a group is sign column first, then significance 6 down to 0.
+of G; the last channel block per (k, fy, fx) is zero padded. The payload
+column order within a group is SLOT_BIT: sign column first, then
+significance 6 down to 0. Packing, unpacking and the bank layout walk it.
 
 Sign-magnitude cannot express -128; such values are clamped to -127 and
 counted (the clamp bounds the error to 1 LSB and keeps the codec total).
@@ -30,6 +31,11 @@ AUTO_GROUP_SIZES = (8, 16, 32)  # "auto" keeps the best CR of these; the smaller
 POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
 
 SIGN_BIT = 7  # index bit marking the sign column
+
+# SLOT_BIT[i, t]: the index bit of payload column t of a group whose index is i,
+# -1 past that group's columns
+SLOT_BIT = np.array([([b for b in range(7, -1, -1) if i >> b & 1] + [-1] * 8)[:8]
+                     for i in range(256)], dtype=np.int8)
 
 
 def sm_encode(values: np.ndarray) -> tuple[np.ndarray, int]:
@@ -155,16 +161,23 @@ class CompressedLayer:
         return self.group_size * len(self.columns)
 
 
+def _slots(indexes: np.ndarray):
+    """Per payload slot t: the groups with a column t, its payload rows, its index bits."""
+    counts = POPCOUNT[indexes]
+    starts = np.cumsum(counts, dtype=np.int64) - counts
+    for t in range(8):
+        sel = np.flatnonzero(counts > t)
+        yield sel, starts[sel] + t, SLOT_BIT[indexes[sel], t].view(np.uint8)
+
+
 def _pack_columns(sm_bits: np.ndarray, indexes: np.ndarray) -> np.ndarray:
-    """Pack surviving columns, group-major, sign column first then bit 6..0."""
-    n, g = sm_bits.shape
-    # (n, 8, G) column bits ordered bit 7 down to bit 0
-    shifts = np.arange(7, -1, -1, dtype=np.uint8)
-    colbits = (sm_bits[:, None, :] >> shifts[None, :, None]) & 1
-    packed = np.packbits(colbits.reshape(n * 8, g), axis=1, bitorder="little")
-    packed = packed.reshape(n, 8, -1)
-    keep = ((indexes[:, None] >> shifts[None, :]) & 1).astype(bool)
-    return packed[keep]
+    """Pack the surviving columns, group-major, in SLOT_BIT order."""
+    columns = np.empty((int(POPCOUNT[indexes].sum()), math.ceil(sm_bits.shape[1] / 8)),
+                       dtype=np.uint8)
+    for sel, rows, bit in _slots(indexes):
+        columns[rows] = np.packbits((sm_bits[sel] >> bit[:, None]) & 1, axis=1,
+                                    bitorder="little")
+    return columns
 
 
 def compress_layer(values: np.ndarray, group_size: int, mode: str = "auto",
@@ -203,7 +216,7 @@ def column_offsets(cl: CompressedLayer) -> np.ndarray:
 
 
 def unpack_groups(cl: CompressedLayer) -> np.ndarray:
-    """A bcs layer's (n_groups, G) sign-magnitude bytes, one bit plane at a time.
+    """A bcs layer's (n_groups, G) sign-magnitude bytes, one payload slot at a time.
 
     Columns absent from a group's index unpack as zero bits, so bit 7 is set
     only in groups whose index carries the sign column.
@@ -215,15 +228,9 @@ def unpack_groups(cl: CompressedLayer) -> np.ndarray:
     if offs[-1] != len(cl.columns):
         raise ContainerError(f"layer {cl.name!r}: index/payload length mismatch")
     sm = np.zeros((cl.n_groups, g), dtype=np.uint8)
-    for b in range(7, -1, -1):
-        sel = ((cl.indexes >> b) & 1).astype(bool)
-        if not sel.any():
-            continue
-        # rank of bit b within each index, payload is ordered bit 7 first
-        rank = POPCOUNT[cl.indexes[sel] & (0xFF << (b + 1) & 0xFF)].astype(np.int64)
-        rows = offs[:-1][sel] + rank
-        bits = np.unpackbits(cl.columns[rows], axis=1, bitorder="little")[:, :g]
-        sm[sel] |= bits << b
+    for sel, rows, bit in _slots(cl.indexes):
+        sm[sel] |= np.unpackbits(cl.columns[rows], axis=1, bitorder="little")[:, :g] \
+            << bit[:, None]
     return sm
 
 

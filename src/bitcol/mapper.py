@@ -147,17 +147,6 @@ def lockstep_waves(nz: np.ndarray, shape: LayerShape, group_size: int,
     return steps.transpose(1, 0, 2), loss, repeat
 
 
-def _slot_bits() -> np.ndarray:
-    """_SLOT_BIT[i, t]: index bit streamed in slot t of a group with index i
-    (sign column first, then significance descending), -1 past its columns."""
-    table = np.full((256, 8), -1, dtype=np.int64)
-    for i in range(256):
-        bits = [b for b in range(7, -1, -1) if i >> b & 1]
-        table[i, :len(bits)] = bits
-    return table
-
-
-_SLOT_BIT = _slot_bits()
 _SLOT_LABEL = np.array(["-", "0", "1", "2", "3", "4", "5", "6", "sign"])  # by slot bit + 1
 
 
@@ -168,8 +157,8 @@ def weight_bank_layout(cl: codec.CompressedLayer, shape: LayerShape, su: Spatial
     Each segment carries one same-significance bit from 8 consecutive input
     channels across 8 consecutive kernels (element = channel i, kernel j at
     bit i + 8*j). Kernel groups co-scheduled in a wave advance in lockstep,
-    so one group's surviving columns occupy consecutive cycle slots; dense
-    mode streams 8 slots per group, significance descending (sign first).
+    so one group's surviving columns occupy consecutive cycle slots in
+    codec.SLOT_BIT order; dense mode streams all 8 columns of every group.
     """
     if su.id != "SU1":
         raise MappingError("the weight-bank layout is defined for SU1 only")
@@ -197,7 +186,7 @@ def weight_bank_layout(cl: codec.CompressedLayer, shape: LayerShape, su: Spatial
     # per (cycle, lane): the SU's k_u kernel lanes form 4 banks of 8 kernels
     k = kblock[:, None] * su.k_u + np.arange(su.k_u)
     group = (np.minimum(k, shape.k - 1) * positions + pos[:, None]) * blocks + cb[:, None]
-    bit = np.where(k < shape.k, _SLOT_BIT[index[group], slot[:, None]], -1)
+    bit = np.where(k < shape.k, codec.SLOT_BIT[index[group], slot[:, None]], -1)
     chans = sl[:, None, None] * su.c_u + np.arange(su.c_u)
     col = (sm[group[:, :, None], chans] >> np.maximum(bit, 0).astype(np.uint8)[:, :, None]) \
         & (bit >= 0)[:, :, None]

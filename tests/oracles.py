@@ -11,6 +11,10 @@ The flip solver is the sweep over all 256 (zeroed magnitude columns, sign)
 candidates that the library used before it scored only the candidates
 zeroing exactly z index bits; it tests every candidate's achieved index.
 
+The column packer builds every group's eight bit columns and keeps the
+ones its index names, as the codec did before packing and unpacking walked
+one payload slot table.
+
 The container reader walks a bcs payload one group at a time, as it did
 before the library split each layer's records with one index-byte mask.
 
@@ -38,6 +42,18 @@ from bitcol.bitflip import _check_strategy, _nearest_table, flip_layer
 from bitcol.engine import CycleCount, bce_group, dot_ref, packed_groups
 from bitcol.mapper import check_kind_compatible
 from bitcol.workload import MappingError, OracleError
+
+
+def pack_columns(sm_bits: np.ndarray, indexes: np.ndarray) -> np.ndarray:
+    """Pack surviving columns, group-major, sign column first then bit 6..0."""
+    n, g = sm_bits.shape
+    # (n, 8, G) column bits ordered bit 7 down to bit 0
+    shifts = np.arange(7, -1, -1, dtype=np.uint8)
+    colbits = (sm_bits[:, None, :] >> shifts[None, :, None]) & 1
+    packed = np.packbits(colbits.reshape(n * 8, g), axis=1, bitorder="little")
+    packed = packed.reshape(n, 8, -1)
+    keep = ((indexes[:, None] >> shifts[None, :]) & 1).astype(bool)
+    return packed[keep]
 
 
 def _group_nz(cl, sign_cycle):

@@ -371,3 +371,15 @@ class TestStrategyFile:
         path.write_text("# header\nlayer=a G=8 z\n")
         with pytest.raises(ManifestError, match="strategy line 2"):
             load_strategy(path)
+
+    @pytest.mark.parametrize("text,match", [
+        (b"layer=a G=8 G=32 z=2\n", "strategy line 1: repeated key 'G'"),
+        (b"layer=a G=8 z=2\nlayer=b G=8 z=2 foo=1\n", "strategy line 2: keys .*'foo'"),
+        (b"layer=a G=8 z=2\nlayer=b G=8 z=2\nlayer=a G=16 z=3\n", "strategy line 3: layer 'a'"),
+        (b"layer=\xff G=8 z=2\n", "not UTF-8"),
+    ], ids=["repeated-key", "unknown-key", "layer-twice", "not-utf8"])
+    def test_parsed_as_strictly_as_a_manifest(self, tmp_path, text, match):
+        path = tmp_path / "strategy.txt"
+        path.write_bytes(text)
+        with pytest.raises(ManifestError, match=match):
+            load_strategy(path)

@@ -123,6 +123,16 @@ def test_simulate_verify_catches_corruption(net_dir):
     assert rc == 2
 
 
+def test_simulate_packs_without_the_compress_report(net_dir, monkeypatch):
+    calls = []
+    for fn in ("compress_layer", "zre_size", "csr_size"):
+        monkeypatch.setattr(codec, fn, lambda *a, _fn=fn, _real=getattr(codec, fn), **kw:
+                            calls.append(_fn) or _real(*a, **kw))
+    assert main(["simulate", "--manifest", str(net_dir / "model/manifest.txt")]) == 0
+    # three forced-bcs candidates and the auto pack per layer, and no CR report
+    assert calls == ["compress_layer"] * (4 * 3)
+
+
 def test_simulate_missing_layer_in_container(net_dir, tmp_path):
     cont = tmp_path / "empty.bcsw"
     model_io.write_compressed(cont, [])
@@ -179,6 +189,18 @@ def test_bitflip_bad_strategy_line_rejected_before_flipping(net_dir, capsys, mon
     assert rc == 1
     assert "strategy line 3: G=8 z=12" in capsys.readouterr().err
     assert not flips and not out_dir.exists()
+
+
+def test_bitflip_strategy_naming_a_layer_twice_rejected(net_dir, capsys):
+    strategy = net_dir / "strategy.txt"
+    strategy.write_text("layer=conv1 G=8 z=2\nlayer=dw1 G=8 z=2\nlayer=pw1 G=8 z=2\n"
+                        "layer=conv1 G=16 z=5\n")
+    out_dir = net_dir / "flipped"
+    rc = main(["bitflip", "--manifest", str(net_dir / "model/manifest.txt"),
+               "--out", str(out_dir), "--strategy", str(strategy)])
+    assert rc == 1
+    assert "strategy line 4: layer 'conv1'" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("flag,value", [("--group-size", "16"), ("--zero-cols", "2")])

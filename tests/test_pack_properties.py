@@ -1,0 +1,52 @@
+"""The codec's slot-table column packer against the reference in oracles.py.
+
+The reference builds every group's eight bit columns and keeps the ones the
+index names; the codec packs one payload slot at a time from SLOT_BIT. Their
+payloads must be byte-identical at every group size, and unpacking a packed
+layer must give back its sign-magnitude groups.
+"""
+
+import numpy as np
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import oracles
+from bitcol import codec
+
+PROPERTY = settings(max_examples=60, deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+# all-zero and all-column groups each make up about a third of the draws
+INDEX = st.one_of(st.just(0x00), st.just(0xFF), st.integers(0, 255))
+
+
+@PROPERTY
+@given(data=st.data(), g=st.sampled_from(codec.GROUP_SIZES))
+def test_pack_matches_reference(data, g):
+    indexes = np.array(data.draw(st.lists(INDEX, min_size=1, max_size=40)), dtype=np.uint8)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    sm = rng.integers(0, 256, size=(len(indexes), g), dtype=np.uint8) & indexes[:, None]
+    sm[:, 0] |= indexes  # each group's index is the OR of its bytes
+    got = codec._pack_columns(sm, indexes)
+    want = oracles.pack_columns(sm, indexes)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@PROPERTY
+@given(g=st.sampled_from(codec.GROUP_SIZES), k=st.integers(1, 6), c=st.integers(1, 70),
+       f=st.sampled_from([1, 3]), scale=st.sampled_from([0, 1, 4, 40, 200]),
+       seed=st.integers(0, 2**32 - 1))
+def test_unpack_inverts_pack(g, k, c, f, scale, seed):
+    rng = np.random.default_rng(seed)
+    v = np.clip(np.rint(rng.normal(0, scale, size=(k, c, f, f))), -128, 127).astype(np.int8)
+    v[rng.random(v.shape) < 0.3] = 0
+    got = codec.unpack_groups(codec.compress_layer(v, g, "bcs"))
+    np.testing.assert_array_equal(got, codec.sm_encode(codec.partition_groups(v, g))[0])
+
+
+def test_slot_bit_table():
+    assert codec.SLOT_BIT[0x00].tolist() == [-1] * 8
+    assert codec.SLOT_BIT[0xFF].tolist() == [7, 6, 5, 4, 3, 2, 1, 0]
+    assert codec.SLOT_BIT[0b10010100].tolist() == [7, 4, 2, -1, -1, -1, -1, -1]
+    assert ((codec.SLOT_BIT >= 0).sum(axis=1) == codec.POPCOUNT).all()
