@@ -259,8 +259,10 @@ def greedy_search(net: Network, initial: Mapping[str, tuple[int, int]], macc: fl
     bumps that layer's zero-column target by one; the single best move
     commits. Later candidates win ties, as in the reference procedure.
     Stops when the best tentative metric drops below macc or every slot is
-    saturated at z=8.
+    saturated at z=8; macc = -inf sets no floor, and a NaN macc is rejected.
     """
+    if math.isnan(macc):
+        raise ValueError("macc is nan; give -inf for no metric floor")
     _check_strategy(net, initial)
     strategy = {l.name: initial[l.name] for l in net.layers}
     while True:

@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 input error, 2 verification failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -118,6 +119,8 @@ def cmd_bitflip(args) -> int:
         raise ConfigError("--oracle-cmd and --proxy-oracle are mutually exclusive")
     if args.macc is not None and not (args.oracle_cmd or args.proxy_oracle):
         raise ConfigError("--macc drives a greedy search; give --oracle-cmd or --proxy-oracle")
+    if args.macc is not None and math.isnan(args.macc):
+        raise ConfigError("--macc must be a number or -inf, not nan")
     if args.strategy and (args.group_size_int, args.zero_cols) != (None, None):
         raise ConfigError("--strategy sets G and z per layer; drop --group-size and --zero-cols")
     net = model_io.load_network(args.manifest)

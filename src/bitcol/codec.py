@@ -8,9 +8,12 @@ zero-column index per group records which columns survive (bit 7 = sign
 column, bits 6..0 = magnitude columns by significance).
 
 Group order is K-major, then kernel position (FY, FX), then channel blocks
-of G; the last channel block per (k, fy, fx) is zero padded. The payload
-column order within a group is SLOT_BIT: sign column first, then
-significance 6 down to 0. Packing, unpacking and the bank layout walk it.
+of G; the last channel block per (k, fy, fx) is zero padded. Within a group
+the payload columns follow the index bits MSB first: sign column, then
+significance 6 down to 0 (SLOT_BIT lists them per index for the bank
+layout). Packing transposes each 8-byte word of sign-magnitude bytes as an
+8x8 bit matrix (_transpose8, its own inverse) and keeps the columns that the
+index bits mask; unpacking scatters them back and transposes again.
 
 Sign-magnitude cannot express -128; such values are clamped to -127 and
 counted (the clamp bounds the error to 1 LSB and keeps the codec total).
@@ -32,10 +35,16 @@ POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
 
 SIGN_BIT = 7  # index bit marking the sign column
 
+
+def _keep(indexes: np.ndarray) -> np.ndarray:
+    """(n, 8) bool: slot s of each group's bit columns (index bit 7 - s) is stored."""
+    return np.unpackbits(indexes).view(bool).reshape(-1, 8)
+
+
 # SLOT_BIT[i, t]: the index bit of payload column t of a group whose index is i,
-# -1 past that group's columns
-SLOT_BIT = np.array([([b for b in range(7, -1, -1) if i >> b & 1] + [-1] * 8)[:8]
-                     for i in range(256)], dtype=np.int8)
+# -1 past that group's columns (the kept bits descend already; the -1s sort last)
+SLOT_BIT = np.sort(np.where(_keep(np.arange(256, dtype=np.uint8)), np.arange(7, -1, -1), -1),
+                   axis=1)[:, ::-1].astype(np.int8)
 
 
 def sm_encode(values: np.ndarray) -> tuple[np.ndarray, int]:
@@ -161,22 +170,38 @@ class CompressedLayer:
         return self.group_size * len(self.columns)
 
 
-def _slots(indexes: np.ndarray):
-    """Per payload slot t: the groups with a column t, its payload rows, its index bits."""
-    counts = POPCOUNT[indexes]
-    starts = np.cumsum(counts, dtype=np.int64) - counts
-    for t in range(8):
-        sel = np.flatnonzero(counts > t)
-        yield sel, starts[sel] + t, SLOT_BIT[indexes[sel], t].view(np.uint8)
+def _transpose8(words: np.ndarray) -> np.ndarray:
+    """Transpose each <u8 word in place as an 8x8 bit matrix: byte i, bit j <-> byte j, bit i.
+
+    Three delta swaps (Hacker's Delight, 7-3) on the whole array; the kernel
+    is its own inverse. Returns `words`.
+    """
+    for shift, mask in ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC),
+                        (28, 0x00000000F0F0F0F0)):
+        t = words >> shift
+        t ^= words
+        t &= mask
+        words ^= t
+        t <<= shift
+        words ^= t
+    return words
 
 
 def _pack_columns(sm_bits: np.ndarray, indexes: np.ndarray) -> np.ndarray:
-    """Pack the surviving columns, group-major, in SLOT_BIT order."""
-    columns = np.empty((int(POPCOUNT[indexes].sum()), math.ceil(sm_bits.shape[1] / 8)),
-                       dtype=np.uint8)
-    for sel, rows, bit in _slots(indexes):
-        columns[rows] = np.packbits((sm_bits[sel] >> bit[:, None]) & 1, axis=1,
-                                    bitorder="little")
+    """Pack the surviving columns, group-major, in payload order."""
+    n, g = sm_bits.shape
+    cb = math.ceil(g / 8)
+    # the payload outlives this call: allocated after the temporaries, it
+    # would pin their freed memory in the heap and raise peak RSS
+    keep = _keep(indexes)
+    columns = np.empty((int(POPCOUNT[indexes].sum()), cb), dtype=np.uint8)
+    words = np.zeros((n, cb), dtype="<u8")
+    words.view(np.uint8)[:, :g] = sm_bits
+    # byte s of word j: bit 7 - s of elements 8j..8j+7, then one cb-byte item per column
+    planes = _transpose8(words).byteswap(inplace=True).view(np.uint8)
+    items = np.ascontiguousarray(planes.reshape(n, cb, 8).transpose(0, 2, 1)) \
+        .view(f"<u{cb}").reshape(n, 8)
+    columns.view(f"<u{cb}")[:, 0] = items[keep]
     return columns
 
 
@@ -216,22 +241,27 @@ def column_offsets(cl: CompressedLayer) -> np.ndarray:
 
 
 def unpack_groups(cl: CompressedLayer) -> np.ndarray:
-    """A bcs layer's (n_groups, G) sign-magnitude bytes, one payload slot at a time.
+    """A bcs layer's (n_groups, G) sign-magnitude bytes.
 
+    The payload columns are scattered, under the index bits as mask, into a
+    zero (n_groups, 8) array of column items; swapping the axes back,
+    byteswapping and one more 8x8 bit transpose give the elements' bytes.
     Columns absent from a group's index unpack as zero bits, so bit 7 is set
     only in groups whose index carries the sign column.
     """
     if cl.mode != "bcs":
         raise ValueError("unpack_groups needs a bcs-mode layer")
-    g = cl.group_size
+    g, cb, n = cl.group_size, cl.column_bytes, cl.n_groups
     offs = column_offsets(cl)
     if offs[-1] != len(cl.columns):
         raise ContainerError(f"layer {cl.name!r}: index/payload length mismatch")
-    sm = np.zeros((cl.n_groups, g), dtype=np.uint8)
-    for sel, rows, bit in _slots(cl.indexes):
-        sm[sel] |= np.unpackbits(cl.columns[rows], axis=1, bitorder="little")[:, :g] \
-            << bit[:, None]
-    return sm
+    sm = np.empty((n, 8 * cb), dtype=np.uint8)  # before the temporaries, as in packing
+    items = np.zeros((n, 8), dtype=f"<u{cb}")
+    items[_keep(cl.indexes)] = np.ascontiguousarray(cl.columns, dtype=np.uint8) \
+        .view(f"<u{cb}").reshape(-1)
+    sm.reshape(n, cb, 8)[...] = items.view(np.uint8).reshape(n, 8, cb).transpose(0, 2, 1)
+    _transpose8(sm.view("<u8").byteswap(inplace=True))
+    return sm[:, :g]
 
 
 def nz_columns(cl: CompressedLayer, sign: bool = False) -> np.ndarray:
@@ -338,11 +368,12 @@ def sparsity_stats(values: np.ndarray, group_size: int) -> SparsityStats:
     value_sp = float(np.count_nonzero(values == 0) / n)
 
     bit_tc = 1.0 - float(POPCOUNT[values.view(np.uint8)].sum()) / (8 * n)
-    sm_bits, _ = sm_encode(values)
+    # the groups' zero padding encodes to no set bits
+    groups = partition_groups(values, group_size)
+    sm_bits, _ = sm_encode(groups)
     bit_sm = 1.0 - float(POPCOUNT[sm_bits].sum()) / (8 * n)
 
-    groups = partition_groups(values, group_size)
-    idx_sm = column_index(groups)
+    idx_sm = np.bitwise_or.reduce(sm_bits, axis=1)
     idx_tc = twos_complement_index(groups)
     n_cols = 8 * len(groups)
     col_sm = 1.0 - float(POPCOUNT[idx_sm].sum()) / n_cols

@@ -13,7 +13,9 @@ zeroing exactly z index bits; it tests every candidate's achieved index.
 
 The column packer builds every group's eight bit columns and keeps the
 ones its index names, as the codec did before packing and unpacking walked
-one payload slot table.
+one payload slot table, and later one 8x8 bit-transpose kernel. The
+reference transpose spells that kernel out bit by bit with unpackbits and
+packbits.
 
 The container reader walks a bcs payload one group at a time, as it did
 before the library split each layer's records with one index-byte mask.
@@ -42,6 +44,14 @@ from bitcol.bitflip import _check_strategy, _nearest_table, flip_layer
 from bitcol.engine import CycleCount, bce_group, dot_ref, packed_groups
 from bitcol.mapper import check_kind_compatible
 from bitcol.workload import MappingError, OracleError
+
+
+def transpose8(words: np.ndarray) -> np.ndarray:
+    """Each <u8 word as an 8x8 bit matrix (byte i, bit j), transposed bit by bit."""
+    rows = np.ascontiguousarray(words, dtype="<u8").view(np.uint8).reshape(-1, 8, 1)
+    bits = np.unpackbits(rows, axis=2, bitorder="little")  # [word, byte i, bit j]
+    out = np.packbits(bits.transpose(0, 2, 1), axis=2, bitorder="little")
+    return np.ascontiguousarray(out.reshape(-1, 8)).view("<u8").reshape(np.shape(words))
 
 
 def pack_columns(sm_bits: np.ndarray, indexes: np.ndarray) -> np.ndarray:

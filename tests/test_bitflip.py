@@ -329,6 +329,18 @@ class TestGreedySearch:
             greedy_search(small_net, default_strategy(small_net), macc=0.0,
                           oracle=lambda n: math.nan)
 
+    def test_nan_floor_raises_before_the_oracle_runs(self, small_net):
+        def oracle(strategy):
+            raise AssertionError("oracle called")
+
+        with pytest.raises(ValueError, match="macc is nan"):
+            greedy_search(small_net, default_strategy(small_net), macc=math.nan, oracle=oracle)
+
+    def test_minus_inf_floor_saturates(self, small_net):
+        out = greedy_search(small_net, default_strategy(small_net), macc=-math.inf,
+                            oracle=proxy_oracle(small_net))
+        assert all(z == 8 for _, z in out.values())
+
     def test_missing_layer_in_strategy(self, small_net):
         with pytest.raises(ManifestError):
             apply_strategy(small_net, {"conv1": (8, 0)})

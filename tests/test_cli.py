@@ -313,6 +313,26 @@ def test_macc_without_oracle_is_input_error(net_dir):
     assert rc == 1
 
 
+@pytest.mark.parametrize("macc", ["nan", "NaN", "-nan"])
+def test_bitflip_nan_macc_rejected_before_load(tmp_path, capsys, macc):
+    # a NaN floor is never crossed, so the search would zero every layer;
+    # the manifest does not exist: the flag is rejected before it is read
+    rc = main(["bitflip", "--manifest", str(tmp_path / "nope.txt"),
+               "--out", str(tmp_path / "out"), "--proxy-oracle", f"--macc={macc}"])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: --macc must be a number or -inf, not nan\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_bitflip_minus_inf_macc_sets_no_floor(net_dir):
+    out_dir = net_dir / "deepest"
+    rc = main(["bitflip", "--manifest", str(net_dir / "model/manifest.txt"),
+               "--out", str(out_dir), "--proxy-oracle", "--macc=-inf"])
+    assert rc == 0
+    assert bitflip.load_strategy(out_dir / "strategy.txt") == {
+        "conv1": (32, 8), "dw1": (32, 8), "pw1": (32, 8)}
+
+
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
 

@@ -163,6 +163,27 @@ class TestCompression:
         with pytest.raises(codec.ContainerError):
             decompress_layer(broken)
 
+    @pytest.mark.parametrize("g", [8, 64])
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_unpack_rejects_index_payload_length_mismatch(self, rng, g, extra):
+        vals = rng.integers(-127, 128, size=(3, 70, 1, 1), dtype=np.int8)
+        cl = compress_layer(vals, g, mode="bcs")
+        broken = CompressedLayer.__new__(CompressedLayer)
+        broken.__dict__.update(vars(cl))
+        broken.columns = cl.columns[:extra] if extra < 0 else \
+            np.concatenate([cl.columns, cl.columns[:extra]])
+        with pytest.raises(codec.ContainerError, match="index/payload length mismatch"):
+            codec.unpack_groups(broken)
+
+    @pytest.mark.parametrize("g,c", [(1, 7), (64, 5), (64, 70), (64, 130)])
+    def test_roundtrip_channel_tail(self, rng, g, c):
+        # at G=64 the last channel block of every kernel position is zero padded
+        vals = rng.integers(-127, 128, size=(3, c, 2, 3), dtype=np.int8)
+        vals[rng.random(vals.shape) < 0.3] = 0
+        cl = compress_layer(vals, g, mode="bcs")
+        assert cl.n_groups == 3 * 2 * 3 * math.ceil(c / g)
+        assert np.array_equal(decompress_layer(cl), vals)
+
     @pytest.mark.parametrize("n_groups", [0, 3, 17, 2**32 - 1])
     def test_group_count_outside_value_bounds_rejected(self, n_groups):
         # 16 values at G=4 need between ceil(16/4) = 4 and 16 groups
@@ -278,6 +299,20 @@ class TestSparsityStats:
     def test_sr_guard(self):
         st = sparsity_stats(np.full((1, 4, 1, 1), 3, dtype=np.int8), 4)
         assert math.isinf(st.sr_sm) and math.isinf(st.sr_tc)
+
+    @pytest.mark.parametrize("g", codec.GROUP_SIZES)
+    def test_bit_sparsity_counts_the_unpadded_tensor(self, rng, g):
+        # C = 37 pads every kernel position's last group; -128 clamps in sm
+        vals = rng.integers(-128, 128, size=(3, 37, 3, 3), dtype=np.int8)
+        vals[rng.random(vals.shape) < 0.25] = 0
+        n = vals.size
+        st = sparsity_stats(vals, g)
+        tc, (sm, _) = vals.view(np.uint8), codec.sm_encode(vals)
+        assert st.bit_sparsity_tc == 1.0 - float(codec.POPCOUNT[tc].sum()) / (8 * n)
+        assert st.bit_sparsity_sm == 1.0 - float(codec.POPCOUNT[sm].sum()) / (8 * n)
+        groups = partition_groups(vals, g)
+        assert st.column_sparsity_sm == \
+            1.0 - float(codec.POPCOUNT[column_index(groups)].sum()) / (8 * len(groups))
 
     def test_sm_beats_tc_on_small_negatives(self, rng):
         vals = -rng.integers(1, 16, size=(2, 32, 1, 1)).astype(np.int8)

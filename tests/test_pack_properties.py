@@ -1,12 +1,16 @@
-"""The codec's slot-table column packer against the reference in oracles.py.
+"""The codec's bit-transpose column packer against the references in oracles.py.
 
-The reference builds every group's eight bit columns and keeps the ones the
-index names; the codec packs one payload slot at a time from SLOT_BIT. Their
+The reference packer builds every group's eight bit columns and keeps the
+ones the index names; the codec transposes each 8-byte word of a group as
+an 8x8 bit matrix and gathers the columns with the index bits as mask. Their
 payloads must be byte-identical at every group size, and unpacking a packed
-layer must give back its sign-magnitude groups.
+layer must give back its sign-magnitude groups. The transpose kernel is
+checked against a bit-by-bit reference and as its own inverse, and
+SLOT_BIT against the keep mask that packing and unpacking use.
 """
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -18,6 +22,22 @@ PROPERTY = settings(max_examples=60, deadline=None,
 
 # all-zero and all-column groups each make up about a third of the draws
 INDEX = st.one_of(st.just(0x00), st.just(0xFF), st.integers(0, 255))
+WORD = st.one_of(st.just(0), st.just(2**64 - 1), st.integers(0, 2**64 - 1))
+WORDS = st.lists(WORD, min_size=1, max_size=64).map(lambda w: np.array(w, dtype="<u8"))
+
+
+@PROPERTY
+@given(words=WORDS)
+def test_transpose8_is_an_involution(words):
+    work = words.copy()
+    assert codec._transpose8(work) is work  # in place
+    np.testing.assert_array_equal(codec._transpose8(work), words)
+
+
+@PROPERTY
+@given(words=WORDS)
+def test_transpose8_matches_reference(words):
+    np.testing.assert_array_equal(codec._transpose8(words.copy()), oracles.transpose8(words))
 
 
 @PROPERTY
@@ -31,6 +51,17 @@ def test_pack_matches_reference(data, g):
     want = oracles.pack_columns(sm, indexes)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("g", codec.GROUP_SIZES)
+def test_pack_matches_reference_at_every_group_size(g):
+    rng = np.random.default_rng(g)
+    indexes = np.concatenate([[0x00, 0xFF, 0x80, 0x01],
+                              rng.integers(0, 256, size=60)]).astype(np.uint8)
+    sm = rng.integers(0, 256, size=(len(indexes), g), dtype=np.uint8) & indexes[:, None]
+    sm[:, 0] |= indexes
+    assert codec._pack_columns(sm, indexes).tobytes() == \
+        oracles.pack_columns(sm, indexes).tobytes()
 
 
 @PROPERTY
@@ -50,3 +81,14 @@ def test_slot_bit_table():
     assert codec.SLOT_BIT[0xFF].tolist() == [7, 6, 5, 4, 3, 2, 1, 0]
     assert codec.SLOT_BIT[0b10010100].tolist() == [7, 4, 2, -1, -1, -1, -1, -1]
     assert ((codec.SLOT_BIT >= 0).sum(axis=1) == codec.POPCOUNT).all()
+
+
+def test_slot_bit_agrees_with_the_keep_mask():
+    # payload column t of index i is the t-th set bit of i, MSB first: the
+    # t-th slot the keep mask stores, whose index bit is 7 - slot
+    keep = codec._keep(np.arange(256, dtype=np.uint8))
+    assert keep.shape == (256, 8) and keep.dtype == bool
+    for i in range(256):
+        assert keep[i].tolist() == [bool(i >> (7 - s) & 1) for s in range(8)]
+        bits = [7 - s for s in np.flatnonzero(keep[i])]
+        assert codec.SLOT_BIT[i].tolist() == bits + [-1] * (8 - len(bits))
