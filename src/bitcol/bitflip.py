@@ -115,8 +115,7 @@ class BestFlip:
 
 def best_column_set(group, z: int) -> BestFlip:
     """Optimal flip of a single group (values clamped to [-127, 127])."""
-    g = np.clip(np.asarray(group, dtype=np.int16), -127, 127).astype(np.int8)
-    flip, idx, err = _solve_groups(g[None, :], z)
+    flip, idx, err = _solve_groups(codec.sm_clamp(group)[None, :], z)
     return BestFlip(flip[0], int(idx[0]), int(err[0]))
 
 
@@ -140,7 +139,7 @@ def flip_layer(values: np.ndarray, group_size: int, z: int) -> FlipResult:
     """
     values = np.asarray(values, dtype=np.int8)
     groups = codec.partition_groups(values, group_size)
-    clamped = np.clip(groups.astype(np.int16), -127, 127).astype(np.int8)
+    clamped = codec.sm_clamp(groups)
     flipped, idx, err = _solve_groups(clamped, z)
     zero_bits = 8 - codec.POPCOUNT[idx]
     if zero_bits.min(initial=8) < z:

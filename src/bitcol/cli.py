@@ -70,11 +70,9 @@ def cmd_analyze(args) -> int:
 
 def _compress_network(net, group_arg):
     """Per layer: (best forced-bcs pack over the candidate Gs, auto-mode pack at its G)."""
-    sizes = codec.AUTO_GROUP_SIZES if group_arg == "auto" else (group_arg,)
     packs = []
     for layer in net.layers:
-        forced = max((codec.compress_layer(layer.weights, g, mode="bcs", name=layer.name)
-                      for g in sizes), key=codec.compression_ratio)
+        forced = codec.best_pack(layer.weights, group_arg, "bcs", layer.name)
         packs.append((forced, codec.compress_layer(layer.weights, forced.group_size,
                                                    mode="auto", name=layer.name)))
     return packs
@@ -297,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--oracle-cmd", help="external oracle command, {manifest} substituted")
     sp.add_argument("--proxy-oracle", action="store_true",
                     help="greedy search against the flip-error proxy metric")
-    sp.add_argument("--macc", type=float, default=None, help="metric floor for the greedy search")
+    sp.add_argument("--macc", type=float, help="greedy search metric floor; --macc=-inf for none")
 
     sp = add("simulate", cmd_simulate, help="cycle accounting and exactness check")
     sp.add_argument("--manifest", required=True)

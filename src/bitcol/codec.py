@@ -15,8 +15,9 @@ layout). Packing transposes each 8-byte word of sign-magnitude bytes as an
 8x8 bit matrix (_transpose8, its own inverse) and keeps the columns that the
 index bits mask; unpacking scatters them back and transposes again.
 
-Sign-magnitude cannot express -128; such values are clamped to -127 and
-counted (the clamp bounds the error to 1 LSB and keeps the codec total).
+Sign-magnitude cannot express -128: sm_clamp reads it as -127 (1 LSB of error;
+the codec stays total, and sm_encode counts the clamps). best_pack is the one
+group-size choice: the best CR over the candidate Gs, the smaller G on ties.
 """
 
 from __future__ import annotations
@@ -47,11 +48,15 @@ SLOT_BIT = np.sort(np.where(_keep(np.arange(256, dtype=np.uint8)), np.arange(7, 
                    axis=1)[:, ::-1].astype(np.int8)
 
 
+def sm_clamp(values: np.ndarray) -> np.ndarray:
+    """The int8 values that sign-magnitude stores: -128 reads as -127."""
+    return np.clip(np.asarray(values, dtype=np.int16), -127, 127).astype(np.int8)
+
+
 def sm_encode(values: np.ndarray) -> tuple[np.ndarray, int]:
     """Vectorized sign-magnitude bits (uint8) plus the -128 clamp count."""
-    v = np.asarray(values, dtype=np.int16)
-    clamps = int(np.count_nonzero(v == -128))
-    v = np.clip(v, -127, 127)
+    clamps = int(np.count_nonzero(np.asarray(values) == -128))
+    v = sm_clamp(values)
     return ((v < 0).astype(np.uint8) << 7) | np.abs(v).astype(np.uint8), clamps
 
 
@@ -231,6 +236,14 @@ def compress_layer(values: np.ndarray, group_size: int, mode: str = "auto",
     return CompressedLayer(name, group_size, "bcs", n_values, n_groups,
                            indexes=indexes, columns=columns, dims=dims,
                            clamp_count=clamps)
+
+
+def best_pack(values: np.ndarray, group_size: int | str, mode: str,
+              name: str = "") -> CompressedLayer:
+    """compress_layer at the G of best compression_ratio: the one G given, or the
+    first maximum over AUTO_GROUP_SIZES for "auto" (the smaller G wins ties)."""
+    sizes = AUTO_GROUP_SIZES if group_size == "auto" else (group_size,)
+    return max((compress_layer(values, g, mode, name) for g in sizes), key=compression_ratio)
 
 
 def column_offsets(cl: CompressedLayer) -> np.ndarray:

@@ -54,10 +54,10 @@ def _parse_fields(line: str, lineno: int) -> dict[str, str]:
 def _read_int8(path: Path, expected: int, what: str) -> np.ndarray:
     if not path.is_file():
         raise ManifestError(f"{what} file not found: {path}")
-    data = np.fromfile(path, dtype=np.int8)
-    if expected >= 0 and data.size != expected:
-        raise ManifestError(f"{what} file {path}: {data.size} bytes, expected {expected}")
-    return data
+    size = path.stat().st_size  # checked before anything is read
+    if expected >= 0 and size != expected:
+        raise ManifestError(f"{what} file {path}: {size} bytes, expected {expected}")
+    return np.fromfile(path, dtype=np.int8, count=expected)
 
 
 def load_network(manifest_path: str | Path) -> Network:
@@ -141,13 +141,6 @@ def save_network(net: Network, out_dir: str | Path) -> Path:
     return path
 
 
-def _index_mask(n_bytes: int, starts) -> np.ndarray:
-    """Bcs record split: index bytes at the record starts, column bytes elsewhere."""
-    mask = np.zeros(n_bytes, dtype=bool)
-    mask[starts] = True
-    return mask
-
-
 def write_compressed(path: str | Path, layers: Sequence[CompressedLayer]) -> None:
     buf = bytearray(MAGIC + bytes([VERSION]))
     for cl in layers:
@@ -157,11 +150,9 @@ def write_compressed(path: str | Path, layers: Sequence[CompressedLayer]) -> Non
         if cl.mode == "dense":
             buf += cl.dense_values.astype(np.int8).tobytes()
         else:
-            starts = np.arange(cl.n_groups) + column_offsets(cl)[:-1] * cl.column_bytes
-            rec = np.empty(cl.n_groups + cl.columns.size, dtype=np.uint8)
-            mask = _index_mask(rec.size, starts)
-            rec[mask], rec[~mask] = cl.indexes, cl.columns.reshape(-1)
-            buf += rec.tobytes()
+            # each index byte goes in before its group's first column byte
+            buf += np.insert(cl.columns.reshape(-1), column_offsets(cl)[:-1] * cl.column_bytes,
+                             cl.indexes).tobytes()
     Path(path).write_bytes(bytes(buf))
 
 
@@ -212,9 +203,9 @@ def read_compressed(path: str | Path) -> list[CompressedLayer]:
             rec = np.frombuffer(data, np.uint8, end - pos, pos)
         except (IndexError, ValueError):  # a record runs past the end of the file
             raise ContainerError(f"{path}: layer {name!r} payload truncated") from None
-        mask = _index_mask(rec.size, starts)
-        layers.append(CompressedLayer(name, gsize, "bcs", n_values, n_groups,
-                                      indexes=rec[mask], columns=rec[~mask].reshape(-1, gb)))
+        starts = np.array(starts)  # one conversion: both splits below index with it
+        layers.append(CompressedLayer(name, gsize, "bcs", n_values, n_groups, indexes=rec[starts],
+                                      columns=np.delete(rec, starts).reshape(-1, gb)))
         pos = end
     return layers
 

@@ -330,9 +330,9 @@ def weight_compression(layer: Layer, spec: AcceleratorSpec
                        ) -> tuple[float, codec.CompressedLayer | None]:
     """Weight-tensor compression ratio under the spec's codec.
 
-    For bcs, group_size "auto" picks the best real CR among
-    codec.AUTO_GROUP_SIZES; the chosen compressed layer is returned for
-    cycle modeling.
+    For bcs, codec.best_pack picks G by real auto-mode CR (among
+    codec.AUTO_GROUP_SIZES for "auto"; -128 packs as -127, see codec.sm_clamp)
+    and the chosen compressed layer is returned for cycle modeling.
     """
     w = layer.weights
     n_bits = 8 * w.size
@@ -343,9 +343,7 @@ def weight_compression(layer: Layer, spec: AcceleratorSpec
     if spec.weight_codec == "csr":
         row = layer.shape.c * layer.shape.fy * layer.shape.fx
         return n_bits / max(codec.csr_size(w, row), 1), None
-    sizes = codec.AUTO_GROUP_SIZES if spec.group_size == "auto" else (spec.group_size,)
-    cl = max((codec.compress_layer(w, g, mode="auto", name=layer.name) for g in sizes),
-             key=codec.compression_ratio)
+    cl = codec.best_pack(w, spec.group_size, "auto", layer.name)
     return codec.compression_ratio(cl), cl
 
 

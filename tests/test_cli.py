@@ -133,6 +133,22 @@ def test_simulate_packs_without_the_compress_report(net_dir, monkeypatch):
     assert calls == ["compress_layer"] * (4 * 3)
 
 
+def test_verify_references_keep_their_own_clamp(tmp_path, monkeypatch):
+    # a codec whose clamp is wrong (-128 and -127 read as -126) must fail both
+    # round-trip checks; it would pass them if a reference called sm_clamp
+    monkeypatch.setattr(codec, "sm_clamp", lambda v: np.clip(
+        np.asarray(v, dtype=np.int16), -126, 127).astype(np.int8))
+    vals = np.zeros((4, 16, 3, 3), dtype=np.int8)
+    vals[0, 0, 0, 0], vals[1, 2, 1, 1] = -128, 3
+    net = make_network("clampnet", [Layer("conv1", LayerShape(k=4, c=16, fy=3, fx=3, ox=4, oy=4),
+                                          vals)])
+    model_io.save_network(net, tmp_path / "model")
+    assert main(["compress", "--manifest", str(tmp_path / "model/manifest.txt"),
+                 "--out", str(tmp_path / "c.bcsw"), "--verify"]) == 2
+    cl = codec.compress_layer(vals, 8, mode="bcs")
+    assert engine.verify_layer(cl, vals, np.random.default_rng(0)) == 1
+
+
 def test_simulate_missing_layer_in_container(net_dir, tmp_path):
     cont = tmp_path / "empty.bcsw"
     model_io.write_compressed(cont, [])

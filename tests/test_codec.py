@@ -42,6 +42,14 @@ class TestSignMagnitude:
         _, clamps = codec.sm_encode(vals)
         assert clamps == int(np.count_nonzero(vals == -128))
 
+    def test_sm_clamp_reads_minus_128_as_minus_127(self):
+        vals = np.arange(-128, 128, dtype=np.int8)
+        clamped = codec.sm_clamp(vals)
+        assert clamped.dtype == np.int8
+        assert clamped[0] == -127 and np.array_equal(clamped[1:], vals[1:])
+        # the codec stores exactly the clamped values
+        assert np.array_equal(codec.sm_decode(codec.sm_encode(vals)[0]), clamped)
+
     def test_roundtrip_all_values(self):
         vals = np.arange(-127, 128, dtype=np.int8)
         bits, clamps = codec.sm_encode(vals)

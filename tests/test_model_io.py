@@ -37,6 +37,23 @@ class TestManifest:
         with pytest.raises(ManifestError, match="7 bytes, expected 8"):
             load_network(p)
 
+    def test_oversized_weights_file_rejected_before_reading(self, tmp_path):
+        # 64 MiB of file behind a 1-byte layer, sparse so it takes no disk blocks
+        with open(tmp_path / "w.bin", "wb") as f:
+            f.truncate(64 << 20)
+        p = write_manifest(tmp_path, [
+            "network=big",
+            "layer=l0 kind=conv K=1 C=1 FX=1 FY=1 OX=1 OY=1 B=1 stride=1 weights=w.bin",
+        ])
+        tracemalloc.start()
+        try:
+            with pytest.raises(ManifestError, match=f"{64 << 20} bytes, expected 1"):
+                load_network(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     def test_duplicate_layer_name(self, tmp_path):
         (tmp_path / "w.bin").write_bytes(bytes(4))
         layer = "layer=l0 kind=conv K=1 C=4 FX=1 FY=1 OX=1 OY=1 B=1 stride=1 weights=w.bin"
