@@ -49,11 +49,10 @@ def cmd_analyze(args) -> int:
     net = model_io.load_network(args.manifest)
     rows = []
     for layer in net.layers:
-        for g in args.group_size:
-            st = codec.sparsity_stats(layer.weights, g)
+        for st in codec.sparsity_stats(layer.weights, args.group_size):
             rows.append({
                 "network": net.name, "layer": layer.name, "kind": layer.shape.kind,
-                "n_values": st.n_values, "group_size": g,
+                "n_values": st.n_values, "group_size": st.group_size,
                 "value_sparsity": st.value_sparsity,
                 "bit_sparsity_tc": st.bit_sparsity_tc,
                 "bit_sparsity_sm": st.bit_sparsity_sm,
@@ -157,9 +156,11 @@ def cmd_simulate(args) -> int:
     if fixed_su and isinstance(args.group_size, int):
         mapper.check_group_size(args.group_size, fixed_su)
     net = model_io.load_network(args.manifest)
-    if fixed_su:
-        for layer in net.layers:
+    for layer in net.layers:  # a fixed SU or G must map every layer before any work
+        if fixed_su:
             mapper.check_kind_compatible(layer.shape, fixed_su)
+        elif isinstance(args.group_size, int):
+            mapper.check_group_size(args.group_size, mapper.select_su(layer.shape))
     if args.container:
         compressed = model_io.read_compressed(args.container)
         by_name = {cl.name: cl for cl in compressed}
@@ -175,11 +176,11 @@ def cmd_simulate(args) -> int:
     rows = []
     for layer, cl in zip(net.layers, compressed):
         su = fixed_su or mapper.select_su(layer.shape)
+        cc = engine.simulate_layer(cl, layer.shape, su)  # first: it checks cl against the shape
         if args.verify:
             # reference dot products come from the manifest weights, so a
             # corrupt container cannot vouch for itself
             mismatches += engine.verify_layer(cl, layer.weights, rng)
-        cc = engine.simulate_layer(cl, layer.shape, su)
         rows.append({
             "layer": layer.name, "su": su.id, "mode": cl.mode, "group_size": cl.group_size,
             "groups": cl.n_groups, "cycles": cc.total_cycles,

@@ -18,12 +18,15 @@ index bits mask; unpacking scatters them back and transposes again.
 Sign-magnitude cannot express -128: sm_clamp reads it as -127 (1 LSB of error;
 the codec stays total, and sm_encode counts the clamps). best_pack is the one
 group-size choice: the best CR over the candidate Gs, the smaller G on ties.
+sparsity_stats encodes a layer once for every G it reports: bit sparsities
+do not depend on G, and each G's column indexes come from the encoded bytes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -98,13 +101,6 @@ def column_index(group: np.ndarray) -> np.ndarray | int:
     Accepts one group (G,) or a stack (n, G); returns a scalar or (n,) uint8.
     """
     bits, _ = sm_encode(group)
-    idx = np.bitwise_or.reduce(bits, axis=-1)
-    return int(idx) if np.ndim(idx) == 0 else idx
-
-
-def twos_complement_index(group: np.ndarray) -> np.ndarray | int:
-    """Column index over the plain two's-complement encoding (all 8 bits)."""
-    bits = np.ascontiguousarray(group, dtype=np.int8).view(np.uint8)
     idx = np.bitwise_or.reduce(bits, axis=-1)
     return int(idx) if np.ndim(idx) == 0 else idx
 
@@ -373,25 +369,23 @@ class SparsityStats:
     sr_sm: float
 
 
-def sparsity_stats(values: np.ndarray, group_size: int) -> SparsityStats:
+def sparsity_stats(values: np.ndarray, group_sizes: Sequence[int]) -> list[SparsityStats]:
+    """One layer's SparsityStats at each G of `group_sizes`, in order, from one encode."""
     values = np.asarray(values, dtype=np.int8)
     n = values.size
     if n == 0:
         raise ValueError("empty tensor")
     value_sp = float(np.count_nonzero(values == 0) / n)
-
+    sm, _ = sm_encode(values)
     bit_tc = 1.0 - float(POPCOUNT[values.view(np.uint8)].sum()) / (8 * n)
-    # the groups' zero padding encodes to no set bits
-    groups = partition_groups(values, group_size)
-    sm_bits, _ = sm_encode(groups)
-    bit_sm = 1.0 - float(POPCOUNT[sm_bits].sum()) / (8 * n)
-
-    idx_sm = np.bitwise_or.reduce(sm_bits, axis=1)
-    idx_tc = twos_complement_index(groups)
-    n_cols = 8 * len(groups)
-    col_sm = 1.0 - float(POPCOUNT[idx_sm].sum()) / n_cols
-    col_tc = 1.0 - float(POPCOUNT[idx_tc].sum()) / n_cols
-
-    sr_tc = bit_tc / value_sp if value_sp > 0 else math.inf
-    sr_sm = bit_sm / value_sp if value_sp > 0 else math.inf
-    return SparsityStats(group_size, n, value_sp, bit_tc, bit_sm, col_tc, col_sm, sr_tc, sr_sm)
+    bit_sm = 1.0 - float(POPCOUNT[sm].sum()) / (8 * n)
+    sr_tc, sr_sm = (b / value_sp if value_sp > 0 else math.inf for b in (bit_tc, bit_sm))
+    stats = []
+    for g in group_sizes:  # the zero padding has no set bits in either encoding
+        idx_tc, idx_sm = (np.bitwise_or.reduce(partition_groups(bits, g), axis=1).view(np.uint8)
+                          for bits in (values, sm.view(np.int8)))
+        n_cols = 8 * len(idx_sm)
+        stats.append(SparsityStats(g, n, value_sp, bit_tc, bit_sm,
+                                   1.0 - float(POPCOUNT[idx_tc].sum()) / n_cols,
+                                   1.0 - float(POPCOUNT[idx_sm].sum()) / n_cols, sr_tc, sr_sm))
+    return stats

@@ -479,10 +479,14 @@ def compare(net: Network, specs: Sequence[AcceleratorSpec],
     base_name = baseline or names[0]
     if base_name not in names:
         raise ConfigError(f"baseline {base_name!r} is not among the evaluated specs")
-    for spec in specs:  # a fixed SU must map every layer before any spec runs
-        if spec.su != "auto":
+    for spec in specs:  # a fixed SU or G must map every layer before any spec runs
+        fixed_g = spec.sparsity_mode == "bit-column-skip" and spec.group_size != "auto"
+        if spec.su != "auto" or fixed_g:
             for layer in net.layers:
-                check_kind_compatible(layer.shape, spec.resolve_su(layer.shape))
+                su = spec.resolve_su(layer.shape)
+                check_kind_compatible(layer.shape, su)
+                if fixed_g:
+                    check_group_size(spec.group_size, su)
     reports = [evaluate_network(net, s) for s in specs]
     base = reports[names.index(base_name)]
     for r in reports:

@@ -27,6 +27,9 @@ into sets, as they did before each became one numpy reduceat.
 The greedy search and the proxy metric score flipped networks, as they did
 before the search scored strategies: each candidate is a copy of the
 network, and the metric rescans every weight against the clamped original.
+
+The sparsity statistics partition and encode the layer anew for one group
+size, as they did before one encode served every group size.
 """
 
 import math
@@ -37,7 +40,8 @@ from pathlib import Path
 import numpy as np
 
 from bitcol import codec, engine
-from bitcol.codec import GROUP_SIZES, POPCOUNT, CompressedLayer
+from bitcol.codec import (GROUP_SIZES, POPCOUNT, CompressedLayer, SparsityStats,
+                          partition_groups, sm_encode)
 from bitcol.model_io import MAGIC, VERSION
 from bitcol.workload import ContainerError
 from bitcol.bitflip import _check_strategy, _nearest_table, flip_layer
@@ -405,3 +409,34 @@ def greedy_search(net, initial, macc, oracle):
         if move is None or bacc < macc:
             return strategy
         strategy[move[0]] = (move[1], move[2])
+
+
+def twos_complement_index(group: np.ndarray) -> np.ndarray | int:
+    """Column index over the plain two's-complement encoding (all 8 bits)."""
+    bits = np.ascontiguousarray(group, dtype=np.int8).view(np.uint8)
+    idx = np.bitwise_or.reduce(bits, axis=-1)
+    return int(idx) if np.ndim(idx) == 0 else idx
+
+
+def sparsity_stats(values: np.ndarray, group_size: int) -> SparsityStats:
+    values = np.asarray(values, dtype=np.int8)
+    n = values.size
+    if n == 0:
+        raise ValueError("empty tensor")
+    value_sp = float(np.count_nonzero(values == 0) / n)
+
+    bit_tc = 1.0 - float(POPCOUNT[values.view(np.uint8)].sum()) / (8 * n)
+    # the groups' zero padding encodes to no set bits
+    groups = partition_groups(values, group_size)
+    sm_bits, _ = sm_encode(groups)
+    bit_sm = 1.0 - float(POPCOUNT[sm_bits].sum()) / (8 * n)
+
+    idx_sm = np.bitwise_or.reduce(sm_bits, axis=1)
+    idx_tc = twos_complement_index(groups)
+    n_cols = 8 * len(groups)
+    col_sm = 1.0 - float(POPCOUNT[idx_sm].sum()) / n_cols
+    col_tc = 1.0 - float(POPCOUNT[idx_tc].sum()) / n_cols
+
+    sr_tc = bit_tc / value_sp if value_sp > 0 else math.inf
+    sr_sm = bit_sm / value_sp if value_sp > 0 else math.inf
+    return SparsityStats(group_size, n, value_sp, bit_tc, bit_sm, col_tc, col_sm, sr_tc, sr_sm)

@@ -246,6 +246,6 @@ def test_11_resnet18_conv2_column_sparsity(announce):
         net = model_io.load_network(os.environ["BITCOL_RESNET18_MANIFEST"])
         convs = [l for l in net.layers if "conv2" in l.name] or net.layers[1:2]
         layer = convs[0]
-        st = codec.sparsity_stats(layer.weights, 4)
+        (st,) = codec.sparsity_stats(layer.weights, (4,))
         assert abs(st.column_sparsity_sm - 0.59) <= 0.10
         assert st.column_sparsity_sm > st.column_sparsity_tc

@@ -580,3 +580,69 @@ def test_simulate_container_missing_layers_is_an_error_line(net_dir, capsys, mon
                "--container", str(cont)])
     assert rc == 1
     assert capsys.readouterr().err == "error: container is missing layers: ['dw1', 'pw1']\n"
+
+
+def test_analyze_encodes_each_layer_once(net_dir, monkeypatch):
+    calls = []
+    for fn in ("sm_encode", "sparsity_stats"):
+        monkeypatch.setattr(codec, fn, lambda *a, _fn=fn, _real=getattr(codec, fn), **kw:
+                            calls.append(_fn) or _real(*a, **kw))
+    out = net_dir / "stats.csv"
+    assert main(["analyze", "--manifest", str(net_dir / "model/manifest.txt"),
+                 "--out", str(out), "--group-size", "8,16,32"]) == 0
+    # one call per layer for all three group sizes, and one encode inside it
+    assert calls == ["sparsity_stats", "sm_encode"] * 3
+    assert [r["group_size"] for r in read_csv(out)] == ["8", "16", "32"] * 3
+
+
+@pytest.mark.parametrize("mode", ["bcs", "dense"])
+def test_simulate_verify_rejects_a_container_layer_of_another_shape(net_dir, capsys,
+                                                                    monkeypatch, mode):
+    # conv1 packed with twice the manifest's kernels: (8, 8, 3, 3) against (4, 8, 3, 3)
+    net = model_io.load_network(net_dir / "model/manifest.txt")
+    weights = {l.name: l.weights for l in net.layers}
+    weights["conv1"] = np.concatenate([weights["conv1"]] * 2)
+    cont = net_dir / "other.bcsw"
+    model_io.write_compressed(cont, [codec.compress_layer(w, 8, mode, name)
+                                     for name, w in weights.items()])
+    monkeypatch.setattr(engine, "verify_layer", _fail("verify_layer"))
+    rc = main(["simulate", "--manifest", str(net_dir / "model/manifest.txt"),
+               "--container", str(cont), "--verify"])
+    assert rc == 1
+    assert capsys.readouterr().err == \
+        "error: layer 'conv1': container does not match layer shape\n"
+
+
+@pytest.fixture
+def su2_net_dir(tmp_path):
+    """conv1 maps onto SU1 (C_u=8), conv2 onto SU2 (C_u=16)."""
+    rng = np.random.default_rng(3)
+    net = make_network("su2net", [
+        make_layer("conv1", rng, k=4, c=8, fy=3, fx=3, ox=8, oy=8),
+        make_layer("conv2", rng, k=4, c=16, fy=3, fx=3, ox=8, oy=8),
+    ])
+    assert [mapper.select_su(l.shape).id for l in net.layers] == ["SU1", "SU2"]
+    model_io.save_network(net, tmp_path / "model")
+    return tmp_path
+
+
+def test_perf_fixed_group_size_checked_against_every_auto_su_first(su2_net_dir, capsys,
+                                                                   monkeypatch):
+    monkeypatch.setattr(codec, "compress_layer", _fail("compress_layer"))
+    cfg = su2_net_dir / "g8.ini"
+    cfg.write_text("[g8]\nbase = bitcol\ngroup_size = 8\n")
+    rc = main(["perf", "--manifest", str(su2_net_dir / "model/manifest.txt"),
+               "--preset", "scnn", "--spec-config", str(cfg)])
+    assert rc == 1
+    assert capsys.readouterr().err == ("error: group_size 8 is not a multiple of the "
+                                       "unrolled channels C_u=16 of SU2\n")
+
+
+def test_simulate_fixed_group_size_checked_against_every_auto_su_first(su2_net_dir, capsys,
+                                                                       monkeypatch):
+    monkeypatch.setattr(codec, "compress_layer", _fail("compress_layer"))
+    rc = main(["simulate", "--manifest", str(su2_net_dir / "model/manifest.txt"),
+               "--group-size", "8", "--verify"])
+    assert rc == 1
+    assert capsys.readouterr().err == ("error: group_size 8 is not a multiple of the "
+                                       "unrolled channels C_u=16 of SU2\n")

@@ -283,7 +283,7 @@ class TestBaselineCodecs:
 
 class TestSparsityStats:
     def test_all_zero(self):
-        st = sparsity_stats(np.zeros((1, 16, 1, 1), dtype=np.int8), 8)
+        (st,) = sparsity_stats(np.zeros((1, 16, 1, 1), dtype=np.int8), (8,))
         assert st.value_sparsity == 1.0
         assert st.bit_sparsity_tc == 1.0
         assert st.bit_sparsity_sm == 1.0
@@ -291,21 +291,21 @@ class TestSparsityStats:
         assert st.column_sparsity_tc == 1.0
 
     def test_all_127_sm_bit_sparsity(self):
-        st = sparsity_stats(np.full((1, 8, 1, 1), 127, dtype=np.int8), 8)
+        (st,) = sparsity_stats(np.full((1, 8, 1, 1), 127, dtype=np.int8), (8,))
         assert st.bit_sparsity_sm == pytest.approx(1 / 8)
 
     def test_value_sparsity_half(self):
-        st = sparsity_stats(tensor([0, 0, 1, 3]), 4)
+        (st,) = sparsity_stats(tensor([0, 0, 1, 3]), (4,))
         assert st.value_sparsity == 0.5
 
     def test_nonnegative_encodings_agree(self, rng):
         vals = rng.integers(0, 128, size=(2, 16, 1, 1), dtype=np.int8)
-        st = sparsity_stats(vals, 8)
+        (st,) = sparsity_stats(vals, (8,))
         assert st.bit_sparsity_sm == pytest.approx(st.bit_sparsity_tc)
         assert st.column_sparsity_sm == pytest.approx(st.column_sparsity_tc)
 
     def test_sr_guard(self):
-        st = sparsity_stats(np.full((1, 4, 1, 1), 3, dtype=np.int8), 4)
+        (st,) = sparsity_stats(np.full((1, 4, 1, 1), 3, dtype=np.int8), (4,))
         assert math.isinf(st.sr_sm) and math.isinf(st.sr_tc)
 
     @pytest.mark.parametrize("g", codec.GROUP_SIZES)
@@ -314,7 +314,7 @@ class TestSparsityStats:
         vals = rng.integers(-128, 128, size=(3, 37, 3, 3), dtype=np.int8)
         vals[rng.random(vals.shape) < 0.25] = 0
         n = vals.size
-        st = sparsity_stats(vals, g)
+        (st,) = sparsity_stats(vals, (g,))
         tc, (sm, _) = vals.view(np.uint8), codec.sm_encode(vals)
         assert st.bit_sparsity_tc == 1.0 - float(codec.POPCOUNT[tc].sum()) / (8 * n)
         assert st.bit_sparsity_sm == 1.0 - float(codec.POPCOUNT[sm].sum()) / (8 * n)
@@ -324,6 +324,6 @@ class TestSparsityStats:
 
     def test_sm_beats_tc_on_small_negatives(self, rng):
         vals = -rng.integers(1, 16, size=(2, 32, 1, 1)).astype(np.int8)
-        st = sparsity_stats(vals, 4)
+        (st,) = sparsity_stats(vals, (4,))
         assert st.column_sparsity_sm > st.column_sparsity_tc
         assert st.bit_sparsity_sm > st.bit_sparsity_tc
