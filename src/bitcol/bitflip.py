@@ -9,9 +9,14 @@ take, so an optimum zeroes exactly z bits: z magnitude columns with the
 sign free, or the sign column (values >= 0) and z-1 magnitude columns.
 These C(7,z) + C(7,z-1) candidates are feasible by construction.
 
-Ties: the first candidate of minimum error wins, sign-restricted before
-sign-free, each by ascending zeroed-column tuple; an element rounds to the
-smaller magnitude, then to its own sign.
+Kernel: per z, one row of squared errors over every candidate for each of
+the 256 int8 values, built once. The groups to flip are scored in chunks:
+a group's errors over every candidate are the sum of its G elements' rows,
+and argmin picks one.
+
+Ties: the first candidate of minimum error wins (argmin's first minimum),
+sign-restricted before sign-free, each by ascending zeroed-column tuple; an
+element rounds to the smaller magnitude, then to its own sign.
 
 A network-level greedy search (one committed (layer, group size, z+1) move
 per sweep, driven by an accuracy oracle) tunes per-layer constraints.
@@ -36,6 +41,8 @@ from .workload import ManifestError, Network, OracleError
 Strategy = dict[str, tuple[int, int]]  # layer name -> (group size, zero columns)
 
 _TABLES: dict[bool, np.ndarray] = {}
+_ROWS: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+_CHUNK_SUMS = 1 << 18  # (group, candidate) error sums _solve_groups holds at once
 
 
 def _nearest_table(nonneg: bool) -> np.ndarray:
@@ -45,20 +52,19 @@ def _nearest_table(nonneg: bool) -> np.ndarray:
     of m (sign free, or restricted to v' >= 0). Ties prefer smaller |v'|,
     then no sign change.
     """
-    if nonneg in _TABLES:
-        return _TABLES[nonneg]
-    mags = np.arange(128, dtype=np.int16)
-    v = np.arange(-128, 128, dtype=np.int16)
-    table = np.zeros((128, 256), dtype=np.int8)
-    for mask in range(128):
-        allowed = mags[(mags & ~mask & 0x7F) == 0]
-        cands = allowed if nonneg else np.unique(np.concatenate([allowed, -allowed]))
-        dist = np.abs(v[:, None] - cands[None, :]).astype(np.int32)
-        sign_change = ((cands[None, :] < 0) != (v[:, None] < 0)).astype(np.int32)
-        score = dist * 2048 + np.abs(cands[None, :]) * 8 + sign_change
-        table[mask] = cands[np.argmin(score, axis=1)].astype(np.int8)
-    _TABLES[nonneg] = table
-    return table
+    if not _TABLES:
+        # mag[m, a]: nearest magnitude under mask m to a in 0..128, ties to the
+        # smaller; 128 (|-128|) is never a submask, so only its lower side counts
+        a = np.arange(129)
+        allowed = (a & ~np.arange(128)[:, None]) == 0
+        below = np.maximum.accumulate(np.where(allowed, a, 0), axis=1)
+        above = np.minimum.accumulate(np.where(allowed, a, 1 << 9)[:, ::-1], axis=1)[:, ::-1]
+        mag = np.where(a - below <= above - a, below, above).astype(np.int8)
+        v = np.arange(-128, 128)
+        near = mag[:, np.abs(v)]
+        _TABLES[False] = np.where(v < 0, -near, near)
+        _TABLES[True] = np.where(v < 0, 0, near).astype(np.int8)
+    return _TABLES[nonneg]
 
 
 def nearest_with_mask(v: int, allowed_mask: int, allow_negative: bool = True) -> int:
@@ -70,11 +76,16 @@ def nearest_with_mask(v: int, allowed_mask: int, allow_negative: bool = True) ->
     return int(_nearest_table(not allow_negative)[allowed_mask, v + 128])
 
 
-def _candidate_tables(z: int) -> np.ndarray:
-    """(candidates, 256) nearest values of the candidates zeroing exactly z >= 1 bits."""
-    return np.array([_nearest_table(nonneg)[0x7F ^ sum(1 << c for c in cols)]
-                     for nonneg, n_mag in ((True, z - 1), (False, z))
-                     for cols in combinations(range(7), n_mag)])
+def _candidate_rows(z: int) -> tuple[np.ndarray, np.ndarray]:
+    """Candidates zeroing exactly z >= 1 bits: their (candidates, 256) nearest
+    values and (256 values, candidates) uint16 squared errors (at most 128**2)."""
+    if z not in _ROWS:
+        tables = np.array([_nearest_table(nonneg)[0x7F ^ sum(1 << c for c in cols)]
+                           for nonneg, n_mag in ((True, z - 1), (False, z))
+                           for cols in combinations(range(7), n_mag)])
+        sq = (tables.astype(np.int32) - np.arange(-128, 128)) ** 2
+        _ROWS[z] = tables, np.ascontiguousarray(sq.T, dtype=np.uint16)
+    return _ROWS[z]
 
 
 def _solve_groups(groups: np.ndarray, z: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -89,19 +100,17 @@ def _solve_groups(groups: np.ndarray, z: int) -> tuple[np.ndarray, np.ndarray, n
     idx = codec.column_index(flipped)
     todo = np.flatnonzero(codec.POPCOUNT[idx] > 8 - z)
     if todo.size:
-        tables = _candidate_tables(z)
-        v = np.arange(-128, 128, dtype=np.int32)
-        sq = (tables.astype(np.int32) - v) ** 2
-        vidx = flipped[todo].astype(np.intp) + 128
-        best = np.full(todo.size, np.iinfo(np.int32).max, dtype=np.int32)
-        pick = np.zeros(todo.size, dtype=np.intp)
-        for c, row in enumerate(sq):  # a group's error is at most 64 * 127**2
-            e = row[vidx].sum(axis=1, dtype=np.int32)
-            better = e < best
-            best[better] = e[better]
-            pick[better] = c
-        flipped[todo] = tables[pick[:, None], vidx]
-        err[todo] = best
+        tables, sq = _candidate_rows(z)
+        step = max(1, _CHUNK_SUMS // sq.shape[1])
+        for lo in range(0, todo.size, step):
+            rows = todo[lo:lo + step]
+            vidx = flipped[rows].view(np.uint8) ^ 0x80  # v + 128
+            e = sq[vidx[:, 0]].astype(np.int32)
+            for col in vidx.T[1:]:  # a group's error is at most 64 * 128**2
+                e += sq[col]
+            pick = e.argmin(axis=1)  # first minimum: the candidate order is the tie rule
+            err[rows] = e[np.arange(rows.size), pick]
+            flipped[rows] = tables[pick[:, None], vidx]
         idx[todo] = codec.column_index(flipped[todo])
     return flipped, idx, err
 

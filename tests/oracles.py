@@ -10,6 +10,11 @@ independent of the code they check.
 The flip solver is the sweep over all 256 (zeroed magnitude columns, sign)
 candidates that the library used before it scored only the candidates
 zeroing exactly z index bits; it tests every candidate's achieved index.
+The loop solver scores those exact-z candidates one at a time, with a
+strict-improvement update, as the library did before it scored every
+candidate of a group in one pass over squared-error rows. Both build their
+nearest-value tables with the per-mask loop the library used before it
+derived them from one magnitude table.
 
 The column packer builds every group's eight bit columns and keeps the
 ones its index names, as the codec did before packing and unpacking walked
@@ -44,7 +49,7 @@ from bitcol.codec import (GROUP_SIZES, POPCOUNT, CompressedLayer, SparsityStats,
                           partition_groups, sm_encode)
 from bitcol.model_io import MAGIC, VERSION
 from bitcol.workload import ContainerError
-from bitcol.bitflip import _check_strategy, _nearest_table, flip_layer
+from bitcol.bitflip import _check_strategy, flip_layer
 from bitcol.engine import CycleCount, bce_group, dot_ref, packed_groups
 from bitcol.mapper import check_kind_compatible
 from bitcol.workload import MappingError, OracleError
@@ -236,6 +241,68 @@ def weight_bank_layout(cl, shape, su, max_cycles=None):
                         if max_cycles is not None and cycle >= max_cycles:
                             return rows
     return rows
+
+
+_TABLES: dict[bool, np.ndarray] = {}
+
+
+def _nearest_table(nonneg: bool) -> np.ndarray:
+    """(128 masks, 256 values) lookup of the nearest representable value.
+
+    Entry [m, v+128] minimizes |v - v'| over v' whose magnitude is a submask
+    of m (sign free, or restricted to v' >= 0). Ties prefer smaller |v'|,
+    then no sign change.
+    """
+    if nonneg in _TABLES:
+        return _TABLES[nonneg]
+    mags = np.arange(128, dtype=np.int16)
+    v = np.arange(-128, 128, dtype=np.int16)
+    table = np.zeros((128, 256), dtype=np.int8)
+    for mask in range(128):
+        allowed = mags[(mags & ~mask & 0x7F) == 0]
+        cands = allowed if nonneg else np.unique(np.concatenate([allowed, -allowed]))
+        dist = np.abs(v[:, None] - cands[None, :]).astype(np.int32)
+        sign_change = ((cands[None, :] < 0) != (v[:, None] < 0)).astype(np.int32)
+        score = dist * 2048 + np.abs(cands[None, :]) * 8 + sign_change
+        table[mask] = cands[np.argmin(score, axis=1)].astype(np.int8)
+    _TABLES[nonneg] = table
+    return table
+
+
+def _candidate_tables(z: int) -> np.ndarray:
+    """(candidates, 256) nearest values of the candidates zeroing exactly z >= 1 bits."""
+    return np.array([_nearest_table(nonneg)[0x7F ^ sum(1 << c for c in cols)]
+                     for nonneg, n_mag in ((True, z - 1), (False, z))
+                     for cols in combinations(range(7), n_mag)])
+
+
+def solve_groups_loop(groups: np.ndarray, z: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Minimum-squared-error flip of every group to >= z zero index bits.
+
+    Returns (flipped groups, achieved indexes, per-group squared error).
+    """
+    if not 0 <= z <= 8:
+        raise ValueError("z must be in [0, 8]")
+    flipped = np.array(groups, dtype=np.int8)
+    err = np.zeros(len(flipped), dtype=np.int64)
+    idx = codec.column_index(flipped)
+    todo = np.flatnonzero(codec.POPCOUNT[idx] > 8 - z)
+    if todo.size:
+        tables = _candidate_tables(z)
+        v = np.arange(-128, 128, dtype=np.int32)
+        sq = (tables.astype(np.int32) - v) ** 2
+        vidx = flipped[todo].astype(np.intp) + 128
+        best = np.full(todo.size, np.iinfo(np.int32).max, dtype=np.int32)
+        pick = np.zeros(todo.size, dtype=np.intp)
+        for c, row in enumerate(sq):  # a group's error is at most 64 * 127**2
+            e = row[vidx].sum(axis=1, dtype=np.int32)
+            better = e < best
+            best[better] = e[better]
+            pick[better] = c
+        flipped[todo] = tables[pick[:, None], vidx]
+        err[todo] = best
+        idx[todo] = codec.column_index(flipped[todo])
+    return flipped, idx, err
 
 
 # Candidate order: fewer zeroed columns first, within a size ascending by

@@ -1,13 +1,22 @@
-"""The flip solver against the 256-candidate sweep in oracles.py.
+"""The flip solver against the 256-candidate sweep and the candidate loop
+in oracles.py.
 
 The library scores only the candidates that zero exactly z index bits; the
 oracle tries every (zeroed magnitude columns, sign) candidate and tests each
 achieved index. Per-group squared error must match at every group size and
 every z, the achieved index must be the OR of the flipped sign-magnitude
 bytes with at least z zero bits, and error must not fall as z grows.
+
+The library scores all candidates of a chunk of groups at once; the loop
+oracle scores one candidate at a time. Flipped values, indexes and errors
+must be identical, with any chunk size, which pins the tie rule. The
+nearest-value tables must equal the oracle's per-mask loop.
 """
 
+from unittest import mock
+
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -65,11 +74,72 @@ def test_error_monotone_in_z(groups):
     assert (np.diff(errs, axis=0) >= 0).all()
 
 
-def test_bell_sample_matches_sweep_at_every_z():
-    # a layer-sized sample, where equal-error ties between candidates occur
+def bell_sample() -> np.ndarray:
+    """A layer-sized sample, where equal-error ties between candidates occur."""
     rng = np.random.default_rng(7)
     groups = np.clip(np.rint(rng.normal(0, 6, size=(4096, 8))), -127, 127).astype(np.int8)
     groups[rng.random(groups.shape) < 0.2] = 0
+    return groups
+
+
+def chunk_sums(n_groups: int | None, z: int) -> int:
+    """The solver's chunk bound that holds n_groups groups at z (None: the default)."""
+    if n_groups is None:
+        return bitflip._CHUNK_SUMS
+    return n_groups * bitflip._candidate_rows(z)[1].shape[1] if z else 1
+
+
+def assert_solves_like_loop(groups: np.ndarray, z: int, n_groups: int | None = None) -> None:
+    with mock.patch.object(bitflip, "_CHUNK_SUMS", chunk_sums(n_groups, z)):
+        got = bitflip._solve_groups(groups, z)
+    want = oracles.solve_groups_loop(groups, z)
+    for name, g, w in zip(("flipped", "indexes", "errors"), got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w), (name, z, n_groups)
+
+
+@pytest.mark.parametrize("n_groups", [None, 1, 3])
+@PROPERTY
+@given(group_stacks(), st.integers(0, 8))
+def test_identical_to_candidate_loop(n_groups, groups, z):
+    assert_solves_like_loop(groups, z, n_groups)
+
+
+@pytest.mark.parametrize("n_groups", [None, 1, 3])
+def test_bell_sample_identical_to_candidate_loop(n_groups):
+    groups = bell_sample()
+    for z in range(9):
+        assert_solves_like_loop(groups, z, n_groups)
+
+
+@pytest.mark.parametrize("z", [7, 8])
+def test_widest_errors_fit(z):
+    # 127**2 per element and 64 * 127**2 per group, the largest errors of
+    # clamped groups; -128 (unclamped) gives 128**2 and 64 * 128**2
+    mixed = np.where(np.arange(64) % 3 == 0, 127, -127)
+    groups = np.array([[127] * 64, [-127] * 64, mixed, [-128] * 64], dtype=np.int8)
+    err = bitflip._solve_groups(groups, z)[2]
+    n_pos = int((mixed > 0).sum())
+    if z == 8:  # every value flips to 0
+        want = [64 * 127**2] * 3 + [64 * 128**2]
+    else:  # a non-negative value keeps bit 6 (127 -> 64), a negative one flips to 0
+        want = [64 * 63**2, 64 * 127**2, n_pos * 63**2 + (64 - n_pos) * 127**2, 64 * 128**2]
+    assert err.tolist() == want
+    assert err[1] == 1_032_256
+    assert_solves_like_loop(groups, z)
+    assert_solves_like_loop(groups, z, 1)
+
+
+@pytest.mark.parametrize("nonneg", [False, True])
+def test_nearest_tables_equal_the_mask_loop(nonneg):
+    # every (mask, value) entry: 128 masks x 256 values
+    got = bitflip._nearest_table(nonneg)
+    want = oracles._nearest_table(nonneg)
+    assert got.dtype == want.dtype == np.int8 and got.shape == (128, 256)
+    assert np.array_equal(got, want)
+
+
+def test_bell_sample_matches_sweep_at_every_z():
+    groups = bell_sample()
     for z in range(9):
         _, _, err = bitflip._solve_groups(groups, z)
         assert np.array_equal(err, oracles.solve_groups(groups, z)[2]), z
