@@ -135,6 +135,8 @@ class CompressedLayer:
             raise ContainerError(f"unknown mode {self.mode!r}")
         if self.group_size not in GROUP_SIZES:
             raise ContainerError(f"group size {self.group_size} not in {GROUP_SIZES}")
+        if self.n_values == 0:
+            raise ContainerError(f"layer {self.name!r} holds no values")
         if not math.ceil(self.n_values / self.group_size) <= self.n_groups <= self.n_values:
             raise ContainerError(f"layer {self.name!r}: {self.n_groups} groups cannot hold "
                                  f"{self.n_values} values at G={self.group_size}")
@@ -188,7 +190,7 @@ def _transpose8(words: np.ndarray) -> np.ndarray:
     return words
 
 
-def _pack_columns(sm_bits: np.ndarray, indexes: np.ndarray) -> np.ndarray:
+def pack_columns(sm_bits: np.ndarray, indexes: np.ndarray) -> np.ndarray:
     """Pack the surviving columns, group-major, in payload order."""
     n, g = sm_bits.shape
     cb = math.ceil(g / 8)
@@ -228,7 +230,7 @@ def compress_layer(values: np.ndarray, group_size: int, mode: str = "auto",
         return CompressedLayer(name, group_size, "dense", n_values, n_groups,
                                dense_values=values.reshape(-1).copy(), dims=dims,
                                clamp_count=clamps)
-    columns = _pack_columns(sm_bits, indexes)
+    columns = pack_columns(sm_bits, indexes)
     return CompressedLayer(name, group_size, "bcs", n_values, n_groups,
                            indexes=indexes, columns=columns, dims=dims,
                            clamp_count=clamps)

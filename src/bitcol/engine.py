@@ -28,8 +28,8 @@ from typing import Iterator
 import numpy as np
 
 from . import codec
-from .mapper import SpatialUnrolling, check_kind_compatible, lockstep_waves
-from .workload import LayerShape, MappingError
+from .mapper import SpatialUnrolling, check_kind_compatible, check_layer_shape, lockstep_waves
+from .workload import LayerShape
 
 VERIFY_CHUNK = 1 << 14  # groups per activation draw; bounds verify_layer's working set
 
@@ -152,11 +152,7 @@ def simulate_layer(cl: codec.CompressedLayer, shape: LayerShape,
     barrier loss in lane-cycles.
     """
     check_kind_compatible(shape, su)
-    if shape.n_weights != cl.n_values:
-        raise MappingError(f"layer {cl.name!r}: container does not match layer shape")
-    blocks = math.ceil(shape.c / cl.group_size)
-    if cl.n_groups != shape.k * shape.fy * shape.fx * blocks:
-        raise MappingError(f"layer {cl.name!r}: group count does not match layer shape")
+    check_layer_shape(cl, shape)
     nz = codec.nz_columns(cl, sign_cycle)
     steps, loss, repeat = lockstep_waves(nz, shape, cl.group_size, su)
     wave_max_sum = int(steps.sum())

@@ -81,6 +81,14 @@ def check_group_size(group_size: int, su: SpatialUnrolling) -> None:
                           f"channels C_u={su.c_u} of {su.id}")
 
 
+def check_layer_shape(cl: codec.CompressedLayer, shape: LayerShape) -> None:
+    """A container layer must hold exactly the values and groups of its shape."""
+    if shape.n_weights != cl.n_values:
+        raise MappingError(f"layer {cl.name!r}: container does not match layer shape")
+    if cl.n_groups != shape.k * shape.fy * shape.fx * math.ceil(shape.c / cl.group_size):
+        raise MappingError(f"layer {cl.name!r}: group count does not match layer shape")
+
+
 def temporal_steps(shape: LayerShape, su: SpatialUnrolling) -> int:
     """Cycles needed at full lane occupancy to cover the layer loop nest."""
     check_kind_compatible(shape, su)
@@ -147,11 +155,12 @@ def lockstep_waves(nz: np.ndarray, shape: LayerShape, group_size: int,
     return steps.transpose(1, 0, 2), loss, repeat
 
 
-_SLOT_LABEL = np.array(["-", "0", "1", "2", "3", "4", "5", "6", "sign"])  # by slot bit + 1
+BANK_ROW = np.dtype([("cycle", np.int64), ("bank", np.uint8), ("k_base", np.int64),
+                     ("c_base", np.int64), ("significance", np.int8, 8), ("segment", np.uint64)])
 
 
 def weight_bank_layout(cl: codec.CompressedLayer, shape: LayerShape, su: SpatialUnrolling,
-                       max_cycles: int | None = None) -> list[dict]:
+                       max_cycles: int | None = None) -> np.ndarray:
     """SU1 weight-bank schedule: per cycle, 4 bank segments of 64 bits.
 
     Each segment carries one same-significance bit from 8 consecutive input
@@ -159,17 +168,24 @@ def weight_bank_layout(cl: codec.CompressedLayer, shape: LayerShape, su: Spatial
     bit i + 8*j). Kernel groups co-scheduled in a wave advance in lockstep,
     so one group's surviving columns occupy consecutive cycle slots in
     codec.SLOT_BIT order; dense mode streams all 8 columns of every group.
+    Returns BANK_ROW rows, 4 per cycle in (cycle, bank) order: k_base and
+    c_base are the bank's first kernel and channel, significance[j] is kernel
+    j's slot bit (7 sign, 6..0 magnitude, -1 idle lane), segment the word.
+    max_cycles keeps the first max(max_cycles, 1) cycles; None keeps all.
     """
     if su.id != "SU1":
         raise MappingError("the weight-bank layout is defined for SU1 only")
+    check_layer_shape(cl, shape)
     g = cl.group_size
-    steps, _, slices = lockstep_waves(codec.nz_columns(cl, sign=True), shape, g, su)
     if cl.mode == "bcs":
-        sm, index = codec.unpack_groups(cl), cl.indexes
-    else:
+        index, columns = cl.indexes, cl.columns
+    else:  # dense mode streams all 8 columns of every group
         sm, _ = codec.sm_encode(codec.partition_groups(
             cl.dense_values.reshape(shape.weight_dims), g))
         index = np.full(cl.n_groups, 0xFF, dtype=np.uint8)
+        columns = codec.pack_columns(sm, index)
+    width = codec.nz_columns(cl, sign=True)
+    steps, _, slices = lockstep_waves(width, shape, g, su)
 
     # per cycle: its wave (position, kernel block, channel block), the group
     # slice it streams and its slot within the wave
@@ -183,22 +199,18 @@ def weight_bank_layout(cl: codec.CompressedLayer, shape: LayerShape, su: Spatial
     pos, rest = divmod(wave, kb * blocks)
     kblock, cb = divmod(rest, blocks)
 
-    # per (cycle, lane): the SU's k_u kernel lanes form 4 banks of 8 kernels
+    # per (cycle, lane): the SU's k_u kernel lanes form 4 banks of 8 kernels;
+    # a lane streams byte `sl` (C_u = 8 channels) of its group's payload column
+    # `slot`, or the zero row past the payload once the group has run out
     k = kblock[:, None] * su.k_u + np.arange(su.k_u)
     group = (np.minimum(k, shape.k - 1) * positions + pos[:, None]) * blocks + cb[:, None]
     bit = np.where(k < shape.k, codec.SLOT_BIT[index[group], slot[:, None]], -1)
-    chans = sl[:, None, None] * su.c_u + np.arange(su.c_u)
-    col = (sm[group[:, :, None], chans] >> np.maximum(bit, 0).astype(np.uint8)[:, :, None]) \
-        & (bit >= 0)[:, :, None]
-    segments = np.packbits(col, axis=2, bitorder="little").reshape(n, 4, 8) \
-        .view("<u8").reshape(n, 4).tolist()
-    labels = _SLOT_LABEL[bit + 1].reshape(n, 4, 8).tolist()
-    k0, c_base = (kblock * su.k_u).tolist(), (cb * g + sl * su.c_u).tolist()
-    return [{
-        "cycle": c,
-        "bank": bank,
-        "k_base": k0[c] + bank * 8,
-        "c_base": c_base[c],
-        "significance": ",".join(labels[c][bank]),
-        "segment": f"{segments[c][bank]:016x}",
-    } for c in range(n) for bank in range(4)]
+    row = np.where(bit >= 0, (np.cumsum(width) - width)[group] + slot[:, None], len(columns))
+    out = np.empty((n, 4), dtype=BANK_ROW)
+    out["cycle"] = np.arange(n)[:, None]
+    out["bank"] = np.arange(4)
+    out["k_base"] = (kblock * su.k_u)[:, None] + 8 * np.arange(4)
+    out["c_base"] = (cb * g + sl * su.c_u)[:, None]
+    out["significance"] = bit.reshape(n, 4, 8)
+    out["segment"] = np.pad(columns, ((0, 1), (0, 0)))[row, sl[:, None]].view("<u8")
+    return out.reshape(-1)

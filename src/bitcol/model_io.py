@@ -203,7 +203,7 @@ def read_compressed(path: str | Path) -> list[CompressedLayer]:
             rec = np.frombuffer(data, np.uint8, end - pos, pos)
         except (IndexError, ValueError):  # a record runs past the end of the file
             raise ContainerError(f"{path}: layer {name!r} payload truncated") from None
-        starts = np.array(starts)  # one conversion: both splits below index with it
+        starts = np.array(starts, dtype=np.intp)  # one conversion: both splits below index with it
         layers.append(CompressedLayer(name, gsize, "bcs", n_values, n_groups, indexes=rec[starts],
                                       columns=np.delete(rec, starts).reshape(-1, gb)))
         pos = end

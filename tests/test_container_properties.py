@@ -7,6 +7,8 @@ must read back field by field, both readers must agree on valid and
 truncated containers, and corrupt bytes may only raise ContainerError.
 """
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 
 import oracles
 from bitcol import codec
+from bitcol.cli import main
 from bitcol.model_io import read_compressed, write_compressed
 from bitcol.workload import ContainerError
 
@@ -129,3 +132,15 @@ def test_corruption_raises_only_container_error(tmp_path, layer_list, flip, cut,
         return
     # whatever the reader accepts, it accepts exactly: the bytes write back
     assert _written(tmp_path, got) == bytes(blob)
+
+
+@pytest.mark.parametrize("mode", [0, 1])
+def test_zero_value_layer_rejected(tmp_path, mode):
+    # a layer header with n_values = n_groups = 0 once ended in a bare IndexError
+    header = b"BCSW\x01" + struct.pack("<H", 1) + b"x" + struct.pack("<BBII", 8, mode, 0, 0)
+    path = _blob(tmp_path, header)
+    with pytest.raises(ContainerError, match="holds no values"):
+        read_compressed(path)
+    with pytest.raises(ContainerError, match="holds no values"):
+        oracles.read_compressed(path)
+    assert main(["report", "--container", str(path)]) == 1

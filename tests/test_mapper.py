@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bitcol import codec, mapper
+from bitcol import codec, engine, mapper
 from bitcol.mapper import (
     CATALOG,
     catalog_su,
@@ -152,35 +152,50 @@ def layout_layer(values, g, shape, mode="bcs"):
 
 
 class TestWeightBankLayout:
+    def test_bank_row_fields(self):
+        assert mapper.BANK_ROW.names == ("cycle", "bank", "k_base", "c_base",
+                                         "significance", "segment")
+        assert mapper.BANK_ROW["cycle"] == np.int64
+        assert mapper.BANK_ROW["bank"] == np.uint8
+        assert mapper.BANK_ROW["k_base"] == np.int64
+        assert mapper.BANK_ROW["c_base"] == np.int64
+        assert mapper.BANK_ROW["significance"] == np.dtype((np.int8, (8,)))
+        assert mapper.BANK_ROW["segment"] == np.uint64
+
     def test_four_segments_of_64_bits_per_cycle(self, rng):
         shape = LayerShape(k=32, c=8, fy=1, fx=1, ox=16, oy=1)
         vals = rng.integers(-127, 128, size=shape.weight_dims, dtype=np.int8)
         rows = layout_layer(vals, 8, shape)
-        by_cycle = {}
-        for r in rows:
-            by_cycle.setdefault(r["cycle"], []).append(r)
-        for cycle, segs in by_cycle.items():
-            assert len(segs) == 4
-            for seg in segs:
-                assert len(seg["segment"]) == 16  # 64 bits as hex
+        assert rows.dtype == mapper.BANK_ROW
+        assert rows.dtype["segment"] == np.uint64  # 64 bits per segment
+        cycles = rows["cycle"][-1] + 1
+        assert len(rows) == 4 * cycles
+        assert np.array_equal(rows["cycle"], np.repeat(np.arange(cycles), 4))
+        assert np.array_equal(rows["bank"], np.tile(np.arange(4), cycles))
+        assert np.array_equal(rows["k_base"], np.tile(8 * np.arange(4), cycles))
 
     def test_group_columns_occupy_consecutive_slots(self):
         shape = LayerShape(k=1, c=8, fy=1, fx=1, ox=16, oy=1)
         vals = np.full(shape.weight_dims, 21, dtype=np.int8)  # bits 0,2,4
         rows = layout_layer(vals, 8, shape)
-        bank0 = [r for r in rows if r["bank"] == 0]
-        sigs = [r["significance"].split(",")[0] for r in bank0]
-        assert sigs == ["4", "2", "0"]
-        assert [r["cycle"] for r in bank0] == [0, 1, 2]
+        bank0 = rows[rows["bank"] == 0]
+        assert bank0["significance"][:, 0].tolist() == [4, 2, 0]
+        assert bank0["cycle"].tolist() == [0, 1, 2]
 
     def test_dense_mode_eight_slots_significance_descending(self):
         shape = LayerShape(k=1, c=8, fy=1, fx=1, ox=16, oy=1)
         vals = np.full(shape.weight_dims, 21, dtype=np.int8)
         rows = layout_layer(vals, 8, shape, mode="dense")
-        bank0 = [r for r in rows if r["bank"] == 0]
+        bank0 = rows[rows["bank"] == 0]
         assert len(bank0) == 8
-        sigs = [r["significance"].split(",")[0] for r in bank0]
-        assert sigs == ["sign", "6", "5", "4", "3", "2", "1", "0"]
+        assert bank0["significance"][:, 0].tolist() == [7, 6, 5, 4, 3, 2, 1, 0]  # 7 = sign
+
+    def test_idle_lanes_are_minus_one(self):
+        shape = LayerShape(k=1, c=8, fy=1, fx=1, ox=16, oy=1)
+        rows = layout_layer(np.full(shape.weight_dims, 21, dtype=np.int8), 8, shape)
+        assert (rows["significance"][:, 1:] == -1).all()  # kernels 1..7 of bank 0
+        assert (rows["significance"][rows["bank"] > 0] == -1).all()
+        assert (rows["segment"][rows["bank"] > 0] == 0).all()
 
     def test_segment_bit_positions(self):
         # kernel 1, channel 2 carries magnitude bit 0; expect bit 2 + 8*1 set
@@ -188,8 +203,19 @@ class TestWeightBankLayout:
         vals = np.zeros(shape.weight_dims, dtype=np.int8)
         vals[1, 2] = 1
         rows = layout_layer(vals, 8, shape)
-        seg = int(rows[0]["segment"], 16)
+        seg = int(rows[0]["segment"])
         assert seg == 1 << (2 + 8 * 1)
+
+    @pytest.mark.parametrize("max_cycles", [-5, 0, 1])
+    def test_cycle_limit_keeps_at_least_one_cycle(self, rng, max_cycles):
+        shape = LayerShape(k=40, c=16, fy=1, fx=1, ox=16, oy=1)
+        cl = codec.compress_layer(rng.integers(-127, 128, size=shape.weight_dims,
+                                               dtype=np.int8), 8)
+        rows = weight_bank_layout(cl, shape, catalog_su("SU1"), max_cycles)
+        assert len(rows) == 4
+        assert rows["cycle"].tolist() == [0, 0, 0, 0]
+        full = weight_bank_layout(cl, shape, catalog_su("SU1"))
+        assert rows.tobytes() == full[:4].tobytes()
 
     def test_non_su1_rejected(self, rng):
         shape = LayerShape(k=2, c=8, fy=1, fx=1, ox=16, oy=1)
@@ -197,3 +223,19 @@ class TestWeightBankLayout:
                                                dtype=np.int8), 8)
         with pytest.raises(MappingError, match="SU1"):
             weight_bank_layout(cl, shape, catalog_su("SU2"))
+
+
+@pytest.mark.parametrize("layer_dims, shape, message", [
+    ((1, 16, 1, 1), LayerShape(k=1, c=24, fy=1, fx=1, ox=16, oy=1),
+     "container does not match layer shape"),
+    ((1, 16, 1, 1), LayerShape(k=4, c=4, fy=1, fx=1, ox=16, oy=1),
+     "group count does not match layer shape"),
+])
+def test_layer_shape_mismatch_is_one_typed_error(rng, layer_dims, shape, message):
+    cl = codec.compress_layer(rng.integers(-127, 128, size=layer_dims, dtype=np.int8), 8,
+                              name="x")
+    su1 = catalog_su("SU1")
+    for fn in (engine.simulate_layer, weight_bank_layout):
+        with pytest.raises(MappingError) as e:
+            fn(cl, shape, su1)
+        assert str(e.value) == f"layer 'x': {message}"

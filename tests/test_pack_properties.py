@@ -47,7 +47,7 @@ def test_pack_matches_reference(data, g):
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     sm = rng.integers(0, 256, size=(len(indexes), g), dtype=np.uint8) & indexes[:, None]
     sm[:, 0] |= indexes  # each group's index is the OR of its bytes
-    got = codec._pack_columns(sm, indexes)
+    got = codec.pack_columns(sm, indexes)
     want = oracles.pack_columns(sm, indexes)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
@@ -60,7 +60,7 @@ def test_pack_matches_reference_at_every_group_size(g):
                               rng.integers(0, 256, size=60)]).astype(np.uint8)
     sm = rng.integers(0, 256, size=(len(indexes), g), dtype=np.uint8) & indexes[:, None]
     sm[:, 0] |= indexes
-    assert codec._pack_columns(sm, indexes).tobytes() == \
+    assert codec.pack_columns(sm, indexes).tobytes() == \
         oracles.pack_columns(sm, indexes).tobytes()
 
 
