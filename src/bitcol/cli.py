@@ -153,14 +153,13 @@ def cmd_simulate(args) -> int:
     if args.container and args.group_size is not None:
         raise ConfigError("--container fixes G per layer; drop --group-size")
     fixed_su = None if args.su == "auto" else mapper.catalog_su(args.su)
-    if fixed_su and isinstance(args.group_size, int):
-        mapper.check_group_size(args.group_size, fixed_su)
+    if fixed_su:
+        mapper.check_group_size(args.group_size or "auto", fixed_su)
     net = model_io.load_network(args.manifest)
-    for layer in net.layers:  # a fixed SU or G must map every layer before any work
-        if fixed_su:
-            mapper.check_kind_compatible(layer.shape, fixed_su)
-        elif isinstance(args.group_size, int):
-            mapper.check_group_size(args.group_size, mapper.select_su(layer.shape))
+    sus = [fixed_su or mapper.select_su(layer.shape) for layer in net.layers]
+    for layer, su in zip(net.layers, sus):  # in simulate_layer's order, before any work
+        mapper.check_kind_compatible(layer.shape, su)
+        mapper.check_group_size(args.group_size or "auto", su)
     if args.container:
         compressed = model_io.read_compressed(args.container)
         by_name = {cl.name: cl for cl in compressed}
@@ -168,15 +167,17 @@ def cmd_simulate(args) -> int:
         if missing:
             raise ContainerError(f"container is missing layers: {missing}")
         compressed = [by_name[l.name] for l in net.layers]
+        for layer, su, cl in zip(net.layers, sus, compressed):
+            mapper.check_layer_shape(cl, layer.shape)
+            mapper.check_group_size(cl.group_size, su)
     else:
         compressed = [chosen for _, chosen in _compress_network(net, args.group_size or "auto")]
 
     rng = np.random.default_rng(args.seed)
     mismatches = 0
     rows = []
-    for layer, cl in zip(net.layers, compressed):
-        su = fixed_su or mapper.select_su(layer.shape)
-        cc = engine.simulate_layer(cl, layer.shape, su)  # first: it checks cl against the shape
+    for layer, su, cl in zip(net.layers, sus, compressed):
+        cc = engine.simulate_layer(cl, layer.shape, su)
         if args.verify:
             # reference dot products come from the manifest weights, so a
             # corrupt container cannot vouch for itself
@@ -268,18 +269,19 @@ def build_parser() -> argparse.ArgumentParser:
         sp.set_defaults(fn=fn)
         return sp
 
+    auto = ",".join(map(str, codec.AUTO_GROUP_SIZES))
     sp = add("analyze", cmd_analyze, help="per-layer sparsity statistics")
     sp.add_argument("--manifest", required=True)
     sp.add_argument("--out", help="CSV output path")
-    sp.add_argument("--group-size", type=_group_list, default=[8, 16, 32],
-                    help="comma-separated group sizes (default 8,16,32)")
+    sp.add_argument("--group-size", type=_group_list, default=codec.AUTO_GROUP_SIZES,
+                    help=f"comma-separated group sizes (default {auto})")
 
     sp = add("compress", cmd_compress, help="write a compressed container")
     sp.add_argument("--manifest", required=True)
     sp.add_argument("--out", required=True, help="container output path")
     sp.add_argument("--csv", help="CR table CSV path")
     sp.add_argument("--group-size", type=_int_in(codec.GROUP_SIZES, "group size", auto=True),
-                    default="auto", help="group size or 'auto' (best of 8/16/32 per layer)")
+                    default="auto", help=f"group size or 'auto' (best of {auto} per layer)")
     sp.add_argument("--verify", action="store_true",
                     help="re-read the container and check the round trip")
 

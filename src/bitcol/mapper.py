@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import codec
-from .workload import ConfigError, LayerShape, MappingError
+from .workload import LayerShape, MappingError
 
 
 @dataclass(frozen=True)
@@ -74,11 +74,14 @@ def check_kind_compatible(shape: LayerShape, su: SpatialUnrolling) -> None:
         raise MappingError(f"{su.id} cannot map a {shape.kind} layer")
 
 
-def check_group_size(group_size: int, su: SpatialUnrolling) -> None:
-    """A fixed G must split into the C_u-channel slices a fixed SU streams."""
-    if su.c_u and group_size % su.c_u:
-        raise ConfigError(f"group_size {group_size} is not a multiple of the unrolled "
-                          f"channels C_u={su.c_u} of {su.id}")
+def check_group_size(group_size: int | str, su: SpatialUnrolling) -> None:
+    """G must split into the C_u-channel slices `su` streams, else MappingError;
+    "auto" needs one codec.AUTO_GROUP_SIZES entry that does. SU7 (no C_u) takes any G."""
+    sizes = codec.AUTO_GROUP_SIZES if group_size == "auto" else (group_size,)
+    if su.c_u and all(g % su.c_u for g in sizes):
+        shown = f"auto ({'/'.join(map(str, sizes))})" if group_size == "auto" else group_size
+        raise MappingError(f"group size {shown} is not a multiple of the unrolled "
+                           f"channels C_u={su.c_u} of {su.id}")
 
 
 def check_layer_shape(cl: codec.CompressedLayer, shape: LayerShape) -> None:
@@ -135,16 +138,10 @@ def lockstep_waves(nz: np.ndarray, shape: LayerShape, group_size: int,
     Lanes past the last kernel are idle and lose nothing. Returns the wave
     steps in schedule order, shaped (positions, kernel blocks, channel
     blocks), the barrier loss in lane-cycles, and the group repeat (column
-    stream slices per group, G / C_u).
+    stream slices per group, G / C_u; check_group_size rejects any other G).
     """
-    if su.g_u:
-        lanes, repeat = su.g_u, 1
-    else:
-        if group_size % su.c_u != 0:
-            raise MappingError(
-                f"group size {group_size} is not a multiple of the unrolled "
-                f"channels C_u={su.c_u} of {su.id}")
-        lanes, repeat = su.k_u, group_size // su.c_u
+    check_group_size(group_size, su)
+    lanes, repeat = (su.g_u, 1) if su.g_u else (su.k_u, group_size // su.c_u)
     positions, blocks = shape.fy * shape.fx, math.ceil(shape.c / group_size)
     kb = math.ceil(shape.k / lanes)
     grid = np.full((kb * lanes, positions, blocks), -1, dtype=np.int64)

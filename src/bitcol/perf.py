@@ -102,7 +102,7 @@ class AcceleratorSpec:
             raise ConfigError(f"group_size must be 'auto' or one of {codec.GROUP_SIZES}")
         # a catalog id is checked here, not at the first layer it maps
         su = catalog_su(self.su) if isinstance(self.su, str) and self.su != "auto" else self.su
-        if self.sparsity_mode == "bit-column-skip" and self.group_size != "auto" and su != "auto":
+        if self.sparsity_mode == "bit-column-skip" and su != "auto":
             check_group_size(self.group_size, su)
 
     def resolve_su(self, shape: LayerShape) -> SpatialUnrolling:
@@ -480,12 +480,11 @@ def compare(net: Network, specs: Sequence[AcceleratorSpec],
     if base_name not in names:
         raise ConfigError(f"baseline {base_name!r} is not among the evaluated specs")
     for spec in specs:  # a fixed SU or G must map every layer before any spec runs
-        fixed_g = spec.sparsity_mode == "bit-column-skip" and spec.group_size != "auto"
-        if spec.su != "auto" or fixed_g:
+        if spec.su != "auto" or spec.group_size != "auto":
             for layer in net.layers:
                 su = spec.resolve_su(layer.shape)
                 check_kind_compatible(layer.shape, su)
-                if fixed_g:
+                if spec.sparsity_mode == "bit-column-skip":
                     check_group_size(spec.group_size, su)
     reports = [evaluate_network(net, s) for s in specs]
     base = reports[names.index(base_name)]

@@ -259,6 +259,10 @@ def test_auto_group_sizes_drive_compress(net_dir, monkeypatch):
                "--out", str(net_dir / "c.bcsw"), "--csv", str(csv_path)])
     assert rc == 0
     assert {r["group_size"] for r in read_csv(csv_path)} == {"16"}
+    stats = net_dir / "stats.csv"  # analyze's default group sizes are the same list
+    assert main(["analyze", "--manifest", str(net_dir / "model/manifest.txt"),
+                 "--out", str(stats)]) == 0
+    assert {r["group_size"] for r in read_csv(stats)} == {"16"}
 
 
 def test_simulate_rejects_unchecked_dense_group_count(net_dir, capsys, monkeypatch):
@@ -439,7 +443,9 @@ def test_readme_spec_config_example_runs(tmp_path):
     ("[a]\nbase = bitcol\njunk line\n", "Source contains parsing errors"),
     ("[a]\nbase = bitcol\nsu = %(x)s\n", "[a] unknown spatial unrolling '%(x)s'"),
     ("[a]\nbase = bitcol\nsu = SU3\ngroup_size = 16\n",
-     "[a] group_size 16 is not a multiple of the unrolled channels C_u=32 of SU3"),
+     "[a] group size 16 is not a multiple of the unrolled channels C_u=32 of SU3"),
+    ("[big]\nbase = bitcol\nsu = custom:64,4,32\n", "[big] group size auto (8/16/32) is "
+     "not a multiple of the unrolled channels C_u=64 of custom[64,4,32]"),
 ])
 def test_perf_bad_spec_config_is_input_error(net_dir, capsys, monkeypatch, text, message):
     evaluated = []
@@ -547,7 +553,7 @@ def test_simulate_fixed_su_and_group_size_checked_before_load(tmp_path, capsys, 
     assert ("manifest not found" in err) == ok
     if not ok:
         c_u = mapper.catalog_su(su).c_u
-        assert err == (f"error: group_size {group_size} is not a multiple of the unrolled "
+        assert err == (f"error: group size {group_size} is not a multiple of the unrolled "
                        f"channels C_u={c_u} of {su}\n")
 
 
@@ -634,7 +640,7 @@ def test_perf_fixed_group_size_checked_against_every_auto_su_first(su2_net_dir, 
     rc = main(["perf", "--manifest", str(su2_net_dir / "model/manifest.txt"),
                "--preset", "scnn", "--spec-config", str(cfg)])
     assert rc == 1
-    assert capsys.readouterr().err == ("error: group_size 8 is not a multiple of the "
+    assert capsys.readouterr().err == ("error: group size 8 is not a multiple of the "
                                        "unrolled channels C_u=16 of SU2\n")
 
 
@@ -644,5 +650,41 @@ def test_simulate_fixed_group_size_checked_against_every_auto_su_first(su2_net_d
     rc = main(["simulate", "--manifest", str(su2_net_dir / "model/manifest.txt"),
                "--group-size", "8", "--verify"])
     assert rc == 1
-    assert capsys.readouterr().err == ("error: group_size 8 is not a multiple of the "
+    assert capsys.readouterr().err == ("error: group size 8 is not a multiple of the "
                                        "unrolled channels C_u=16 of SU2\n")
+
+
+def test_perf_custom_su_with_a_fitting_group_size_runs(net_dir):
+    # custom:64,4,32 fits no auto G (rejected above) but streams G=64 in one slice
+    cfg = net_dir / "big.ini"
+    cfg.write_text("[big]\nbase = bitcol\nsu = custom:64,4,32\ngroup_size = 64\n")
+    out = net_dir / "perf.csv"
+    assert main(["perf", "--manifest", str(net_dir / "model/manifest.txt"),
+                 "--spec-config", str(cfg), "--per-layer", str(out)]) == 0
+    rows = read_csv(out)
+    assert [r["su"] for r in rows] == ["custom[64,4,32]"] * 3
+
+
+@pytest.mark.parametrize("su,g1,g2,copies,message", [
+    ("auto", 8, 8, 1, "group size 8 is not a multiple of the unrolled channels C_u=16 of SU2"),
+    ("SU3", 32, 16, 1, "group size 16 is not a multiple of the unrolled channels C_u=32 of SU3"),
+    ("auto", 8, 8, 2, "layer 'conv2': container does not match layer shape"),
+])
+def test_simulate_container_layers_checked_before_any_layer_runs(su2_net_dir, capsys,
+                                                                  monkeypatch, su, g1, g2,
+                                                                  copies, message):
+    # conv1 fits its SU and conv2 does not, so conv1 may be neither simulated
+    # nor verified first; conv2 packed with `copies` times its kernels at a G
+    # its SU rejects too shows the shape is checked before G, as in simulate_layer
+    net = model_io.load_network(su2_net_dir / "model/manifest.txt")
+    conv1, conv2 = (l.weights for l in net.layers)
+    cont = su2_net_dir / "c.bcsw"
+    model_io.write_compressed(cont, [
+        codec.compress_layer(conv1, g1, name="conv1"),
+        codec.compress_layer(np.concatenate([conv2] * copies), g2, name="conv2")])
+    for name in ("simulate_layer", "verify_layer"):
+        monkeypatch.setattr(engine, name, _fail(name))
+    rc = main(["simulate", "--manifest", str(su2_net_dir / "model/manifest.txt"),
+               "--container", str(cont), "--su", su, "--verify"])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {message}\n"

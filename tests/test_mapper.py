@@ -239,3 +239,26 @@ def test_layer_shape_mismatch_is_one_typed_error(rng, layer_dims, shape, message
         with pytest.raises(MappingError) as e:
             fn(cl, shape, su1)
         assert str(e.value) == f"layer 'x': {message}"
+
+
+def _mapping_error(fn, *args):
+    try:
+        fn(*args)
+    except MappingError as e:
+        return str(e)
+    return None
+
+
+@pytest.mark.parametrize("su", [*CATALOG, make_custom_su(4, 4, 8), make_custom_su(12, 2, 8),
+                                make_custom_su(64, 4, 32)], ids=lambda su: su.id)
+def test_group_size_rule_is_stated_once(su):
+    # the up-front check and the lockstep schedule accept and reject the
+    # same G with the same text: a G must split into C_u-channel slices
+    shape = LayerShape(k=3, c=40, fy=1, fx=1, ox=1, oy=1)
+    for g in codec.GROUP_SIZES:
+        nz = np.zeros(shape.k * -(-shape.c // g), dtype=np.int64)
+        checked = _mapping_error(mapper.check_group_size, g, su)
+        assert checked == _mapping_error(mapper.lockstep_waves, nz, shape, g, su)
+        fits = not su.c_u or g % su.c_u == 0
+        assert checked == (None if fits else f"group size {g} is not a multiple of the "
+                                             f"unrolled channels C_u={su.c_u} of {su.id}")

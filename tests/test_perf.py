@@ -422,6 +422,8 @@ class TestPresetsAndConfig:
         ("SU3", 16, False), ("SU3", 32, True), ("SU3", 64, True), ("SU3", "auto", True),
         ("SU1", 8, True), ("SU2", 8, False), ("SU7", 8, True), ("auto", 8, True),
         (mapper.make_custom_su(16, 4, 16), 8, False), (mapper.make_custom_su(16, 4, 16), 16, True),
+        (mapper.make_custom_su(64, 4, 32), "auto", False),
+        (mapper.make_custom_su(64, 4, 32), 64, True),
     ])
     def test_fixed_su_and_group_size_checked_for_column_skip(self, su, group_size, ok):
         kw = dict(su=su, group_size=group_size, bit_serial=True, weight_codec="bcs")
@@ -429,7 +431,8 @@ class TestPresetsAndConfig:
         if ok:
             AcceleratorSpec("col", sparsity_mode="bit-column-skip", **kw)
         else:
-            with pytest.raises(ConfigError, match="is not a multiple of the unrolled channels"):
+            with pytest.raises(mapper.MappingError,
+                               match="is not a multiple of the unrolled channels"):
                 AcceleratorSpec("col", sparsity_mode="bit-column-skip", **kw)
 
     @pytest.mark.parametrize("weight_codec", ["none", "zre", "csr"])
