@@ -162,7 +162,11 @@ def cmd_simulate(args) -> int:
         mapper.check_group_size(args.group_size or "auto", su)
     if args.container:
         compressed = model_io.read_compressed(args.container)
-        by_name = {cl.name: cl for cl in compressed}
+        by_name = {}
+        for cl in compressed:
+            if cl.name in by_name:
+                raise ContainerError(f"container names layer {cl.name!r} twice")
+            by_name[cl.name] = cl
         missing = [l.name for l in net.layers if l.name not in by_name]
         if missing:
             raise ContainerError(f"container is missing layers: {missing}")

@@ -37,8 +37,6 @@ AUTO_GROUP_SIZES = (8, 16, 32)  # "auto" keeps the best CR of these; the smaller
 
 POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
 
-SIGN_BIT = 7  # index bit marking the sign column
-
 
 def _keep(indexes: np.ndarray) -> np.ndarray:
     """(n, 8) bool: slot s of each group's bit columns (index bit 7 - s) is stored."""

@@ -114,18 +114,11 @@ def utilization_table(shape: LayerShape) -> dict[str, float | None]:
 
 
 def select_su(shape: LayerShape) -> SpatialUnrolling:
-    """Best-utilization SU; ties break by lower weight bandwidth, then id."""
-    best = None
-    best_key = None
-    for pos, su in enumerate(CATALOG):
-        if not is_compatible(shape, su):
-            continue
-        key = (-spatial_utilization(shape, su), su.w_bw, pos)
-        if best_key is None or key < best_key:
-            best, best_key = su, key
-    if best is None:
-        raise MappingError(f"no catalog entry maps a {shape.kind} layer")
-    return best
+    """Best-utilization entry of utilization_table; ties break by lower weight
+    bandwidth, then catalog order. Every layer kind has a compatible entry."""
+    table = utilization_table(shape)
+    return min((su for su in CATALOG if table[su.id] is not None),
+               key=lambda su: (-table[su.id], su.w_bw))
 
 
 def lockstep_waves(nz: np.ndarray, shape: LayerShape, group_size: int,
@@ -156,8 +149,8 @@ BANK_ROW = np.dtype([("cycle", np.int64), ("bank", np.uint8), ("k_base", np.int6
                      ("c_base", np.int64), ("significance", np.int8, 8), ("segment", np.uint64)])
 
 
-def weight_bank_layout(cl: codec.CompressedLayer, shape: LayerShape, su: SpatialUnrolling,
-                       max_cycles: int | None = None) -> np.ndarray:
+def weight_bank_layout(cl: codec.CompressedLayer, shape: LayerShape,
+                       su: SpatialUnrolling) -> np.ndarray:
     """SU1 weight-bank schedule: per cycle, 4 bank segments of 64 bits.
 
     Each segment carries one same-significance bit from 8 consecutive input
@@ -168,7 +161,6 @@ def weight_bank_layout(cl: codec.CompressedLayer, shape: LayerShape, su: Spatial
     Returns BANK_ROW rows, 4 per cycle in (cycle, bank) order: k_base and
     c_base are the bank's first kernel and channel, significance[j] is kernel
     j's slot bit (7 sign, 6..0 magnitude, -1 idle lane), segment the word.
-    max_cycles keeps the first max(max_cycles, 1) cycles; None keeps all.
     """
     if su.id != "SU1":
         raise MappingError("the weight-bank layout is defined for SU1 only")
@@ -189,9 +181,8 @@ def weight_bank_layout(cl: codec.CompressedLayer, shape: LayerShape, su: Spatial
     positions, kb, blocks = steps.shape
     steps = steps.reshape(-1)
     per_wave = steps * slices
-    total = int(per_wave.sum())
-    n = total if max_cycles is None else min(total, max(max_cycles, 1))
-    wave = np.repeat(np.arange(steps.size), per_wave)[:n]
+    n = int(per_wave.sum())
+    wave = np.repeat(np.arange(steps.size), per_wave)
     sl, slot = divmod(np.arange(n) - (np.cumsum(per_wave) - per_wave)[wave], steps[wave])
     pos, rest = divmod(wave, kb * blocks)
     kblock, cb = divmod(rest, blocks)

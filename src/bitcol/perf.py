@@ -39,7 +39,7 @@ import numpy as np
 
 from . import codec, engine
 from .mapper import (SpatialUnrolling, catalog_su, check_group_size, check_kind_compatible,
-                     make_custom_su, select_su, temporal_steps)
+                     make_custom_su, select_su, spatial_utilization, temporal_steps)
 from .workload import BitcolError, ConfigError, Layer, LayerShape, Network
 
 SPARSITY_MODES = ("none", "value-skip", "bit-skip", "bit-column-skip")
@@ -154,11 +154,10 @@ class EffectiveCounts(ActivityCounts):
 
 
 def dense_activity(shape: LayerShape, spec: AcceleratorSpec,
-                   su: SpatialUnrolling | None = None) -> ActivityCounts:
-    """STEP 1: dense operation and memory activity of one layer."""
-    su = su or spec.resolve_su(shape)
+                   su: SpatialUnrolling) -> ActivityCounts:
+    """STEP 1: dense operation and memory activity of one layer mapped on `su`."""
     steps = temporal_steps(shape, su)
-    util = shape.macs / (steps * su.lanes)
+    util = spatial_utilization(shape, su)
     n_mac_cycle = spec.peak_macs_cycle(su) * util
 
     ix, iy = shape.input_hw
@@ -368,7 +367,6 @@ def act_compression(layer: Layer, spec: AcceleratorSpec, s_a: float) -> float:
 class LayerPerf:
     layer: str
     su_id: str
-    utilization: float
     eff: EffectiveCounts
     energy: EnergyBreakdown
     cycles: float
@@ -377,7 +375,7 @@ class LayerPerf:
         return {
             "layer": self.layer,
             "su": self.su_id,
-            "utilization": self.utilization,
+            "utilization": self.eff.utilization,
             "n_mac": self.eff.n_mac,
             "n_mac_e": self.eff.n_mac_e,
             "cc_mac_e": self.eff.cc_mac_e,
@@ -403,9 +401,8 @@ class PerfReport:
     baseline: str | None = None
 
 
-def evaluate_layer(layer: Layer, spec: AcceleratorSpec) -> LayerPerf:
+def evaluate_layer(layer: Layer, spec: AcceleratorSpec, su: SpatialUnrolling) -> LayerPerf:
     shape = layer.shape
-    su = spec.resolve_su(shape)
     counts = dense_activity(shape, spec, su)
 
     s_w = float(np.count_nonzero(layer.weights == 0) / layer.weights.size)
@@ -445,11 +442,12 @@ def evaluate_layer(layer: Layer, spec: AcceleratorSpec) -> LayerPerf:
         port_bits = counts.sram_read_weight * 8.0 * cl.payload_bits / cl.dense_bits
         terms.sram_read_weight = port_bits / su.w_bw
     cycles = total_latency(terms)
-    return LayerPerf(layer.name, su.id, counts.utilization, eff, energy, cycles)
+    return LayerPerf(layer.name, su.id, eff, energy, cycles)
 
 
-def evaluate_network(net: Network, spec: AcceleratorSpec) -> PerfReport:
-    layers = [evaluate_layer(l, spec) for l in net.layers]
+def evaluate_network(net: Network, spec: AcceleratorSpec,
+                     sus: Sequence[SpatialUnrolling]) -> PerfReport:
+    layers = [evaluate_layer(l, spec, su) for l, su in zip(net.layers, sus, strict=True)]
     breakdown = EnergyBreakdown(
         mac=sum(l.energy.mac for l in layers),
         dram=sum(l.energy.dram for l in layers),
@@ -470,23 +468,28 @@ def compare(net: Network, specs: Sequence[AcceleratorSpec],
             baseline: str | None = None) -> list[PerfReport]:
     """Evaluate every spec on the network, normalized to the baseline.
 
+    The one place a spec's layers are mapped: each (spec, layer) gets its SU
+    once, and a repeated spec name or a mapping that fails its kind or G check
+    is rejected before any spec runs (spec order, then layer order).
     speedup = baseline cycles / spec cycles and energy_ratio = baseline
     energy / spec energy; higher is better for both.
     """
     if not specs:
         raise ConfigError("no accelerator specs to evaluate")
     names = [s.name for s in specs]
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise ConfigError(f"spec {name!r} is given more than once")
     base_name = baseline or names[0]
     if base_name not in names:
         raise ConfigError(f"baseline {base_name!r} is not among the evaluated specs")
-    for spec in specs:  # a fixed SU or G must map every layer before any spec runs
-        if spec.su != "auto" or spec.group_size != "auto":
-            for layer in net.layers:
-                su = spec.resolve_su(layer.shape)
-                check_kind_compatible(layer.shape, su)
-                if spec.sparsity_mode == "bit-column-skip":
-                    check_group_size(spec.group_size, su)
-    reports = [evaluate_network(net, s) for s in specs]
+    mapped = [[spec.resolve_su(layer.shape) for layer in net.layers] for spec in specs]
+    for spec, sus in zip(specs, mapped):
+        for layer, su in zip(net.layers, sus):
+            check_kind_compatible(layer.shape, su)
+            if spec.sparsity_mode == "bit-column-skip":
+                check_group_size(spec.group_size, su)
+    reports = [evaluate_network(net, s, sus) for s, sus in zip(specs, mapped)]
     base = reports[names.index(base_name)]
     for r in reports:
         r.baseline = base_name

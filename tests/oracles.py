@@ -157,7 +157,7 @@ def verify_layer(cl, values, rng):
     return mismatches
 
 
-def weight_bank_layout(cl, shape, su, max_cycles=None):
+def weight_bank_layout(cl, shape, su):
     """SU1 weight-bank schedule: per cycle, 4 bank segments of 64 bits.
 
     Each segment carries one same-significance bit from 8 consecutive input
@@ -238,8 +238,6 @@ def weight_bank_layout(cl, shape, su, max_cycles=None):
                                 "segment": f"{seg:016x}",
                             })
                         cycle += 1
-                        if max_cycles is not None and cycle >= max_cycles:
-                            return rows
     return rows
 
 

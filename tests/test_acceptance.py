@@ -186,7 +186,7 @@ def test_08_model_simulator_agreement(announce):
                        kind="pointwise-conv"),
         ])
         spec = replace(perf.preset("bitcol"), dram_bytes_per_cycle=512)
-        model_cycles = perf.evaluate_network(net, spec).total_cycles
+        model_cycles = perf.compare(net, [spec])[0].total_cycles
         sim_cycles = 0
         for layer in net.layers:
             su = spec.resolve_su(layer.shape)

@@ -688,3 +688,36 @@ def test_simulate_container_layers_checked_before_any_layer_runs(su2_net_dir, ca
                "--container", str(cont), "--su", su, "--verify"])
     assert rc == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("ini,presets", [
+    (None, ["dense", "dense"]),
+    ("[bitcol]\nbase = bitcol\n", ["bitcol"]),
+], ids=["preset-twice", "section-and-preset"])
+def test_perf_repeated_spec_name_rejected_before_any_spec_runs(net_dir, capsys, monkeypatch,
+                                                               ini, presets):
+    monkeypatch.setattr(perf, "evaluate_network", _fail("evaluate_network"))
+    argv = ["perf", "--manifest", str(net_dir / "model/manifest.txt")]
+    if ini:
+        cfg = net_dir / "twice.ini"
+        cfg.write_text(ini)
+        argv += ["--spec-config", str(cfg)]
+    for name in presets:
+        argv += ["--preset", name]
+    assert main(argv) == 1
+    name = presets[0]
+    assert capsys.readouterr().err == f"error: spec {name!r} is given more than once\n"
+
+
+def test_simulate_container_naming_a_layer_twice_is_rejected_first(net_dir, capsys,
+                                                                   monkeypatch):
+    net = model_io.load_network(net_dir / "model/manifest.txt")
+    layers = [codec.compress_layer(l.weights, 8, name=l.name) for l in net.layers]
+    cont = net_dir / "twice.bcsw"
+    model_io.write_compressed(cont, layers + layers[1:2])
+    for name in ("simulate_layer", "verify_layer"):
+        monkeypatch.setattr(engine, name, _fail(name))
+    rc = main(["simulate", "--manifest", str(net_dir / "model/manifest.txt"),
+               "--container", str(cont), "--verify"])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: container names layer 'dw1' twice\n"

@@ -91,28 +91,26 @@ def test_simulate_layer_matches_scalar_wave_walk(layer):
 
 
 @PROPERTY
-@given(layers(max_k=70, max_f=2, kinds=("conv", "pointwise-conv")),
-       st.one_of(st.none(), st.integers(0, 60)))
-def test_bank_layout_matches_scalar_layout(layer, max_cycles):
+@given(layers(max_k=70, max_f=2, kinds=("conv", "pointwise-conv")))
+def test_bank_layout_matches_scalar_layout(layer):
     shape, _, cl = layer
     su1 = mapper.catalog_su("SU1")
-    got, err = outcome(mapper.weight_bank_layout, cl, shape, su1, max_cycles)
-    want, want_err = outcome(oracles.weight_bank_layout, cl, shape, su1, max_cycles)
+    got, err = outcome(mapper.weight_bank_layout, cl, shape, su1)
+    want, want_err = outcome(oracles.weight_bank_layout, cl, shape, su1)
     assert (err is None) == (want_err is None)
     if want is not None:
         assert got.dtype == mapper.BANK_ROW
         assert render_rows(got) == want
 
 
-@pytest.mark.parametrize("max_cycles", [None, -1, 0, 1, 7])
 @pytest.mark.parametrize("mode", ["bcs", "dense"])
-def test_bank_layout_cycle_limit(max_cycles, mode):
+def test_bank_layout_full_length(mode):
     shape = LayerShape(k=40, c=20, fy=2, fx=1, ox=16, oy=1)
     values = bell_weights(np.random.default_rng(3), shape.weight_dims)
     cl = codec.compress_layer(values, 16, mode=mode)
     su1 = mapper.catalog_su("SU1")
-    assert render_rows(mapper.weight_bank_layout(cl, shape, su1, max_cycles)) == \
-        oracles.weight_bank_layout(cl, shape, su1, max_cycles)
+    assert render_rows(mapper.weight_bank_layout(cl, shape, su1)) == \
+        oracles.weight_bank_layout(cl, shape, su1)
 
 
 def corrupt(cl, rng, n_flips):

@@ -17,7 +17,6 @@ from bitcol.perf import (
     dense_activity,
     effective_macs,
     effective_memory,
-    evaluate_network,
     imbalance_adjust,
     latency_terms,
     load_spec_configs,
@@ -99,7 +98,7 @@ class TestEffectiveMemory:
         layer.weights[rng.random(size=layer.weights.shape) < 0.6] = 0
         spec = replace(preset("bitcol"), group_size=8)
         cr_w, cl = weight_compression(layer, spec)
-        counts = dense_activity(layer.shape, spec)
+        counts = dense_activity(layer.shape, spec, mapper.select_su(layer.shape))
         eff = effective_memory(counts, cr_w, 1.0)
         path = tmp_path / "c.bcsw"
         model_io.write_compressed(path, [cl])
@@ -186,7 +185,7 @@ class TestImbalance:
 class TestDenseActivity:
     def test_single_mac_layer(self):
         spec = AcceleratorSpec("one", su=mapper.make_custom_su(1, 1, 1, su_id="pe1"))
-        counts = dense_activity(LayerShape(k=1, c=1, fy=1, fx=1, ox=1, oy=1), spec)
+        counts = dense_activity(LayerShape(k=1, c=1, fy=1, fx=1, ox=1, oy=1), spec, spec.su)
         assert counts.n_mac == 1
         assert counts.dram_read_w == 1
         assert counts.passes == 1
@@ -194,7 +193,7 @@ class TestDenseActivity:
     def test_single_pass_when_fits(self, rng):
         spec = preset("bitcol")
         shape = LayerShape(k=8, c=8, fy=3, fx=3, ox=8, oy=8)
-        counts = dense_activity(shape, spec)
+        counts = dense_activity(shape, spec, mapper.select_su(shape))
         assert counts.passes == 1
         assert counts.dram_read_w == shape.n_weights
 
@@ -202,19 +201,19 @@ class TestDenseActivity:
         shape = LayerShape(k=8, c=8, fy=3, fx=3, ox=8, oy=8)
         spec = preset("bitcol")
         spec = replace(spec, costs=replace(spec.costs, weight_sram_bytes=shape.n_weights // 2))
-        counts = dense_activity(shape, spec)
+        counts = dense_activity(shape, spec, mapper.select_su(shape))
         assert counts.passes == 2
         assert counts.dram_read_w == 2 * shape.n_weights
 
     def test_mac_count(self):
         shape = LayerShape(k=4, c=3, fy=2, fx=2, ox=5, oy=6, b=2)
-        counts = dense_activity(shape, preset("bitcol"))
+        counts = dense_activity(shape, preset("bitcol"), mapper.select_su(shape))
         assert counts.n_mac == 2 * 4 * 3 * 5 * 6 * 2 * 2
 
     def test_sram_reads_follow_su(self):
         spec = AcceleratorSpec("fixed", su="SU1", bit_serial=True)
         shape = LayerShape(k=32, c=8, fy=1, fx=1, ox=16, oy=1)
-        counts = dense_activity(shape, spec)
+        counts = dense_activity(shape, spec, mapper.catalog_su("SU1"))
         assert counts.steps == 1
         assert counts.sram_read_input == 8 * 16
         assert counts.sram_read_weight == 8 * 32
@@ -227,8 +226,9 @@ class TestBitColumnCycles:
                                group_size=8)
         layer = make_layer("u", values=np.full(32 * 8, 21, dtype=np.int8),
                            k=32, c=8, fy=1, fx=1, ox=16, oy=1)
-        rep = perf.evaluate_layer(layer, spec)
-        counts = dense_activity(layer.shape, spec)
+        su1 = mapper.catalog_su("SU1")
+        rep = perf.evaluate_layer(layer, spec, su1)
+        counts = dense_activity(layer.shape, spec, su1)
         assert rep.eff.cc_mac_e == pytest.approx((counts.n_mac / counts.n_mac_cycle) * 3 / 8)
         # cross-check against the functional simulator
         cl = codec.compress_layer(layer.weights, 8, mode="bcs")
@@ -244,7 +244,7 @@ class TestBitColumnCycles:
         real = codec.compress_layer
         monkeypatch.setattr(codec, "compress_layer",
                             lambda *a, **k: packs.append(a[1]) or real(*a, **k))
-        rep = perf.evaluate_layer(layer, spec)
+        rep = perf.evaluate_layer(layer, spec, mapper.catalog_su("SU1"))
         assert packs == [8]  # weight_compression packs once; nothing else packs
         sim = engine.simulate_layer(real(layer.weights, 8), layer.shape,
                                     mapper.catalog_su("SU1"), sign_cycle)
@@ -258,7 +258,7 @@ class TestBitColumnCycles:
             make_layer("l3", rng, k=64, c=64, fy=1, fx=1, ox=16, oy=16,
                        kind="pointwise-conv"),
         ])
-        model = evaluate_network(net, spec).total_cycles
+        model = compare(net, [spec])[0].total_cycles
         sim = 0
         for layer in net.layers:
             su = spec.resolve_su(layer.shape)
@@ -280,6 +280,21 @@ class TestCompare:
         for r in reports:
             assert r.speedup == pytest.approx(base.total_cycles / r.total_cycles)
             assert r.energy_ratio == pytest.approx(base.total_energy / r.total_energy)
+
+    def test_each_spec_maps_each_layer_once(self, rng, monkeypatch):
+        # every layer maps to SU1, so both the fixed-G and the fixed-SU spec run
+        net = make_network("su1net", [make_layer(f"pw{i}", rng, k=32, c=8, fy=1, fx=1,
+                                                 ox=16, oy=1, kind="pointwise-conv")
+                                      for i in range(3)])
+        calls = []
+        real = AcceleratorSpec.resolve_su
+        monkeypatch.setattr(AcceleratorSpec, "resolve_su",
+                            lambda spec, shape: calls.append(spec.name) or real(spec, shape))
+        specs = [replace(preset("bitcol"), name="g8", group_size=8),
+                 replace(preset("bitcol"), name="su1", su="SU1")]
+        reports = compare(net, specs)
+        assert calls == ["g8"] * 3 + ["su1"] * 3
+        assert [[l.su_id for l in r.layers] for r in reports] == [["SU1"] * 3] * 2
 
     def test_missing_baseline(self, small_net):
         with pytest.raises(ConfigError):
@@ -305,7 +320,7 @@ class TestCompare:
 class TestPresetsAndConfig:
     def test_all_presets_build_and_run(self, small_net):
         for name in perf.PRESET_NAMES:
-            rep = evaluate_network(small_net, preset(name))
+            rep = compare(small_net, [preset(name)])[0]
             assert rep.total_cycles > 0
             assert rep.total_energy > 0
             assert rep.breakdown.total == pytest.approx(rep.total_energy)
@@ -369,7 +384,7 @@ class TestPresetsAndConfig:
         assert specs["fixed-su"].su == "SU1"
         assert specs["custom-array"].su.w_bw == 16 * 16 * 8
         for spec in specs.values():
-            evaluate_network(small_net, spec)
+            compare(small_net, [spec])
 
     def test_config_bad_key(self, tmp_path):
         cfg = tmp_path / "specs.ini"
@@ -497,5 +512,5 @@ class TestDepthwiseEvaluation:
                            kind="depthwise-conv")
         net = make_network("dwnet", [layer])
         for name in perf.PRESET_NAMES:
-            rep = evaluate_network(net, preset(name))
+            rep = compare(net, [preset(name)])[0]
             assert rep.total_cycles > 0
