@@ -98,7 +98,7 @@ def _solve_groups(groups: np.ndarray, z: int) -> tuple[np.ndarray, np.ndarray, n
     flipped = np.array(groups, dtype=np.int8)
     err = np.zeros(len(flipped), dtype=np.int64)
     idx = codec.column_index(flipped)
-    todo = np.flatnonzero(codec.POPCOUNT[idx] > 8 - z)
+    todo = np.flatnonzero(np.bitwise_count(idx) > 8 - z)
     if todo.size:
         tables, sq = _candidate_rows(z)
         step = max(1, _CHUNK_SUMS // sq.shape[1])
@@ -150,7 +150,7 @@ def flip_layer(values: np.ndarray, group_size: int, z: int) -> FlipResult:
     groups = codec.partition_groups(values, group_size)
     clamped = codec.sm_clamp(groups)
     flipped, idx, err = _solve_groups(clamped, z)
-    zero_bits = 8 - codec.POPCOUNT[idx]
+    zero_bits = 8 - np.bitwise_count(idx)
     if zero_bits.min(initial=8) < z:
         raise RuntimeError(f"flip left a group with {zero_bits.min()} < z={z} zero columns")
     return FlipResult(

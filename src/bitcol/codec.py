@@ -20,6 +20,10 @@ the codec stays total, and sm_encode counts the clamps). best_pack is the one
 group-size choice: the best CR over the candidate Gs, the smaller G on ties.
 sparsity_stats encodes a layer once for every G it reports: bit sparsities
 do not depend on G, and each G's column indexes come from the encoded bytes.
+
+Popcounts run on np.bitwise_count (numpy >= 2.0); POPCOUNT is the same count
+as a 256-entry table keyed by index, for callers that look it up per index
+byte. _or_index ORs the bytes of each group 8 at a time, as <u8 words.
 """
 
 from __future__ import annotations
@@ -35,7 +39,8 @@ from .workload import ContainerError
 GROUP_SIZES = (1, 2, 4, 8, 16, 32, 64)
 AUTO_GROUP_SIZES = (8, 16, 32)  # "auto" keeps the best CR of these; the smaller wins ties
 
-POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
+POPCOUNT = np.bitwise_count(np.arange(256, dtype=np.uint8))
+_SM_VALUE = np.r_[0:128, 0:-128:-1].astype(np.int8)  # the value of each sign-magnitude byte
 
 
 def _keep(indexes: np.ndarray) -> np.ndarray:
@@ -62,8 +67,7 @@ def sm_encode(values: np.ndarray) -> tuple[np.ndarray, int]:
 
 
 def sm_decode(bits: np.ndarray) -> np.ndarray:
-    mag = (np.asarray(bits, dtype=np.uint8) & 0x7F).astype(np.int16)
-    return np.where(bits & 0x80, -mag, mag).astype(np.int8)
+    return _SM_VALUE[np.asarray(bits, dtype=np.uint8)]
 
 
 def partition_groups(values: np.ndarray, group_size: int) -> np.ndarray:
@@ -99,13 +103,31 @@ def column_index(group: np.ndarray) -> np.ndarray | int:
     Accepts one group (G,) or a stack (n, G); returns a scalar or (n,) uint8.
     """
     bits, _ = sm_encode(group)
-    idx = np.bitwise_or.reduce(bits, axis=-1)
-    return int(idx) if np.ndim(idx) == 0 else idx
+    idx = _or_index(bits.reshape(-1, bits.shape[-1])).reshape(bits.shape[:-1])
+    return int(idx) if idx.ndim == 0 else idx
+
+
+def _or_index(sm: np.ndarray) -> np.ndarray:
+    """(n,) uint8 OR of each row of an (n, G) int8 or uint8 array.
+
+    For G a power of two from 8, the rows are <u8 words: halve the words per
+    row, then fold each word's 8 bytes into its low byte.
+    """
+    g = sm.shape[1]
+    if g < 8 or g & (g - 1):
+        return np.bitwise_or.reduce(sm, axis=1).view(np.uint8)
+    x = np.ascontiguousarray(sm).view("<u8")
+    while x.shape[1] > 1:
+        x = x[:, :x.shape[1] // 2] | x[:, x.shape[1] // 2:]
+    x = x[:, 0] | x[:, 0] >> 32
+    x |= x >> 16
+    x |= x >> 8
+    return x.astype(np.uint8)
 
 
 def bcs_size(indexes: np.ndarray, group_size: int) -> int:
     """Bcs size in bits for these group indexes: 8 each plus G per column."""
-    return 8 * len(indexes) + group_size * int(POPCOUNT[indexes].sum())
+    return 8 * len(indexes) + group_size * int(np.bitwise_count(indexes).sum())
 
 
 @dataclass
@@ -143,7 +165,7 @@ class CompressedLayer:
                 raise ContainerError("bcs layer needs indexes and columns")
             if len(self.indexes) != self.n_groups:
                 raise ContainerError("index count does not match group count")
-            if int(POPCOUNT[self.indexes].sum()) != len(self.columns):
+            if int(np.bitwise_count(self.indexes).sum()) != len(self.columns):
                 raise ContainerError("index popcounts do not match stored column count")
         elif self.dense_values is None or len(self.dense_values) != self.n_values:
             raise ContainerError("dense layer needs n_values raw bytes")
@@ -195,7 +217,7 @@ def pack_columns(sm_bits: np.ndarray, indexes: np.ndarray) -> np.ndarray:
     # the payload outlives this call: allocated after the temporaries, it
     # would pin their freed memory in the heap and raise peak RSS
     keep = _keep(indexes)
-    columns = np.empty((int(POPCOUNT[indexes].sum()), cb), dtype=np.uint8)
+    columns = np.empty((int(np.bitwise_count(indexes).sum()), cb), dtype=np.uint8)
     words = np.zeros((n, cb), dtype="<u8")
     words.view(np.uint8)[:, :g] = sm_bits
     # byte s of word j: bit 7 - s of elements 8j..8j+7, then one cb-byte item per column
@@ -220,7 +242,7 @@ def compress_layer(values: np.ndarray, group_size: int, mode: str = "auto",
     n_values = values.size
     groups = partition_groups(values, group_size)
     sm_bits, clamps = sm_encode(groups)
-    indexes = np.bitwise_or.reduce(sm_bits, axis=1)
+    indexes = _or_index(sm_bits)
     n_groups = len(groups)
 
     use_bcs = mode == "bcs" or (mode == "auto" and bcs_size(indexes, group_size) < 8 * n_values)
@@ -245,7 +267,7 @@ def best_pack(values: np.ndarray, group_size: int | str, mode: str,
 def column_offsets(cl: CompressedLayer) -> np.ndarray:
     """Row offset of each group's first column in cl.columns, plus total."""
     offs = np.zeros(cl.n_groups + 1, dtype=np.int64)
-    np.cumsum(POPCOUNT[cl.indexes], out=offs[1:])
+    np.cumsum(np.bitwise_count(cl.indexes), out=offs[1:])
     return offs
 
 
@@ -281,7 +303,7 @@ def nz_columns(cl: CompressedLayer, sign: bool = False) -> np.ndarray:
     """
     if cl.mode == "dense":
         return np.full(cl.n_groups, 8, dtype=np.int64)
-    return POPCOUNT[cl.indexes & (0xFF if sign else 0x7F)].astype(np.int64)
+    return np.bitwise_count(cl.indexes & (0xFF if sign else 0x7F)).astype(np.int64)
 
 
 def decompress_layer(cl: CompressedLayer,
@@ -323,13 +345,13 @@ def zre_size(values: np.ndarray) -> int:
     zeros; trailing zeros close with a (run-1, 0) entry.
     """
     flat = np.asarray(values).reshape(-1)
-    nz = np.flatnonzero(flat)
-    if len(nz) == 0:
-        return 12 * math.ceil(len(flat) / 16) if len(flat) else 0
-    gaps = np.diff(nz, prepend=-1) - 1  # zeros before each non-zero
-    entries = len(nz) + int((gaps // 16).sum())
-    trailing = len(flat) - 1 - int(nz[-1])
-    entries += math.ceil(trailing / 16)
+    zero = np.zeros(flat.size + 2, dtype=bool)  # a non-zero sentinel at each end
+    np.equal(flat, 0, out=zero[1:-1])
+    edges = np.flatnonzero(zero[1:] != zero[:-1])
+    runs = edges[1::2] - edges[::2]  # the length of each zero run
+    entries = flat.size - int(runs.sum()) + int((runs // 16).sum())
+    if zero[-2] and runs[-1] % 16:  # a trailing run's last partial 16 closes with (run-1, 0)
+        entries += 1
     return 12 * entries
 
 
@@ -377,15 +399,16 @@ def sparsity_stats(values: np.ndarray, group_sizes: Sequence[int]) -> list[Spars
         raise ValueError("empty tensor")
     value_sp = float(np.count_nonzero(values == 0) / n)
     sm, _ = sm_encode(values)
-    bit_tc = 1.0 - float(POPCOUNT[values.view(np.uint8)].sum()) / (8 * n)
-    bit_sm = 1.0 - float(POPCOUNT[sm].sum()) / (8 * n)
+    bit_tc = 1.0 - float(np.bitwise_count(values.view(np.uint8)).sum()) / (8 * n)
+    bit_sm = 1.0 - float(np.bitwise_count(sm).sum()) / (8 * n)
     sr_tc, sr_sm = (b / value_sp if value_sp > 0 else math.inf for b in (bit_tc, bit_sm))
     stats = []
     for g in group_sizes:  # the zero padding has no set bits in either encoding
-        idx_tc, idx_sm = (np.bitwise_or.reduce(partition_groups(bits, g), axis=1).view(np.uint8)
+        idx_tc, idx_sm = (_or_index(partition_groups(bits, g))
                           for bits in (values, sm.view(np.int8)))
         n_cols = 8 * len(idx_sm)
         stats.append(SparsityStats(g, n, value_sp, bit_tc, bit_sm,
-                                   1.0 - float(POPCOUNT[idx_tc].sum()) / n_cols,
-                                   1.0 - float(POPCOUNT[idx_sm].sum()) / n_cols, sr_tc, sr_sm))
+                                   1.0 - float(np.bitwise_count(idx_tc).sum()) / n_cols,
+                                   1.0 - float(np.bitwise_count(idx_sm).sum()) / n_cols,
+                                   sr_tc, sr_sm))
     return stats

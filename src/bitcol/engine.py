@@ -11,6 +11,10 @@ Sign columns load together with the activations and are modeled as free by
 default; pass sign_cycle=True to charge one cycle whenever the sign column
 is non-zero.
 
+verify_layer sums bit planes and its reference in int32 accumulators: a
+group of at most 64 int8 activations and magnitudes up to 127 bounds every
+dot by 64 * 128 * 127 < 2**31, corrupted payloads included.
+
 The scalar per-group functions (packed_groups, bce_group, bce_column, smm)
 are the model as the paper states it. Whole layers run vectorized on the
 shared core: codec.unpack_groups for the column payload and
@@ -177,6 +181,9 @@ def verify_layer(cl: codec.CompressedLayer, values: np.ndarray,
     once; the reference is the exact dot of the manifest weights (-128
     clamped). Returns the mismatch count (0 when the engine is exact).
     Dense-mode layers verify trivially against the raw values.
+
+    Activations are drawn as int64, so the rng stream stays the same, then
+    cast to int32: both sides sum in int32, and |dot| <= 64 * 128 * 127 < 2**31.
     """
     if cl.mode == "dense":
         stored = cl.dense_values.reshape(values.shape)
@@ -186,10 +193,10 @@ def verify_layer(cl: codec.CompressedLayer, values: np.ndarray,
     mismatches = 0
     for lo in range(0, cl.n_groups, VERIFY_CHUNK):
         chunk, weights = sm[lo:lo + VERIFY_CHUNK], groups[lo:lo + VERIFY_CHUNK]
-        acts = rng.integers(-128, 128, size=chunk.shape, dtype=np.int64)
+        acts = rng.integers(-128, 128, size=chunk.shape, dtype=np.int64).astype(np.int32)
         # bit 7 is set only where the group's index carries the sign column
         signed = np.where(chunk >> 7, -acts, acts)
-        dot = sum((((chunk >> b) & 1) * signed).sum(axis=1) << b for b in range(7))
-        ref = (np.clip(weights, -127, 127) * acts).sum(axis=1)
+        dot = sum((((chunk >> b) & 1) * signed).sum(axis=1, dtype=np.int32) << b for b in range(7))
+        ref = (np.clip(weights, -127, 127) * acts).sum(axis=1, dtype=np.int32)
         mismatches += int(np.count_nonzero(dot != ref))
     return mismatches

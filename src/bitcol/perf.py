@@ -321,8 +321,10 @@ def imbalance_adjust(raw_sparsity: float, spec: AcceleratorSpec,
 def _lockstep_bit_fraction(weights: np.ndarray, sync_lanes: int) -> float:
     """Effective work share for unstructured bit skipping: mean over lane sets
     of the slowest lane's two's-complement bit count / 8."""
-    pops = codec.POPCOUNT[np.ascontiguousarray(weights).view(np.uint8)].reshape(-1)
-    return float(np.maximum.reduceat(pops, range(0, pops.size, sync_lanes)).mean() / 8.0)
+    bits = np.ascontiguousarray(weights).view(np.uint8).reshape(-1)
+    pops = np.zeros(-(-bits.size // sync_lanes) * sync_lanes, dtype=np.uint8)  # zero-padded lanes
+    np.bitwise_count(bits, out=pops[:bits.size])
+    return float(pops.reshape(-1, sync_lanes).max(axis=1).mean() / 8.0)
 
 
 def weight_compression(layer: Layer, spec: AcceleratorSpec

@@ -35,6 +35,8 @@ network, and the metric rescans every weight against the clamped original.
 
 The sparsity statistics partition and encode the layer anew for one group
 size, as they did before one encode served every group size.
+
+The ZRE size walks the stream one value at a time, emitting entries.
 """
 
 import math
@@ -505,3 +507,20 @@ def sparsity_stats(values: np.ndarray, group_size: int) -> SparsityStats:
     sr_tc = bit_tc / value_sp if value_sp > 0 else math.inf
     sr_sm = bit_sm / value_sp if value_sp > 0 else math.inf
     return SparsityStats(group_size, n, value_sp, bit_tc, bit_sm, col_tc, col_sm, sr_tc, sr_sm)
+
+
+def zre_size(values):
+    """ZRE size in bits: 12 per entry; a non-zero closes its run of zeros,
+    each full 16 zeros of a run take a (15, 0) entry, and a trailing partial
+    run takes one more."""
+    entries = 0
+    run = 0
+    for v in np.asarray(values).reshape(-1):
+        if v != 0:
+            entries += run // 16 + 1
+            run = 0
+        else:
+            run += 1
+    full, rest = divmod(run, 16)
+    entries += full + (1 if rest else 0)
+    return 12 * entries

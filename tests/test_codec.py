@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from bitcol import codec
 from bitcol.codec import (
     CompressedLayer,
@@ -250,23 +251,9 @@ class TestBaselineCodecs:
         assert zre_size(vals) == 24
 
     def test_zre_brute_force_small(self, rng):
-        # independent encoder: walk the stream emitting entries
-        def ref(values):
-            entries = 0
-            run = 0
-            for v in values:
-                if v != 0:
-                    entries += run // 16 + 1
-                    run = 0
-                else:
-                    run += 1
-            full, rest = divmod(run, 16)
-            entries += full + (1 if rest else 0)
-            return 12 * entries
-
         for _ in range(100):
             vals = rng.choice([0, 0, 0, 1, -5], size=rng.integers(1, 60)).astype(np.int8)
-            assert zre_size(vals) == ref(vals)
+            assert zre_size(vals) == oracles.zre_size(vals)
 
     def test_csr_between_ideal_and_dense_at_half_sparsity(self, rng):
         vals = rng.integers(1, 127, size=256, dtype=np.int8)

@@ -132,7 +132,7 @@ def test_verify_layer_matches_scalar_loop(layer, n_flips, seed):
     assert got == oracles.verify_layer(cl, values, np.random.default_rng(seed))
 
 
-@pytest.mark.parametrize("g", [8, 16, 32])
+@pytest.mark.parametrize("g", [1, 8, 16, 32, 64])
 def test_verify_layer_chunks_keep_the_activation_stream(g, monkeypatch):
     rng = np.random.default_rng(g)
     values = bell_weights(rng, (16, 64, 3, 3))
@@ -141,3 +141,26 @@ def test_verify_layer_chunks_keep_the_activation_stream(g, monkeypatch):
     assert want > 0
     monkeypatch.setattr(engine, "VERIFY_CHUNK", 97)
     assert engine.verify_layer(cl, values, np.random.default_rng(5)) == want
+
+
+def test_verify_layer_at_the_accumulator_bound():
+    # G=64 groups of +-127 store all 8 columns, and every dot, corrupted or
+    # not, stays within 64 * 128 * 127 < 2**31. Group 0 loses bits of its
+    # bit-6 column so that its dot moves by a non-zero multiple of 2**16: a
+    # count kept in 16-bit (or narrower) sums would wrap that mismatch away.
+    rng = np.random.default_rng(64)
+    values = np.where(rng.random((32, 64, 1, 1)) < 0.5, -127, 127).astype(np.int8)
+    cl = codec.compress_layer(values, 64, mode="bcs")
+    assert (cl.indexes == 0xFF).all()
+    group0 = cl.columns[:8].copy()  # sign column, then bit 6 down to 0
+    acts = np.random.default_rng(7).integers(-128, 128, size=64, dtype=np.int64)  # group 0's
+    terms = acts * values[0, :, 0, 0] // 127  # clearing element j's bit 6 moves the dot -64 * this
+    masks = (rng.random((20000, 64)) < 0.5) & (terms < 0)
+    moves = -64 * (masks @ terms)
+    hit = masks[np.flatnonzero((moves % 2**16 == 0) & (moves != 0))[0]]
+    cl = corrupt(cl, rng, 200)
+    cl.columns[:8] = group0
+    cl.columns[1] &= ~np.packbits(hit, bitorder="little")
+    want = oracles.verify_layer(cl, values, np.random.default_rng(7))
+    assert want > 1
+    assert engine.verify_layer(cl, values, np.random.default_rng(7)) == want

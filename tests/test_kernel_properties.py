@@ -1,0 +1,69 @@
+"""The codec's whole-array kernels against their plain forms.
+
+zre_size counts zero runs from their edges; oracles.zre_size walks the
+stream one value at a time. The draws are zero-heavy and hit the run
+lengths where ZRE splits (15, 16, 17 and 32 zeros), inside the stream and
+at its end, plus the empty and the all-zero stream.
+
+_or_index ORs each group 8 bytes at a time as <u8 words; it must equal
+np.bitwise_or.reduce over each row at every group size, on the zero-padded
+groups of a tensor whose channel count is no multiple of G, for both the
+sign-magnitude and the raw two's-complement bytes; sparsity_stats, which
+reads both, must equal oracles.sparsity_stats there.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+import oracles
+from bitcol import codec
+
+PROPERTY = settings(max_examples=150, deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+RUNS = st.one_of(st.sampled_from([15, 16, 17, 32]), st.integers(0, 40))
+
+
+@st.composite
+def zero_heavy(draw):
+    """Up to 300 int8 values: zero runs, each closed by a non-zero, then a trailing run."""
+    values = []
+    for run, v in draw(st.lists(st.tuples(RUNS, st.integers(-128, 127).filter(bool)),
+                                max_size=12)):
+        values += [0] * run + [v]
+    values += [0] * draw(RUNS)
+    return np.array(values[:300], dtype=np.int8)
+
+
+@PROPERTY
+@given(zero_heavy())
+@example(np.zeros(0, dtype=np.int8))
+@example(np.zeros(300, dtype=np.int8))
+@example(np.r_[np.zeros(32), 5, np.zeros(17)].astype(np.int8))
+def test_zre_size_matches_the_stream_walk(values):
+    assert codec.zre_size(values) == oracles.zre_size(values)
+
+
+@pytest.mark.parametrize("g", codec.GROUP_SIZES)
+@settings(max_examples=30, deadline=None)
+@given(blocks=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
+def test_or_index_is_the_row_or_at_every_group_size(g, blocks, seed):
+    rng = np.random.default_rng(seed)
+    c = g * blocks + int(rng.integers(1, g)) if g > 1 else blocks + 1  # G=1 pads nothing
+    values = rng.integers(-128, 128, size=(2, c, 3, 3)).astype(np.int8)
+    values[rng.random(values.shape) < 0.5] = 0
+    groups = codec.partition_groups(values, g)
+    for rows in (groups, codec.sm_encode(groups)[0]):
+        got = codec._or_index(rows)
+        assert got.dtype == np.uint8
+        assert np.array_equal(got, np.bitwise_or.reduce(rows.view(np.uint8), axis=1))
+    assert codec.sparsity_stats(values, (g,)) == [oracles.sparsity_stats(values, g)]
+
+
+@pytest.mark.parametrize("g", [3, 24, 40])
+def test_or_index_other_row_lengths(g):
+    # a column_index caller may hand in any row length; only powers of two from 8 take words
+    rows = np.random.default_rng(g).integers(0, 256, size=(50, g), dtype=np.uint8)
+    assert np.array_equal(codec._or_index(rows), np.bitwise_or.reduce(rows, axis=1))
