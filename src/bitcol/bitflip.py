@@ -144,7 +144,7 @@ def flip_layer(values: np.ndarray, group_size: int, z: int) -> FlipResult:
     """Flip every group of a layer independently to >= z zero index bits.
 
     Error is measured against the sign-magnitude-clamped input (-128 reads
-    as -127, matching the codec).
+    as -127, matching the codec); |error| <= 254, so it is taken in int16.
     """
     values = np.asarray(values, dtype=np.int8)
     groups = codec.partition_groups(values, group_size)
@@ -157,7 +157,7 @@ def flip_layer(values: np.ndarray, group_size: int, z: int) -> FlipResult:
         values=codec.unpartition_groups(flipped, values.shape),
         indexes=idx,
         total_sq_error=int(err.sum()),
-        max_abs_error=int(np.abs(flipped.astype(np.int32) - clamped).max(initial=0)),
+        max_abs_error=int(np.abs(np.subtract(flipped, clamped, dtype=np.int16)).max(initial=0)),
         zero_col_hist=np.bincount(zero_bits, minlength=9),
         compression_ratio=8 * values.size / codec.bcs_size(idx, group_size),
         group_size=group_size,

@@ -68,33 +68,32 @@ def cmd_analyze(args) -> int:
 
 
 def _compress_network(net, group_arg):
-    """Per layer: (best forced-bcs pack over the candidate Gs, auto-mode pack at its G)."""
-    packs = []
+    """Yield per layer: (best forced-bcs pack over the candidate Gs, auto-mode pack at its G)."""
     for layer in net.layers:
         forced = codec.best_pack(layer.weights, group_arg, "bcs", layer.name)
-        packs.append((forced, codec.compress_layer(layer.weights, forced.group_size,
-                                                   mode="auto", name=layer.name)))
-    return packs
+        yield forced, codec.compress_layer(layer.weights, forced.group_size,
+                                           mode="auto", name=layer.name)
 
 
 def cmd_compress(args) -> int:
     net = model_io.load_network(args.manifest)
-    packs = _compress_network(net, args.group_size)
-    rows = []
-    for layer, (forced, chosen) in zip(net.layers, packs):
+    rows, chosen = [], []
+    # a row keeps the forced pack's numbers, not the pack: only `chosen` is written
+    for layer, (forced, cl) in zip(net.layers, _compress_network(net, args.group_size)):
         n_bits = 8 * layer.weights.size
         nnz = int(np.count_nonzero(layer.weights))
         row_len = layer.shape.c * layer.shape.fy * layer.shape.fx
         rows.append({
-            "layer": layer.name, "group_size": forced.group_size, "mode": chosen.mode,
+            "layer": layer.name, "group_size": forced.group_size, "mode": cl.mode,
             "cr_real": codec.compression_ratio(forced),
             "cr_ideal": codec.compression_ratio(forced, include_index=False),
             "cr_zre": n_bits / codec.zre_size(layer.weights),
             "cr_csr": n_bits / max(codec.csr_size(layer.weights, row_len), 1),
             "cr_value_ideal": n_bits / (8 * nnz) if nnz else float("inf"),
-            "clamped": chosen.clamp_count,
+            "clamped": cl.clamp_count,
         })
-    model_io.write_compressed(args.out, [chosen for _, chosen in packs])
+        chosen.append(cl)
+    model_io.write_compressed(args.out, chosen)
     if args.csv:
         model_io.write_report_csv(rows, args.csv)
     _print_table(rows)

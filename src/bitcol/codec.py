@@ -21,6 +21,12 @@ group-size choice: the best CR over the candidate Gs, the smaller G on ties.
 sparsity_stats encodes a layer once for every G it reports: bit sparsities
 do not depend on G, and each G's column indexes come from the encoded bytes.
 
+compress_layer defers a bcs layer's pack: the layer keeps its sign-magnitude
+groups and packs them on the first read of `columns`, then drops them. The
+group-size choice, the compression ratios and the cycle model read only the
+indexes, so a candidate that is never written, laid out or unpacked is never
+packed. Assigning `columns` replaces the deferred payload.
+
 Popcounts run on np.bitwise_count (numpy >= 2.0); POPCOUNT is the same count
 as a 256-entry table keyed by index, for callers that look it up per index
 byte. _or_index ORs the bytes of each group 8 at a time, as <u8 words.
@@ -30,7 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -130,6 +136,28 @@ def bcs_size(indexes: np.ndarray, group_size: int) -> int:
     return 8 * len(indexes) + group_size * int(np.bitwise_count(indexes).sum())
 
 
+class _Unpacked(NamedTuple):
+    """A bcs payload that pack_columns has not packed yet: its (n_groups, G)
+    sign-magnitude bytes."""
+    sm_bits: np.ndarray
+
+
+class _Columns:
+    """The `columns` field of CompressedLayer: a deferred payload packs on its
+    first read and drops its groups; an assigned payload replaces it."""
+
+    def __get__(self, cl, owner=None):
+        if cl is None:
+            return None  # the field's default
+        payload = cl.__dict__["_columns"]
+        if isinstance(payload, _Unpacked):
+            payload = cl.__dict__["_columns"] = pack_columns(payload.sm_bits, cl.indexes)
+        return payload
+
+    def __set__(self, cl, value):
+        cl.__dict__["_columns"] = value
+
+
 @dataclass
 class CompressedLayer:
     """Bit-column-compressed (or dense passthrough) payload of one layer.
@@ -137,6 +165,8 @@ class CompressedLayer:
     BCS mode keeps, per group, the 8-bit index plus ceil(G/8) bytes for each
     surviving column (element j at bit j%8 of byte j//8). `dims` is in-memory
     bookkeeping only (the container format does not record tensor shape).
+    A bcs layer from compress_layer packs `columns` on its first read (see
+    the module docstring); until then its column count is the index popcount.
     """
 
     name: str
@@ -145,7 +175,7 @@ class CompressedLayer:
     n_values: int
     n_groups: int
     indexes: np.ndarray | None = None    # (n_groups,) uint8
-    columns: np.ndarray | None = None    # (total columns, ceil(G/8)) uint8
+    columns: np.ndarray | None = _Columns()  # (total columns, ceil(G/8)) uint8
     dense_values: np.ndarray | None = None  # flat int8, K-major
     dims: tuple[int, int, int, int] | None = None
     clamp_count: int = 0
@@ -161,14 +191,21 @@ class CompressedLayer:
             raise ContainerError(f"layer {self.name!r}: {self.n_groups} groups cannot hold "
                                  f"{self.n_values} values at G={self.group_size}")
         if self.mode == "bcs":
-            if self.indexes is None or self.columns is None:
+            if self.indexes is None or self.__dict__["_columns"] is None:
                 raise ContainerError("bcs layer needs indexes and columns")
             if len(self.indexes) != self.n_groups:
                 raise ContainerError("index count does not match group count")
-            if int(np.bitwise_count(self.indexes).sum()) != len(self.columns):
+            if int(np.bitwise_count(self.indexes).sum()) != self._column_count():
                 raise ContainerError("index popcounts do not match stored column count")
         elif self.dense_values is None or len(self.dense_values) != self.n_values:
             raise ContainerError("dense layer needs n_values raw bytes")
+
+    def _column_count(self) -> int:
+        """Stored columns: a deferred payload holds one per set index bit."""
+        payload = self.__dict__["_columns"]
+        if isinstance(payload, _Unpacked):
+            return int(np.bitwise_count(self.indexes).sum())
+        return len(payload)
 
     @property
     def column_bytes(self) -> int:
@@ -190,7 +227,7 @@ class CompressedLayer:
         """Bits of the column payload alone (no index)."""
         if self.mode == "dense":
             return self.dense_bits
-        return self.group_size * len(self.columns)
+        return self.group_size * self._column_count()
 
 
 def _transpose8(words: np.ndarray) -> np.ndarray:
@@ -250,9 +287,8 @@ def compress_layer(values: np.ndarray, group_size: int, mode: str = "auto",
         return CompressedLayer(name, group_size, "dense", n_values, n_groups,
                                dense_values=values.reshape(-1).copy(), dims=dims,
                                clamp_count=clamps)
-    columns = pack_columns(sm_bits, indexes)
     return CompressedLayer(name, group_size, "bcs", n_values, n_groups,
-                           indexes=indexes, columns=columns, dims=dims,
+                           indexes=indexes, columns=_Unpacked(sm_bits), dims=dims,
                            clamp_count=clamps)
 
 

@@ -142,18 +142,19 @@ def save_network(net: Network, out_dir: str | Path) -> Path:
 
 
 def write_compressed(path: str | Path, layers: Sequence[CompressedLayer]) -> None:
-    buf = bytearray(MAGIC + bytes([VERSION]))
-    for cl in layers:
-        name = cl.name.encode("utf-8")
-        buf += struct.pack("<H", len(name)) + name
-        buf += struct.pack("<BBII", cl.group_size, cl.mode == "bcs", cl.n_values, cl.n_groups)
-        if cl.mode == "dense":
-            buf += cl.dense_values.astype(np.int8).tobytes()
-        else:
-            # each index byte goes in before its group's first column byte
-            buf += np.insert(cl.columns.reshape(-1), column_offsets(cl)[:-1] * cl.column_bytes,
-                             cl.indexes).tobytes()
-    Path(path).write_bytes(bytes(buf))
+    """Write a container, one layer record at a time (see the module docstring)."""
+    with open(path, "wb") as f:
+        f.write(MAGIC + bytes([VERSION]))
+        for cl in layers:
+            name = cl.name.encode("utf-8")
+            f.write(struct.pack("<H", len(name)) + name +
+                    struct.pack("<BBII", cl.group_size, cl.mode == "bcs", cl.n_values, cl.n_groups))
+            if cl.mode == "dense":
+                f.write(cl.dense_values.astype(np.int8))
+            else:
+                # each index byte goes in before its group's first column byte
+                f.write(np.insert(cl.columns.reshape(-1),
+                                  column_offsets(cl)[:-1] * cl.column_bytes, cl.indexes))
 
 
 def read_compressed(path: str | Path) -> list[CompressedLayer]:

@@ -320,11 +320,13 @@ def imbalance_adjust(raw_sparsity: float, spec: AcceleratorSpec,
 
 def _lockstep_bit_fraction(weights: np.ndarray, sync_lanes: int) -> float:
     """Effective work share for unstructured bit skipping: mean over lane sets
-    of the slowest lane's two's-complement bit count / 8."""
+    of the slowest lane's two's-complement bit count / 8. A set wider than the
+    layer is one set, so the width is clamped to the element count."""
     bits = np.ascontiguousarray(weights).view(np.uint8).reshape(-1)
-    pops = np.zeros(-(-bits.size // sync_lanes) * sync_lanes, dtype=np.uint8)  # zero-padded lanes
+    lanes = min(sync_lanes, bits.size)
+    pops = np.zeros(-(-bits.size // lanes) * lanes, dtype=np.uint8)  # zero-padded lanes
     np.bitwise_count(bits, out=pops[:bits.size])
-    return float(pops.reshape(-1, sync_lanes).max(axis=1).mean() / 8.0)
+    return float(pops.reshape(-1, lanes).max(axis=1).mean() / 8.0)
 
 
 def weight_compression(layer: Layer, spec: AcceleratorSpec
