@@ -14,6 +14,14 @@ the 256 int8 values, built once. The groups to flip are scored in chunks:
 a group's errors over every candidate are the sum of its G elements' rows,
 and argmin picks one.
 
+The proxy search needs only a layer's total error, at each of several G.
+A candidate rounds each element on its own, so a 2g-group's error row is
+the sum of its two g-halves' rows: one pass partitions at the largest G,
+sums rows over blocks of the smallest, and folds the rows in pairs, adding
+each size's row minima on the way. Padding rounds to 0 at no error, and a
+group that already has z zero columns has a zero-error candidate, so the
+totals equal flip_layer's.
+
 Ties: the first candidate of minimum error wins (argmin's first minimum),
 sign-restricted before sign-free, each by ascending zeroed-column tuple; an
 element rounds to the smaller magnitude, then to its own sign.
@@ -78,14 +86,36 @@ def nearest_with_mask(v: int, allowed_mask: int, allow_negative: bool = True) ->
 
 def _candidate_rows(z: int) -> tuple[np.ndarray, np.ndarray]:
     """Candidates zeroing exactly z >= 1 bits: their (candidates, 256) nearest
-    values and (256 values, candidates) uint16 squared errors (at most 128**2)."""
+    values and (256 values, candidates) uint16 squared errors (at most 128**2).
+
+    Raises RuntimeError if a candidate's nearest value sets a column that the
+    candidate zeroes: then a group rounded under it could keep < z zero columns.
+    """
     if z not in _ROWS:
-        tables = np.array([_nearest_table(nonneg)[0x7F ^ sum(1 << c for c in cols)]
-                           for nonneg, n_mag in ((True, z - 1), (False, z))
-                           for cols in combinations(range(7), n_mag)])
+        cands = [(nonneg, sum(1 << c for c in cols))
+                 for nonneg, n_mag in ((True, z - 1), (False, z))
+                 for cols in combinations(range(7), n_mag)]
+        tables = np.array([_nearest_table(nonneg)[0x7F ^ mags] for nonneg, mags in cands])
+        zeroed = np.array([0x80 * nonneg | mags for nonneg, mags in cands], dtype=np.uint8)
+        if (codec.sm_encode(tables)[0] & zeroed[:, None]).any():
+            raise RuntimeError(f"a z={z} candidate sets a column it zeroes")
         sq = (tables.astype(np.int32) - np.arange(-128, 128)) ** 2
         _ROWS[z] = tables, np.ascontiguousarray(sq.T, dtype=np.uint16)
     return _ROWS[z]
+
+
+def _check_z(z: int) -> None:
+    if not 0 <= z <= 8:
+        raise ValueError("z must be in [0, 8]")
+
+
+def _error_sums(vidx: np.ndarray, sq: np.ndarray) -> np.ndarray:
+    """(n, candidates) int32 squared errors of n groups given as (n, G) value
+    indexes (v + 128): the sum of each group's elements' error rows."""
+    e = sq[vidx[:, 0]].astype(np.int32)
+    for col in vidx.T[1:]:  # a group's error is at most 64 * 128**2
+        e += sq[col]
+    return e
 
 
 def _solve_groups(groups: np.ndarray, z: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -93,8 +123,7 @@ def _solve_groups(groups: np.ndarray, z: int) -> tuple[np.ndarray, np.ndarray, n
 
     Returns (flipped groups, achieved indexes, per-group squared error).
     """
-    if not 0 <= z <= 8:
-        raise ValueError("z must be in [0, 8]")
+    _check_z(z)
     flipped = np.array(groups, dtype=np.int8)
     err = np.zeros(len(flipped), dtype=np.int64)
     idx = codec.column_index(flipped)
@@ -105,14 +134,37 @@ def _solve_groups(groups: np.ndarray, z: int) -> tuple[np.ndarray, np.ndarray, n
         for lo in range(0, todo.size, step):
             rows = todo[lo:lo + step]
             vidx = flipped[rows].view(np.uint8) ^ 0x80  # v + 128
-            e = sq[vidx[:, 0]].astype(np.int32)
-            for col in vidx.T[1:]:  # a group's error is at most 64 * 128**2
-                e += sq[col]
+            e = _error_sums(vidx, sq)
             pick = e.argmin(axis=1)  # first minimum: the candidate order is the tie rule
             err[rows] = e[np.arange(rows.size), pick]
             flipped[rows] = tables[pick[:, None], vidx]
         idx[todo] = codec.column_index(flipped[todo])
     return flipped, idx, err
+
+
+def _sse_by_group_size(values: np.ndarray, z: int, sizes) -> dict[int, int]:
+    """flip_layer(values, g, z).total_sq_error for each g in sizes (powers of
+    two), from one pass over the groups at the largest size."""
+    _check_z(z)
+    lo, hi = min(sizes), max(sizes)
+    groups = codec.sm_clamp(codec.partition_groups(values, hi))
+    groups = groups[np.bitwise_count(codec.column_index(groups)) > 8 - z]
+    sse = dict.fromkeys(sizes, 0)
+    if len(groups):
+        sq = _candidate_rows(z)[1]
+        step = max(1, _CHUNK_SUMS // (sq.shape[1] * (hi // lo)))
+        for start in range(0, len(groups), step):
+            vidx = groups[start:start + step].view(np.uint8) ^ 0x80
+            e = _error_sums(vidx.reshape(-1, lo), sq)
+            g = lo
+            while True:
+                if g in sse:
+                    sse[g] += int(e.min(axis=1).sum(dtype=np.int64))
+                if g == hi:
+                    break
+                e = e[0::2] + e[1::2]  # rows of adjacent blocks of one group
+                g *= 2
+    return sse
 
 
 @dataclass
@@ -189,22 +241,22 @@ def apply_strategy(net: Network, strategy: Mapping[str, tuple[int, int]]
     return net.with_weights({name: res.values for name, res in results.items()}), results
 
 
-def _flip_table(net: Network, keep: Callable[[FlipResult], object]) -> Callable:
-    """Per-layer `keep(flip_layer(...))` of a strategy, one flip per distinct (layer, G, z).
+def _flip_table(net: Network) -> Callable:
+    """Per-layer flipped values of a strategy, one flip per distinct (layer, G, z).
 
     A strategy must name exactly the network's layers (OracleError otherwise).
     """
     weights = {l.name: l.weights for l in net.layers}
-    table: dict[tuple[str, int, int], object] = {}
+    table: dict[tuple[str, int, int], np.ndarray] = {}
 
-    def lookup(strategy: Mapping[str, tuple[int, int]]) -> dict[str, object]:
+    def lookup(strategy: Mapping[str, tuple[int, int]]) -> dict[str, np.ndarray]:
         if strategy.keys() != weights.keys():
             _check_strategy(net, strategy, OracleError)
         out = {}
         for name, w in weights.items():
             key = (name, *strategy[name])
             if key not in table:
-                table[key] = keep(flip_layer(w, key[1], key[2]))
+                table[key] = flip_layer(w, key[1], key[2]).values
             out[name] = table[key]
         return out
 
@@ -215,13 +267,26 @@ def proxy_oracle(net: Network) -> Callable[[Mapping[str, tuple[int, int]]], floa
     """Dataset-free metric of a strategy: -(total squared flip error / total weight count).
 
     The error is flip_layer's total_sq_error (against the codec-clamped
-    weights), additive over layers, so only each (layer, G, z)'s error is kept.
+    weights), additive over layers, so only each (layer, G, z)'s error is
+    kept. A miss at a G in AUTO_GROUP_SIZES scores all of them for that
+    (layer, z) in one _sse_by_group_size pass; any other G is scored alone.
     """
-    sse = _flip_table(net, lambda res: res.total_sq_error)
+    weights = {l.name: l.weights for l in net.layers}
+    sse: dict[tuple[str, int, int], int] = {}
     total = net.n_weights
 
     def evaluate(strategy: Mapping[str, tuple[int, int]]) -> float:
-        return -sum(sse(strategy).values()) / total
+        if strategy.keys() != weights.keys():
+            _check_strategy(net, strategy, OracleError)
+        out = 0
+        for name, w in weights.items():
+            g, z = strategy[name]
+            if (name, g, z) not in sse:
+                sizes = codec.AUTO_GROUP_SIZES if g in codec.AUTO_GROUP_SIZES else (g,)
+                for size, err in _sse_by_group_size(w, z, sizes).items():
+                    sse[name, size, z] = err
+            out += sse[name, g, z]
+        return -out / total
 
     return evaluate
 
@@ -239,18 +304,22 @@ class ExternalOracle:
         if not self.argv:
             raise OracleError("empty oracle command")
         self.net = net
-        self._flipped = _flip_table(net, lambda res: res.values)
+        self._flipped = _flip_table(net)
 
     def __call__(self, strategy: Mapping[str, tuple[int, int]]) -> float:
         flipped = self.net.with_weights(self._flipped(strategy))
         with tempfile.TemporaryDirectory(prefix="bitcol-oracle-") as tmp:
             manifest = model_io.save_network(flipped, Path(tmp))
             argv = [a.replace("{manifest}", str(manifest)) for a in self.argv]
-            proc = subprocess.run(argv, capture_output=True, text=True)
+            proc = subprocess.run(argv, capture_output=True)
             if proc.returncode != 0:
-                raise OracleError(
-                    f"oracle command failed with exit {proc.returncode}: {proc.stderr.strip()}")
-            lines = [l for l in proc.stdout.splitlines() if l.strip()]
+                stderr = proc.stderr.decode("utf-8", errors="replace").strip()
+                raise OracleError(f"oracle command failed with exit {proc.returncode}: {stderr}")
+            try:
+                stdout = proc.stdout.decode("utf-8")
+            except UnicodeDecodeError as e:
+                raise OracleError(f"oracle output is not UTF-8: {e}") from None
+            lines = [l for l in stdout.splitlines() if l.strip()]
             if not lines:
                 raise OracleError("oracle produced no output")
             try:

@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import io
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -351,6 +352,26 @@ def test_bitflip_minus_inf_macc_sets_no_floor(net_dir):
     assert rc == 0
     assert bitflip.load_strategy(out_dir / "strategy.txt") == {
         "conv1": (32, 8), "dw1": (32, 8), "pw1": (32, 8)}
+
+
+@pytest.mark.parametrize("body,message", [
+    ("sys.stdout.buffer.write(b'\\xff 0.5\\n')",
+     "error: oracle output is not UTF-8: 'utf-8' codec can't decode byte 0xff"),
+    ("sys.stderr.buffer.write(b'bad \\xff input\\n'); sys.exit(3)",
+     "error: oracle command failed with exit 3: bad \ufffd input\n"),
+])
+def test_bitflip_non_utf8_oracle_is_oracle_error(net_dir, capsys, body, message):
+    script = net_dir / "oracle.py"
+    script.write_text(f"import sys\n{body}\n")
+    out_dir = net_dir / "searched"
+    rc = main(["bitflip", "--manifest", str(net_dir / "model/manifest.txt"),
+               "--out", str(out_dir), "--oracle-cmd", f"{sys.executable} {script} {{manifest}}",
+               "--macc", "0"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(message)
+    assert "Traceback" not in err
+    assert not out_dir.exists()
 
 
 def test_help_exits_zero(capsys):

@@ -11,6 +11,10 @@ The library scores all candidates of a chunk of groups at once; the loop
 oracle scores one candidate at a time. Flipped values, indexes and errors
 must be identical, with any chunk size, which pins the tie rule. The
 nearest-value tables must equal the oracle's per-mask loop.
+
+The proxy's one-pass layer error at several group sizes must equal
+flip_layer's total error at each of them, with any chunk size, and a
+candidate table that sets a column it zeroes must be refused.
 """
 
 from unittest import mock
@@ -185,3 +189,47 @@ def test_proxy_metric_is_the_reported_flip_error(seed, n_layers, p_min, moves):
     sse = sum(r.total_sq_error for r in results.values())
     assert bitflip.proxy_oracle(net)(strategy) == -sse / net.n_weights
     assert oracles.proxy_metric(net)(flipped) == -sse / net.n_weights
+
+
+@st.composite
+def layers(draw):
+    """(K, C, FY, FX) int8 layers, C from 1 to 80: wide with some -128, bell,
+    or near zero (where many groups already have z zero columns)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    f = draw(st.sampled_from([1, 2]))
+    dims = (draw(st.integers(1, 3)), draw(st.integers(1, 80)), f, f)
+    kind = draw(st.sampled_from(["wide", "bell", "near-zero"]))
+    if kind == "wide":
+        vals = rng.integers(-128, 128, size=dims)
+        vals[rng.random(dims) < 0.05] = -128
+    elif kind == "bell":
+        vals = np.clip(np.rint(rng.normal(0, 6, size=dims)), -128, 127)
+    else:
+        vals = rng.integers(-1, 2, size=dims) * (rng.random(dims) < 0.3)
+    return vals.astype(np.int8)
+
+
+@pytest.mark.parametrize("n_groups", [None, 1])
+@PROPERTY
+@given(layers(), st.integers(0, 8))
+def test_sse_by_group_size_is_the_flip_error(n_groups, values, z):
+    with mock.patch.object(bitflip, "_CHUNK_SUMS", chunk_sums(n_groups, z)):
+        for sizes in [codec.AUTO_GROUP_SIZES, *[(g,) for g in codec.GROUP_SIZES]]:
+            got = bitflip._sse_by_group_size(values, z, sizes)
+            want = {g: bitflip.flip_layer(values, g, z).total_sq_error for g in sizes}
+            assert got == want, (sizes, z)
+
+
+def test_candidate_that_sets_a_zeroed_column_is_refused(monkeypatch):
+    # a table that rounds every value to 127 sets every magnitude column
+    monkeypatch.setattr(bitflip, "_ROWS", {})
+    monkeypatch.setattr(bitflip, "_nearest_table", lambda nonneg: np.full((128, 256), 127,
+                                                                           dtype=np.int8))
+    scores = []
+    real_sums = bitflip._error_sums
+    monkeypatch.setattr(bitflip, "_error_sums", lambda *a: scores.append(1) or real_sums(*a))
+    net = Network("n", [Layer("l", LayerShape(k=2, c=16, fy=1, fx=1, ox=1, oy=1),
+                              np.arange(-16, 16, dtype=np.int8).reshape(2, 16, 1, 1))])
+    with pytest.raises(RuntimeError, match="z=4 candidate sets a column it zeroes"):
+        bitflip.proxy_oracle(net)({"l": (8, 4)})
+    assert scores == []

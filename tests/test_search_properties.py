@@ -2,9 +2,10 @@
 
 The reference search flips a copy of the network for every candidate and
 the reference proxy metric rescans every weight. The library scores a
-strategy from one flip_layer error per (layer, G, z), so the searched
-strategy and the metric must match the reference exactly, and the search
-must flip each (layer, G, z) once and copy no network.
+strategy from a table of flip errors per (layer, G, z), each (layer, z)
+scored at every automatic G in one pass, so the searched strategy and the
+metric must match the reference exactly, and the search must flip no layer,
+score each (layer, z) once and copy no network.
 """
 
 import sys
@@ -70,35 +71,51 @@ def _flip_net(rng):
                          for i, (k, c) in enumerate([(4, 32), (2, 24), (3, 64)])])
 
 
-def test_proxy_search_flips_each_key_once_and_copies_no_network(monkeypatch):
-    net = _flip_net(np.random.default_rng(7))
-    initial = bitflip.default_strategy(net, 8, 2)
-    want = Counter()
-    real_flip = bitflip.flip_layer
+def _counted_search(monkeypatch, net, initial):
+    """The proxy search's strategy, its flip_layer calls and its
+    _sse_by_group_size calls by (layer, sizes, z); any network copy fails."""
+    flips, scores = [], Counter()
+    real_sse = bitflip._sse_by_group_size
     names = {id(l.weights): l.name for l in net.layers}
 
-    def reference_flip(values, g, z):
-        want[names[id(values)], g, z] += 1
-        return real_flip(values, g, z)
-
-    monkeypatch.setattr(oracles, "flip_layer", reference_flip)
-    expected = oracles.greedy_search(net, initial, -200.0, oracles.proxy_metric(net))
-
-    got = Counter()
-
-    def counted_flip(values, g, z):
-        got[names[id(values)], g, z] += 1
-        return real_flip(values, g, z)
+    def counted_sse(values, z, sizes):
+        scores[names[id(values)], tuple(sizes), z] += 1
+        return real_sse(values, z, sizes)
 
     def no_copy(*_):
         raise AssertionError("the proxy search copied the network")
 
-    monkeypatch.setattr(bitflip, "flip_layer", counted_flip)
+    monkeypatch.setattr(bitflip, "flip_layer", lambda *a: flips.append(a))
+    monkeypatch.setattr(bitflip, "_sse_by_group_size", counted_sse)
     monkeypatch.setattr(Network, "with_weights", no_copy)
-    assert bitflip.greedy_search(net, initial, -200.0, bitflip.proxy_oracle(net)) == expected
+    return bitflip.greedy_search(net, initial, -200.0, bitflip.proxy_oracle(net)), flips, scores
+
+
+def test_proxy_search_flips_nothing_and_scores_each_layer_z_once(monkeypatch):
+    net = _flip_net(np.random.default_rng(7))
+    initial = bitflip.default_strategy(net, 8, 2)
+    expected = oracles.greedy_search(net, initial, -200.0, oracles.proxy_metric(net))
+    got, flips, scores = _counted_search(monkeypatch, net, initial)
+    assert got == expected
     assert expected != initial  # the search committed moves
-    assert set(got) == set(want)
-    assert set(got.values()) == {1}
+    assert flips == []
+    assert set(scores.values()) == {1}
+    # the first sweep scores each layer's initial z and its z + 1
+    assert {(name, z) for name, _, z in scores} >= {(l.name, z) for l in net.layers
+                                                   for z in (2, 3)}
+    assert {sizes for _, sizes, _ in scores} == {codec.AUTO_GROUP_SIZES}
+
+
+def test_proxy_search_scores_a_non_auto_group_size_alone(monkeypatch):
+    net = _flip_net(np.random.default_rng(7))
+    initial = {"l0": (4, 2), "l1": (64, 1), "l2": (16, 2)}
+    expected = oracles.greedy_search(net, initial, -200.0, oracles.proxy_metric(net))
+    got, flips, scores = _counted_search(monkeypatch, net, initial)
+    assert got == expected
+    assert flips == []
+    assert set(scores.values()) == {1}
+    alone = {key for key in scores if key[1] != codec.AUTO_GROUP_SIZES}
+    assert alone == {("l0", (4,), 2), ("l1", (64,), 1)}
 
 
 def test_external_oracle_writes_the_applied_strategy(tmp_path):
