@@ -10,13 +10,13 @@ sign free, or the sign column (values >= 0) and z-1 magnitude columns.
 These C(7,z) + C(7,z-1) candidates are feasible by construction.
 
 Kernel: per z, one row of squared errors over every candidate for each of
-the 256 int8 values, built once. The groups to flip are scored in chunks:
-a group's errors over every candidate are the sum of its G elements' rows,
-and argmin picks one.
+the 256 int8 values, built once. One chunked pass over the groups to flip
+sums their elements' rows over blocks of a given width. The solver's
+blocks are whole groups, and argmin picks each group's candidate.
 
 The proxy search needs only a layer's total error, at each of several G.
 A candidate rounds each element on its own, so a 2g-group's error row is
-the sum of its two g-halves' rows: one pass partitions at the largest G,
+the sum of its two g-halves' rows: the pass partitions at the largest G,
 sums rows over blocks of the smallest, and folds the rows in pairs, adding
 each size's row minima on the way. Padding rounds to 0 at no error, and a
 group that already has z zero columns has a zero-error candidate, so the
@@ -27,7 +27,8 @@ sign-restricted before sign-free, each by ascending zeroed-column tuple; an
 element rounds to the smaller magnitude, then to its own sign.
 
 A network-level greedy search (one committed (layer, group size, z+1) move
-per sweep, driven by an accuracy oracle) tunes per-layer constraints.
+per sweep, driven by an accuracy oracle) tunes per-layer constraints. Both
+oracles read a strategy from one (layer, G, z) table, each key filled once.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ Strategy = dict[str, tuple[int, int]]  # layer name -> (group size, zero columns
 
 _TABLES: dict[bool, np.ndarray] = {}
 _ROWS: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-_CHUNK_SUMS = 1 << 18  # (group, candidate) error sums _solve_groups holds at once
+_CHUNK_SUMS = 1 << 18  # (block, candidate) error sums an _error_chunks chunk holds
 
 
 def _nearest_table(nonneg: bool) -> np.ndarray:
@@ -118,6 +119,21 @@ def _error_sums(vidx: np.ndarray, sq: np.ndarray) -> np.ndarray:
     return e
 
 
+def _error_chunks(groups: np.ndarray, idx: np.ndarray, z: int, width: int):
+    """Yield (rows, vidx, e) for each chunk of the (n, G) int8 groups whose
+    indexes idx have more than 8 - z set bits: the chunk's row numbers, its
+    (rows, G) value indexes (v + 128), and the _error_sums rows of its blocks
+    of `width` elements (G / width consecutive rows per group)."""
+    todo = np.flatnonzero(np.bitwise_count(idx) > 8 - z)
+    if todo.size:
+        sq = _candidate_rows(z)[1]
+        step = max(1, _CHUNK_SUMS // (sq.shape[1] * (groups.shape[1] // width)))
+        for start in range(0, todo.size, step):
+            rows = todo[start:start + step]
+            vidx = groups[rows].view(np.uint8) ^ 0x80
+            yield rows, vidx, _error_sums(vidx.reshape(-1, width), sq)
+
+
 def _solve_groups(groups: np.ndarray, z: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Minimum-squared-error flip of every group to >= z zero index bits.
 
@@ -127,18 +143,11 @@ def _solve_groups(groups: np.ndarray, z: int) -> tuple[np.ndarray, np.ndarray, n
     flipped = np.array(groups, dtype=np.int8)
     err = np.zeros(len(flipped), dtype=np.int64)
     idx = codec.column_index(flipped)
-    todo = np.flatnonzero(np.bitwise_count(idx) > 8 - z)
-    if todo.size:
-        tables, sq = _candidate_rows(z)
-        step = max(1, _CHUNK_SUMS // sq.shape[1])
-        for lo in range(0, todo.size, step):
-            rows = todo[lo:lo + step]
-            vidx = flipped[rows].view(np.uint8) ^ 0x80  # v + 128
-            e = _error_sums(vidx, sq)
-            pick = e.argmin(axis=1)  # first minimum: the candidate order is the tie rule
-            err[rows] = e[np.arange(rows.size), pick]
-            flipped[rows] = tables[pick[:, None], vidx]
-        idx[todo] = codec.column_index(flipped[todo])
+    for rows, vidx, e in _error_chunks(flipped, idx, z, flipped.shape[1]):
+        pick = e.argmin(axis=1)  # first minimum: the candidate order is the tie rule
+        err[rows] = e[np.arange(rows.size), pick]
+        flipped[rows] = _candidate_rows(z)[0][pick[:, None], vidx]
+        idx[rows] = codec.column_index(flipped[rows])
     return flipped, idx, err
 
 
@@ -148,22 +157,16 @@ def _sse_by_group_size(values: np.ndarray, z: int, sizes) -> dict[int, int]:
     _check_z(z)
     lo, hi = min(sizes), max(sizes)
     groups = codec.sm_clamp(codec.partition_groups(values, hi))
-    groups = groups[np.bitwise_count(codec.column_index(groups)) > 8 - z]
     sse = dict.fromkeys(sizes, 0)
-    if len(groups):
-        sq = _candidate_rows(z)[1]
-        step = max(1, _CHUNK_SUMS // (sq.shape[1] * (hi // lo)))
-        for start in range(0, len(groups), step):
-            vidx = groups[start:start + step].view(np.uint8) ^ 0x80
-            e = _error_sums(vidx.reshape(-1, lo), sq)
-            g = lo
-            while True:
-                if g in sse:
-                    sse[g] += int(e.min(axis=1).sum(dtype=np.int64))
-                if g == hi:
-                    break
-                e = e[0::2] + e[1::2]  # rows of adjacent blocks of one group
-                g *= 2
+    for _, _, e in _error_chunks(groups, codec.column_index(groups), z, lo):
+        g = lo
+        while True:
+            if g in sse:
+                sse[g] += int(e.min(axis=1).sum(dtype=np.int64))
+            if g == hi:
+                break
+            e = e[0::2] + e[1::2]  # rows of adjacent blocks of one group
+            g *= 2
     return sse
 
 
@@ -221,43 +224,48 @@ def default_strategy(net: Network, group_size: int = 8, z: int = 0) -> Strategy:
     return {l.name: (group_size, z) for l in net.layers}
 
 
-def _check_strategy(net: Network, strategy: Mapping[str, tuple[int, int]],
-                    error: type[Exception] = ManifestError) -> None:
-    """Raise `error` unless the strategy names exactly the network's layers."""
+def _check_layer_names(net: Network, given, error: type[Exception] = ManifestError,
+                       what: str = "strategy") -> None:
+    """Raise `error` unless `given` (a strategy, say) names exactly the network's layers."""
     names = [l.name for l in net.layers]
-    missing = [name for name in names if name not in strategy]
+    missing = [name for name in names if name not in given]
     if missing:
-        raise error(f"strategy is missing layers: {missing}")
-    unknown = [name for name in strategy if name not in names]
+        raise error(f"{what} is missing layers: {missing}")
+    unknown = [name for name in given if name not in names]
     if unknown:
-        raise error(f"strategy names layers the network does not have: {unknown}")
+        raise error(f"{what} names layers the network does not have: {unknown}")
 
 
 def apply_strategy(net: Network, strategy: Mapping[str, tuple[int, int]]
                    ) -> tuple[Network, dict[str, FlipResult]]:
     """Flip every layer of a network per its (group size, z) entry."""
-    _check_strategy(net, strategy)
+    _check_layer_names(net, strategy)
     results = {l.name: flip_layer(l.weights, *strategy[l.name]) for l in net.layers}
     return net.with_weights({name: res.values for name, res in results.items()}), results
 
 
-def _flip_table(net: Network) -> Callable:
-    """Per-layer flipped values of a strategy, one flip per distinct (layer, G, z).
+def _strategy_table(net: Network, fill: Callable[[np.ndarray, int, int], Mapping]) -> Callable:
+    """Per-layer entries of a strategy, in layer order, from one table over
+    (layer, G, z). A missing key is filled by fill(weights, G, z), which
+    returns {G': entry} for that layer and z, with G among its keys.
 
     A strategy must name exactly the network's layers (OracleError otherwise).
     """
     weights = {l.name: l.weights for l in net.layers}
-    table: dict[tuple[str, int, int], np.ndarray] = {}
+    table: dict[tuple[str, int, int], object] = {}
 
-    def lookup(strategy: Mapping[str, tuple[int, int]]) -> dict[str, np.ndarray]:
+    def lookup(strategy: Mapping[str, tuple[int, int]]) -> list:
         if strategy.keys() != weights.keys():
-            _check_strategy(net, strategy, OracleError)
-        out = {}
+            _check_layer_names(net, strategy, OracleError)
+        out = []
         for name, w in weights.items():
             key = (name, *strategy[name])
-            if key not in table:
-                table[key] = flip_layer(w, key[1], key[2]).values
-            out[name] = table[key]
+            entry = table.get(key)
+            if entry is None:
+                for g, value in fill(w, *key[1:]).items():
+                    table[name, g, key[2]] = value
+                entry = table[key]
+            out.append(entry)
         return out
 
     return lookup
@@ -271,24 +279,11 @@ def proxy_oracle(net: Network) -> Callable[[Mapping[str, tuple[int, int]]], floa
     kept. A miss at a G in AUTO_GROUP_SIZES scores all of them for that
     (layer, z) in one _sse_by_group_size pass; any other G is scored alone.
     """
-    weights = {l.name: l.weights for l in net.layers}
-    sse: dict[tuple[str, int, int], int] = {}
+    auto = codec.AUTO_GROUP_SIZES
+    sse = _strategy_table(net, lambda w, g, z: _sse_by_group_size(
+        w, z, auto if g in auto else (g,)))
     total = net.n_weights
-
-    def evaluate(strategy: Mapping[str, tuple[int, int]]) -> float:
-        if strategy.keys() != weights.keys():
-            _check_strategy(net, strategy, OracleError)
-        out = 0
-        for name, w in weights.items():
-            g, z = strategy[name]
-            if (name, g, z) not in sse:
-                sizes = codec.AUTO_GROUP_SIZES if g in codec.AUTO_GROUP_SIZES else (g,)
-                for size, err in _sse_by_group_size(w, z, sizes).items():
-                    sse[name, size, z] = err
-            out += sse[name, g, z]
-        return -out / total
-
-    return evaluate
+    return lambda strategy: -sum(sse(strategy)) / total
 
 
 class ExternalOracle:
@@ -304,10 +299,11 @@ class ExternalOracle:
         if not self.argv:
             raise OracleError("empty oracle command")
         self.net = net
-        self._flipped = _flip_table(net)
+        self._flipped = _strategy_table(net, lambda w, g, z: {g: flip_layer(w, g, z).values})
 
     def __call__(self, strategy: Mapping[str, tuple[int, int]]) -> float:
-        flipped = self.net.with_weights(self._flipped(strategy))
+        flipped = self.net.with_weights(
+            {l.name: v for l, v in zip(self.net.layers, self._flipped(strategy))})
         with tempfile.TemporaryDirectory(prefix="bitcol-oracle-") as tmp:
             manifest = model_io.save_network(flipped, Path(tmp))
             argv = [a.replace("{manifest}", str(manifest)) for a in self.argv]
@@ -340,7 +336,7 @@ def greedy_search(net: Network, initial: Mapping[str, tuple[int, int]], macc: fl
     """
     if math.isnan(macc):
         raise ValueError("macc is nan; give -inf for no metric floor")
-    _check_strategy(net, initial)
+    _check_layer_names(net, initial)
     strategy = {l.name: initial[l.name] for l in net.layers}
     while True:
         bacc = -math.inf

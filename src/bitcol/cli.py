@@ -42,7 +42,10 @@ def _int_in(allowed, what: str, auto: bool = False):
 
 
 def _group_list(arg: str) -> list[int]:
-    return [_int_in(codec.GROUP_SIZES, "group size")(tok) for tok in arg.split(",")]
+    sizes = [_int_in(codec.GROUP_SIZES, "group size")(tok) for tok in arg.split(",")]
+    if len(set(sizes)) < len(sizes):
+        raise argparse.ArgumentTypeError(f"group size list {arg} repeats a size")
+    return sizes
 
 
 def cmd_analyze(args) -> int:
@@ -166,9 +169,7 @@ def cmd_simulate(args) -> int:
             if cl.name in by_name:
                 raise ContainerError(f"container names layer {cl.name!r} twice")
             by_name[cl.name] = cl
-        missing = [l.name for l in net.layers if l.name not in by_name]
-        if missing:
-            raise ContainerError(f"container is missing layers: {missing}")
+        bitflip._check_layer_names(net, by_name, ContainerError, "container")
         compressed = [by_name[l.name] for l in net.layers]
         for layer, su, cl in zip(net.layers, sus, compressed):
             mapper.check_layer_shape(cl, layer.shape)

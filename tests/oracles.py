@@ -51,7 +51,7 @@ from bitcol.codec import (GROUP_SIZES, POPCOUNT, CompressedLayer, SparsityStats,
                           partition_groups, sm_encode)
 from bitcol.model_io import MAGIC, VERSION
 from bitcol.workload import ContainerError
-from bitcol.bitflip import _check_strategy, flip_layer
+from bitcol.bitflip import _check_layer_names, flip_layer
 from bitcol.engine import CycleCount, bce_group, dot_ref, packed_groups
 from bitcol.mapper import check_kind_compatible
 from bitcol.workload import MappingError, OracleError
@@ -447,7 +447,7 @@ def proxy_metric(original):
 
 def greedy_search(net, initial, macc, oracle):
     """The sweep search with `oracle` called on a flipped copy of the network."""
-    _check_strategy(net, initial)
+    _check_layer_names(net, initial)
     strategy = {l.name: initial[l.name] for l in net.layers}
     cache = {}
 

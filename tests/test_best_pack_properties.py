@@ -68,7 +68,7 @@ def test_uniform_layer_picks_differ():
     # Today's policies, kept as they are: compress keeps the best forced-bcs
     # pack and perf the best auto-mode pack. On a layer where every group
     # needs all 8 columns they differ; one size-only chooser (ROADMAP open
-    # item 2) is where this would change.
+    # item 3) is where this would change.
     vals = np.random.default_rng(0).integers(-128, 128, size=(4, 64, 3, 3)).astype(np.int8)
     forced = codec.best_pack(vals, "auto", "bcs")
     auto = codec.best_pack(vals, "auto", "auto")

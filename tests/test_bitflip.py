@@ -134,9 +134,17 @@ class TestBestColumnSet:
             assert 8 - int(codec.POPCOUNT[idx]) >= z
             assert idx == res.index
 
-    def test_bad_z(self):
+    def test_bad_z(self, small_net, monkeypatch):
         with pytest.raises(ValueError):
             best_column_set(np.zeros(4, dtype=np.int8), 9)
+        # the proxy kernel and oracle check z before any error row is summed
+        monkeypatch.setattr(bitflip, "_error_sums", lambda *a: pytest.fail("summed an error row"))
+        w = small_net.layers[0].weights
+        for z in (-1, 9):
+            with pytest.raises(ValueError, match=r"z must be in \[0, 8\]"):
+                bitflip._sse_by_group_size(w, z, codec.AUTO_GROUP_SIZES)
+            with pytest.raises(ValueError, match=r"z must be in \[0, 8\]"):
+                proxy_oracle(small_net)(default_strategy(small_net, 8, z))
 
 
 class TestFlipLayer:

@@ -326,6 +326,13 @@ def test_bad_group_size_rejected(net_dir, capsys):
     rc = main(["analyze", "--manifest", str(net_dir / "model/manifest.txt"),
                "--group-size", "3"])
     assert rc == 1
+    # a repeated size would print and write every layer's row twice
+    out = net_dir / "stats.csv"
+    rc = main(["analyze", "--manifest", str(net_dir / "model/manifest.txt"),
+               "--group-size", "8,8", "--out", str(out)])
+    assert rc == 1
+    assert "group size list 8,8 repeats a size" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_macc_without_oracle_is_input_error(net_dir):
@@ -607,6 +614,20 @@ def test_simulate_container_missing_layers_is_an_error_line(net_dir, capsys, mon
                "--container", str(cont)])
     assert rc == 1
     assert capsys.readouterr().err == "error: container is missing layers: ['dw1', 'pw1']\n"
+
+
+def test_simulate_container_extra_layer_is_an_error_line(net_dir, capsys, monkeypatch):
+    net = model_io.load_network(net_dir / "model/manifest.txt")
+    cont = net_dir / "extra.bcsw"
+    model_io.write_compressed(cont, [codec.compress_layer(l.weights, 8, name=name) for name, l
+                                     in [("conv1", net.layers[0]), ("extra", net.layers[0]),
+                                         ("dw1", net.layers[1]), ("pw1", net.layers[2])]])
+    monkeypatch.setattr(engine, "simulate_layer", _fail("simulate_layer"))
+    rc = main(["simulate", "--manifest", str(net_dir / "model/manifest.txt"),
+               "--container", str(cont)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: container names layers the network does not have: ['extra']\n")
 
 
 def test_analyze_encodes_each_layer_once(net_dir, monkeypatch):

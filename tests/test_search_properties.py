@@ -141,3 +141,24 @@ def test_external_oracle_writes_the_applied_strategy(tmp_path):
         assert sorted(p.name for p in (seen / str(i)).iterdir()) == files
         for name in files:
             assert (seen / str(i) / name).read_bytes() == (ref / name).read_bytes(), name
+
+
+def test_external_search_flips_each_layer_g_z_once(monkeypatch):
+    net = _flip_net(np.random.default_rng(7))
+    names = {id(l.weights): l.name for l in net.layers}
+    flips, calls = [], []
+    real_flip = bitflip.flip_layer
+
+    def counted_flip(values, g, z):
+        flips.append((names[id(values)], g, z))
+        return real_flip(values, g, z)
+
+    monkeypatch.setattr(bitflip, "flip_layer", counted_flip)
+    external = bitflip.ExternalOracle("echo 0", net)
+    got = bitflip.greedy_search(net, bitflip.default_strategy(net, 8, 6), -1.0,
+                                lambda strategy: calls.append(strategy) or external(strategy))
+    # every metric ties, so the last candidate of each sweep commits
+    assert got == bitflip.default_strategy(net, 32, 8)
+    assert len(calls) == 36
+    assert len(flips) == len(set(flips)) == 21
+    assert set(flips) == {(name, *s[name]) for s in calls for name in s}
