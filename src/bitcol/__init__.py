@@ -22,7 +22,7 @@ from .codec import (
     sparsity_stats,
     zre_size,
 )
-from .engine import bce_column, bce_group, dot_ref, parse_index, simulate_layer, smm
+from .engine import bce_column, bce_group, dot_ref, parse_index, simulate_layer
 from .mapper import (
     CATALOG,
     SpatialUnrolling,

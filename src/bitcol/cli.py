@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -154,14 +155,10 @@ def cmd_bitflip(args) -> int:
 def cmd_simulate(args) -> int:
     if args.container and args.group_size is not None:
         raise ConfigError("--container fixes G per layer; drop --group-size")
-    fixed_su = None if args.su == "auto" else mapper.catalog_su(args.su)
-    if fixed_su:
-        mapper.check_group_size(args.group_size or "auto", fixed_su)
+    # the engine is the bitcol preset: a fixed SU's G is checked before the load
+    spec = replace(perf.preset("bitcol"), su=args.su, group_size=args.group_size or "auto")
     net = model_io.load_network(args.manifest)
-    sus = [fixed_su or mapper.select_su(layer.shape) for layer in net.layers]
-    for layer, su in zip(net.layers, sus):  # in simulate_layer's order, before any work
-        mapper.check_kind_compatible(layer.shape, su)
-        mapper.check_group_size(args.group_size or "auto", su)
+    sus = spec.map_layers(net)
     if args.container:
         compressed = model_io.read_compressed(args.container)
         by_name = {}
@@ -171,11 +168,11 @@ def cmd_simulate(args) -> int:
             by_name[cl.name] = cl
         bitflip._check_layer_names(net, by_name, ContainerError, "container")
         compressed = [by_name[l.name] for l in net.layers]
-        for layer, su, cl in zip(net.layers, sus, compressed):
-            mapper.check_layer_shape(cl, layer.shape)
-            mapper.check_group_size(cl.group_size, su)
     else:
-        compressed = [chosen for _, chosen in _compress_network(net, args.group_size or "auto")]
+        compressed = [chosen for _, chosen in _compress_network(net, spec.group_size)]
+    for layer, su, cl in zip(net.layers, sus, compressed):  # in simulate_layer's order
+        mapper.check_layer_shape(cl, layer.shape)
+        mapper.check_group_size(cl.group_size, su)
 
     rng = np.random.default_rng(args.seed)
     mismatches = 0

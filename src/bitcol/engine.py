@@ -15,8 +15,8 @@ verify_layer sums bit planes and its reference in int32 accumulators: a
 group of at most 64 int8 activations and magnitudes up to 127 bounds every
 dot by 64 * 128 * 127 < 2**31, corrupted payloads included.
 
-The scalar per-group functions (packed_groups, bce_group, bce_column, smm)
-are the model as the paper states it. Whole layers run vectorized on the
+The scalar per-group functions (packed_groups, bce_group, bce_column) are
+the model as the paper states it. Whole layers run vectorized on the
 shared core: codec.unpack_groups for the column payload and
 mapper.lockstep_waves for the wave schedule, which the bank layout uses as
 well; perf takes its bit-column cycle count from simulate_layer. Tests keep
@@ -50,13 +50,6 @@ def parse_index(idx: int) -> ParsedIndex:
         raise ValueError(f"index {idx} is not an 8-bit value")
     schedule = tuple(b for b in range(6, -1, -1) if idx >> b & 1)
     return ParsedIndex(bool(idx >> 7 & 1), schedule, len(schedule))
-
-
-def smm(activation: int, wbit: int, wsign: int) -> int:
-    """Sign-magnitude multiply of one weight bit: 0, +a or -a."""
-    if not wbit:
-        return 0
-    return -activation if wsign else activation
 
 
 def bce_column(acts, bits, signs, shift: int) -> int:

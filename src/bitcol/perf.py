@@ -105,12 +105,18 @@ class AcceleratorSpec:
         if self.sparsity_mode == "bit-column-skip" and su != "auto":
             check_group_size(self.group_size, su)
 
-    def resolve_su(self, shape: LayerShape) -> SpatialUnrolling:
-        if isinstance(self.su, SpatialUnrolling):
-            return self.su
-        if self.su == "auto":
-            return select_su(shape)
-        return catalog_su(self.su)
+    def map_layers(self, net: Network) -> list[SpatialUnrolling]:
+        """Each layer's SU, in layer order, returned only once every layer has
+        passed its kind check and, for bit-column-skip, its G check."""
+        sus = []
+        for layer in net.layers:
+            su = (self.su if isinstance(self.su, SpatialUnrolling)
+                  else select_su(layer.shape) if self.su == "auto" else catalog_su(self.su))
+            check_kind_compatible(layer.shape, su)
+            if self.sparsity_mode == "bit-column-skip":
+                check_group_size(self.group_size, su)
+            sus.append(su)
+        return sus
 
     def peak_macs_cycle(self, su: SpatialUnrolling) -> float:
         if self.peak_macs is not None:
@@ -472,9 +478,9 @@ def compare(net: Network, specs: Sequence[AcceleratorSpec],
             baseline: str | None = None) -> list[PerfReport]:
     """Evaluate every spec on the network, normalized to the baseline.
 
-    The one place a spec's layers are mapped: each (spec, layer) gets its SU
-    once, and a repeated spec name or a mapping that fails its kind or G check
-    is rejected before any spec runs (spec order, then layer order).
+    Each spec maps its layers once (AcceleratorSpec.map_layers), and a
+    repeated spec name or a mapping that fails its kind or G check is rejected
+    before any spec runs (spec order, then layer order).
     speedup = baseline cycles / spec cycles and energy_ratio = baseline
     energy / spec energy; higher is better for both.
     """
@@ -487,12 +493,7 @@ def compare(net: Network, specs: Sequence[AcceleratorSpec],
     base_name = baseline or names[0]
     if base_name not in names:
         raise ConfigError(f"baseline {base_name!r} is not among the evaluated specs")
-    mapped = [[spec.resolve_su(layer.shape) for layer in net.layers] for spec in specs]
-    for spec, sus in zip(specs, mapped):
-        for layer, su in zip(net.layers, sus):
-            check_kind_compatible(layer.shape, su)
-            if spec.sparsity_mode == "bit-column-skip":
-                check_group_size(spec.group_size, su)
+    mapped = [spec.map_layers(net) for spec in specs]
     reports = [evaluate_network(net, s, sus) for s, sus in zip(specs, mapped)]
     base = reports[names.index(base_name)]
     for r in reports:

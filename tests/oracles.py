@@ -27,7 +27,9 @@ before the library split each layer's records with one index-byte mask.
 
 The two lockstep lane-set reductions of the perf model (value skipping's
 slowest kernel, bit skipping's slowest lane) slice or zero-pad the lanes
-into sets, as they did before each became one numpy reduceat.
+into sets in Python, as they did before the library vectorized them: value
+skipping as one numpy reduceat, bit skipping as one zero-padded reshape and
+row max.
 
 The greedy search and the proxy metric score flipped networks, as they did
 before the search scored strategies: each candidate is a copy of the

@@ -188,8 +188,7 @@ def test_08_model_simulator_agreement(announce):
         spec = replace(perf.preset("bitcol"), dram_bytes_per_cycle=512)
         model_cycles = perf.compare(net, [spec])[0].total_cycles
         sim_cycles = 0
-        for layer in net.layers:
-            su = spec.resolve_su(layer.shape)
+        for layer, su in zip(net.layers, spec.map_layers(net)):
             _, cl = perf.weight_compression(layer, spec)
             sim_cycles += engine.simulate_layer(cl, layer.shape, su).total_cycles
         deviation = abs(model_cycles - sim_cycles) / sim_cycles

@@ -696,6 +696,28 @@ def test_simulate_fixed_group_size_checked_against_every_auto_su_first(su2_net_d
                                        "unrolled channels C_u=16 of SU2\n")
 
 
+def test_simulate_checks_on_the_fly_packs_before_any_layer_runs(tmp_path, capsys,
+                                                                monkeypatch, rng):
+    # conv2 maps onto SU2 (C_u=16); its channel halves 3 and 48 share no set
+    # bit, so the best auto G is 8, which SU2 cannot stream: conv1 may be
+    # neither simulated nor verified first
+    conv2 = np.zeros((4, 16, 3, 3), dtype=np.int8)
+    conv2[:, :8], conv2[:, 8:] = 3, 48
+    net = make_network("fly", [
+        make_layer("conv1", rng, k=4, c=8, fy=3, fx=3, ox=8, oy=8),
+        make_layer("conv2", values=conv2, k=4, c=16, fy=3, fx=3, ox=8, oy=8),
+    ])
+    assert [mapper.select_su(l.shape).id for l in net.layers] == ["SU1", "SU2"]
+    assert codec.best_pack(conv2, "auto", "bcs").group_size == 8
+    model_io.save_network(net, tmp_path / "model")
+    for name in ("simulate_layer", "verify_layer"):
+        monkeypatch.setattr(engine, name, _fail(name))
+    rc = main(["simulate", "--manifest", str(tmp_path / "model/manifest.txt"), "--verify"])
+    assert rc == 1
+    assert capsys.readouterr().err == ("error: group size 8 is not a multiple of the "
+                                       "unrolled channels C_u=16 of SU2\n")
+
+
 def test_perf_custom_su_with_a_fitting_group_size_runs(net_dir):
     # custom:64,4,32 fits no auto G (rejected above) but streams G=64 in one slice
     cfg = net_dir / "big.ini"

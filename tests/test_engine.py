@@ -10,7 +10,6 @@ from bitcol.engine import (
     packed_groups,
     parse_index,
     simulate_layer,
-    smm,
     verify_layer,
 )
 from bitcol.workload import LayerShape, MappingError
@@ -44,17 +43,6 @@ class TestParseIndex:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             parse_index(256)
-
-
-class TestSmm:
-    def test_positive(self):
-        assert smm(3, 1, 0) == 3
-
-    def test_both_negative_gives_positive(self):
-        assert smm(-2, 1, 1) == 2
-
-    def test_and_gate(self):
-        assert smm(127, 0, 1) == 0
 
 
 class TestBceColumn:

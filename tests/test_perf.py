@@ -260,8 +260,7 @@ class TestBitColumnCycles:
         ])
         model = compare(net, [spec])[0].total_cycles
         sim = 0
-        for layer in net.layers:
-            su = spec.resolve_su(layer.shape)
+        for layer, su in zip(net.layers, spec.map_layers(net)):
             _, cl = weight_compression(layer, spec)
             sim += engine.simulate_layer(cl, layer.shape, su).total_cycles
         assert abs(model - sim) / sim <= 0.06
@@ -286,14 +285,15 @@ class TestCompare:
         net = make_network("su1net", [make_layer(f"pw{i}", rng, k=32, c=8, fy=1, fx=1,
                                                  ox=16, oy=1, kind="pointwise-conv")
                                       for i in range(3)])
-        calls = []
-        real = AcceleratorSpec.resolve_su
-        monkeypatch.setattr(AcceleratorSpec, "resolve_su",
-                            lambda spec, shape: calls.append(spec.name) or real(spec, shape))
+        # built first: __post_init__ looks up a fixed SU too
         specs = [replace(preset("bitcol"), name="g8", group_size=8),
                  replace(preset("bitcol"), name="su1", su="SU1")]
+        calls = []
+        for name in ("select_su", "catalog_su"):
+            monkeypatch.setattr(perf, name, lambda *a, _name=name, _real=getattr(perf, name):
+                                calls.append(_name) or _real(*a))
         reports = compare(net, specs)
-        assert calls == ["g8"] * 3 + ["su1"] * 3
+        assert calls == ["select_su"] * 3 + ["catalog_su"] * 3
         assert [[l.su_id for l in r.layers] for r in reports] == [["SU1"] * 3] * 2
 
     def test_missing_baseline(self, small_net):
