@@ -37,11 +37,9 @@ from .perf import (
     compare,
     dense_activity,
     effective_macs,
-    effective_memory,
     evaluate_network,
     imbalance_adjust,
     preset,
-    total_energy,
     total_latency,
 )
 from .workload import BitcolError, Layer, LayerShape, Network

@@ -1,26 +1,29 @@
 """Analytical performance and energy model.
 
-Four-step methodology per (layer, accelerator) pair:
+Four steps per (layer, accelerator) pair; evaluate_layer runs them and
+returns one LayerPerf record:
 
-1. Dense activity counts from a deliberately simple streaming/tiling model:
-   every streamed tensor moves DRAM->SRAM once per layer pass, where the
-   pass count is max over tensors of ceil(tensor bytes / its SRAM capacity);
-   outputs are written back once. SRAM operand reads follow the spatial
-   unrolling (per temporal step, C_u*OX_u activation and C_u*K_u weight
-   elements); register traffic is two reads and one write per MAC.
+1. dense_activity: dense activity counts from a deliberately simple
+   streaming/tiling model: every streamed tensor moves DRAM->SRAM once per
+   layer pass, where the pass count is max over tensors of ceil(tensor
+   bytes / its SRAM capacity); outputs are written back once. SRAM operand
+   reads follow the spatial unrolling (per temporal step, C_u*OX_u
+   activation and C_u*K_u weight elements); register traffic is two reads
+   and one write per MAC.
 2. Sparsity statistics, adjusted for lockstep load imbalance where the
-   accelerator schedules at runtime. Bit-column skipping takes the
-   compressed layer's lockstep cycle count from engine.simulate_layer, the
-   functional simulator.
-3. Effective MACs/cycles (value skipping shrinks the MAC count; bit and
-   bit-column skipping shrink cycles only) and effective memory traffic
-   (dense counts divided by the per-tensor compression ratio).
-4. Energy as unit-cost-weighted effective accesses plus MAC energy, and
-   latency with memory transfers hidden underneath compute: accesses are
-   first normalized to port-cycles (DRAM bytes/cycle, SRAM port widths from
-   the SU bandwidth, register files parallel per MAC lane), then
-   total = DRAM + output writes + max(weight reads, input reads,
-   register reads, register writes, compute).
+   accelerator schedules at runtime (imbalance_adjust). Bit-column skipping
+   takes the compressed layer's lockstep cycle count from
+   engine.simulate_layer, the functional simulator.
+3. effective_macs: effective MACs/cycles (value skipping shrinks the MAC
+   count; bit and bit-column skipping shrink cycles only); evaluate_layer
+   divides each dense memory count by its tensor's compression ratio.
+4. evaluate_layer: an EnergyBreakdown of unit-cost-weighted effective
+   accesses plus MAC energy, and LatencyTerms, each access count normalized
+   to port-cycles (DRAM bytes/cycle, SRAM port widths from the SU
+   bandwidth, register files parallel per MAC lane). The record's cycles is
+   total_latency(terms) = DRAM + output writes + max(weight reads, input
+   reads, register reads, register writes, compute): memory transfers hide
+   under compute.
 
 Shipped presets express the sparsity-mode / compression / dataflow
 distinctions of the published baselines they are named after; their unit
@@ -135,7 +138,6 @@ class ActivityCounts:
     passes: int
     dram_read_w: float
     dram_read_a: float
-    dram_write_w: float
     dram_write_a: float
     sram_read_input: float
     sram_read_weight: float
@@ -145,18 +147,6 @@ class ActivityCounts:
     sram_write_output: float
     reg_read: float
     reg_write: float
-
-
-@dataclass
-class EffectiveCounts(ActivityCounts):
-    n_mac_e: float = 0.0
-    cc_mac_e: float = 0.0
-    cr_w: float = 1.0
-    cr_a: float = 1.0
-    s_w: float = 0.0
-    s_a: float = 0.0
-    reg_read_e: float = 0.0
-    reg_write_e: float = 0.0
 
 
 def dense_activity(shape: LayerShape, spec: AcceleratorSpec,
@@ -184,7 +174,6 @@ def dense_activity(shape: LayerShape, spec: AcceleratorSpec,
         passes=passes,
         dram_read_w=w_bytes * passes,
         dram_read_a=a_bytes * passes,
-        dram_write_w=0.0,
         dram_write_a=float(o_bytes),
         sram_read_input=float(steps * c_par * su.ox_u),
         sram_read_weight=float(steps * c_par * su.k_u),
@@ -220,29 +209,6 @@ def effective_macs(counts: ActivityCounts, s_a: float, s_w: float, mode: str,
     return float(counts.n_mac), dense_cc * nz_fraction
 
 
-def effective_memory(counts: ActivityCounts, cr_w: float, cr_a: float) -> EffectiveCounts:
-    """STEP 3b: memory traffic under compression (dense counts / CR)."""
-    if cr_w <= 0 or cr_a <= 0:
-        raise ValueError("compression ratios must be > 0")
-    eff = EffectiveCounts(**vars(counts))
-    eff.cr_w, eff.cr_a = cr_w, cr_a
-    eff.dram_read_w = counts.dram_read_w / cr_w
-    eff.dram_write_w = counts.dram_write_w / cr_w
-    eff.sram_read_weight = counts.sram_read_weight / cr_w
-    eff.sram_write_weight = counts.sram_write_weight / cr_w
-    eff.dram_read_a = counts.dram_read_a / cr_a
-    eff.dram_write_a = counts.dram_write_a / cr_a
-    eff.sram_read_input = counts.sram_read_input / cr_a
-    eff.sram_write_input = counts.sram_write_input / cr_a
-    eff.sram_read_output = counts.sram_read_output / cr_a
-    eff.sram_write_output = counts.sram_write_output / cr_a
-    eff.n_mac_e = float(counts.n_mac)
-    eff.cc_mac_e = counts.n_mac / counts.n_mac_cycle
-    eff.reg_read_e = counts.reg_read
-    eff.reg_write_e = counts.reg_write
-    return eff
-
-
 @dataclass
 class EnergyBreakdown:
     mac: float
@@ -253,21 +219,6 @@ class EnergyBreakdown:
     @property
     def total(self) -> float:
         return self.mac + self.dram + self.sram + self.reg
-
-
-def total_energy(eff: EffectiveCounts, costs: UnitCosts) -> EnergyBreakdown:
-    """STEP 4a: unit-cost-weighted energy; memory counts are bytes, register
-    accesses move 8-bit operands."""
-    dram_bits = 8.0 * (eff.dram_read_w + eff.dram_read_a + eff.dram_write_w + eff.dram_write_a)
-    sram_bits = 8.0 * (eff.sram_read_input + eff.sram_read_weight + eff.sram_read_output
-                       + eff.sram_write_input + eff.sram_write_weight + eff.sram_write_output)
-    reg_bits = 8.0 * (eff.reg_read_e + eff.reg_write_e)
-    return EnergyBreakdown(
-        mac=eff.n_mac_e * costs.e_mac,
-        dram=dram_bits * costs.e_dram_bit,
-        sram=sram_bits * costs.e_sram_bit,
-        reg=reg_bits * costs.e_reg_bit,
-    )
 
 
 @dataclass
@@ -288,22 +239,6 @@ def total_latency(terms: LatencyTerms) -> float:
     return terms.dram + terms.sram_write_output + max(
         terms.sram_read_input, terms.sram_read_weight,
         terms.reg_read, terms.reg_write, terms.cc_mac)
-
-
-def latency_terms(eff: EffectiveCounts, spec: AcceleratorSpec,
-                  su: SpatialUnrolling) -> LatencyTerms:
-    """Normalize effective access counts to port-cycles."""
-    peak = max(spec.peak_macs_cycle(su), 1e-9)
-    return LatencyTerms(
-        dram=(eff.dram_read_w + eff.dram_read_a + eff.dram_write_w + eff.dram_write_a)
-        / spec.dram_bytes_per_cycle,
-        sram_write_output=eff.sram_write_output * 8.0 / su.act_bw,
-        sram_read_input=eff.sram_read_input * 8.0 / su.act_bw,
-        sram_read_weight=eff.sram_read_weight * 8.0 / su.w_bw,
-        reg_read=eff.reg_read_e / (2.0 * peak),
-        reg_write=eff.reg_write_e / peak,
-        cc_mac=eff.cc_mac_e,
-    )
 
 
 def imbalance_adjust(raw_sparsity: float, spec: AcceleratorSpec,
@@ -375,26 +310,40 @@ def act_compression(layer: Layer, spec: AcceleratorSpec, s_a: float) -> float:
 
 @dataclass
 class LayerPerf:
+    """One layer on one spec: effective MACs and cycles, compression,
+    sparsity, energy, and the named latency terms that give its cycles."""
+
     layer: str
     su_id: str
-    eff: EffectiveCounts
+    utilization: float
+    n_mac: int
+    n_mac_e: float
+    cc_mac_e: float
+    cr_w: float
+    cr_a: float
+    s_w: float
+    s_a: float
     energy: EnergyBreakdown
-    cycles: float
+    terms: LatencyTerms
+
+    @property
+    def cycles(self) -> float:
+        return total_latency(self.terms)
 
     def row(self) -> dict:
         return {
             "layer": self.layer,
             "su": self.su_id,
-            "utilization": self.eff.utilization,
-            "n_mac": self.eff.n_mac,
-            "n_mac_e": self.eff.n_mac_e,
-            "cc_mac_e": self.eff.cc_mac_e,
+            "utilization": self.utilization,
+            "n_mac": self.n_mac,
+            "n_mac_e": self.n_mac_e,
+            "cc_mac_e": self.cc_mac_e,
             "cycles": self.cycles,
             "energy": self.energy.total,
-            "cr_w": self.eff.cr_w,
-            "cr_a": self.eff.cr_a,
-            "s_w": self.eff.s_w,
-            "s_a": self.eff.s_a,
+            "cr_w": self.cr_w,
+            "cr_a": self.cr_a,
+            "s_w": self.s_w,
+            "s_a": self.s_a,
         }
 
 
@@ -412,6 +361,7 @@ class PerfReport:
 
 
 def evaluate_layer(layer: Layer, spec: AcceleratorSpec, su: SpatialUnrolling) -> LayerPerf:
+    """STEPs 1-4 for one layer mapped on `su`."""
     shape = layer.shape
     counts = dense_activity(shape, spec, su)
 
@@ -433,26 +383,38 @@ def evaluate_layer(layer: Layer, spec: AcceleratorSpec, su: SpatialUnrolling) ->
         frac = engine.simulate_layer(cl, shape, su, spec.sign_cycle).total_cycles / dense_cc
     n_mac_e, cc = effective_macs(counts, s_a_e, s_w_e, mode, nz_fraction=frac)
 
-    eff = effective_memory(counts, cr_w, cr_a)
-    eff.n_mac_e = n_mac_e
-    eff.cc_mac_e = cc
-    eff.s_w, eff.s_a = s_w, s_a
+    # STEP 3b: weight traffic shrinks by cr_w; input and output traffic by cr_a
+    dram = counts.dram_read_w / cr_w + counts.dram_read_a / cr_a + counts.dram_write_a / cr_a
+    sram_read_input = counts.sram_read_input / cr_a
+    sram_read_weight = counts.sram_read_weight / cr_w
+    sram_write_output = counts.sram_write_output / cr_a
+    sram = (sram_read_input + sram_read_weight + counts.sram_read_output / cr_a
+            + counts.sram_write_input / cr_a + counts.sram_write_weight / cr_w
+            + sram_write_output)
     # register traffic follows effective compute cycles (skipped columns and
     # skipped values both suppress the operand fetches of their cycles)
     scale = cc / dense_cc if dense_cc else 1.0
-    eff.reg_read_e = counts.reg_read * scale
-    eff.reg_write_e = counts.reg_write * scale
-
-    energy = total_energy(eff, spec.costs)
-    terms = latency_terms(eff, spec, su)
-    if mode == "bit-column-skip":
-        # the weight port streams one column slice per lane per cycle; index
-        # bytes ride the parser side path, so the port term counts column
-        # payload bits only (energy above still pays for the index via CR)
-        port_bits = counts.sram_read_weight * 8.0 * cl.payload_bits / cl.dense_bits
-        terms.sram_read_weight = port_bits / su.w_bw
-    cycles = total_latency(terms)
-    return LayerPerf(layer.name, su.id, eff, energy, cycles)
+    reg_read, reg_write = counts.reg_read * scale, counts.reg_write * scale
+    # the bcs weight port streams one column slice per lane per cycle; index
+    # bytes ride the parser side path, so its port term counts column payload
+    # bits only (energy still pays for the index through cr_w)
+    port_bits = (counts.sram_read_weight * 8.0 * cl.payload_bits / cl.dense_bits
+                 if mode == "bit-column-skip" else sram_read_weight * 8.0)
+    peak = max(spec.peak_macs_cycle(su), 1e-9)
+    costs = spec.costs
+    return LayerPerf(
+        layer.name, su.id, counts.utilization, counts.n_mac, n_mac_e, cc, cr_w, cr_a, s_w, s_a,
+        # STEP 4a: memory counts are bytes; register accesses move 8-bit operands
+        energy=EnergyBreakdown(mac=n_mac_e * costs.e_mac, dram=8.0 * dram * costs.e_dram_bit,
+                               sram=8.0 * sram * costs.e_sram_bit,
+                               reg=8.0 * (reg_read + reg_write) * costs.e_reg_bit),
+        terms=LatencyTerms(dram=dram / spec.dram_bytes_per_cycle,
+                           sram_write_output=sram_write_output * 8.0 / su.act_bw,
+                           sram_read_input=sram_read_input * 8.0 / su.act_bw,
+                           sram_read_weight=port_bits / su.w_bw,
+                           reg_read=reg_read / (2.0 * peak),
+                           reg_write=reg_write / peak,
+                           cc_mac=cc))
 
 
 def evaluate_network(net: Network, spec: AcceleratorSpec,

@@ -39,16 +39,24 @@ The sparsity statistics partition and encode the layer anew for one group
 size, as they did before one encode served every group size.
 
 The ZRE size walks the stream one value at a time, emitting entries.
+
+The perf model's per-layer evaluation copies every dense count into an
+effective-counts record divided by CR, overwrites the effective MACs,
+cycles and register traffic, sums energy and latency terms from that
+record, and patches the weight-port term of bit-column skipping afterwards,
+as it did before one record was built from each effective quantity computed
+once.
 """
 
 import math
 import struct
 from itertools import combinations
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
-from bitcol import codec, engine
+from bitcol import codec, engine, perf
 from bitcol.codec import (GROUP_SIZES, POPCOUNT, CompressedLayer, SparsityStats,
                           partition_groups, sm_encode)
 from bitcol.model_io import MAGIC, VERSION
@@ -56,6 +64,7 @@ from bitcol.workload import ContainerError
 from bitcol.bitflip import _check_layer_names, flip_layer
 from bitcol.engine import CycleCount, bce_group, dot_ref, packed_groups
 from bitcol.mapper import check_kind_compatible
+from bitcol.perf import EnergyBreakdown, LatencyTerms
 from bitcol.workload import MappingError, OracleError
 
 
@@ -526,3 +535,111 @@ def zre_size(values):
     full, rest = divmod(run, 16)
     entries += full + (1 if rest else 0)
     return 12 * entries
+
+
+def perf_effective_memory(counts, cr_w, cr_a):
+    """STEP 3b: memory traffic under compression (dense counts / CR). Weights
+    are never written back, so their DRAM write count is 0."""
+    if cr_w <= 0 or cr_a <= 0:
+        raise ValueError("compression ratios must be > 0")
+    eff = SimpleNamespace(**{**vars(counts), "dram_write_w": 0.0})
+    eff.cr_w, eff.cr_a = cr_w, cr_a
+    eff.dram_read_w = counts.dram_read_w / cr_w
+    eff.dram_write_w = eff.dram_write_w / cr_w
+    eff.sram_read_weight = counts.sram_read_weight / cr_w
+    eff.sram_write_weight = counts.sram_write_weight / cr_w
+    eff.dram_read_a = counts.dram_read_a / cr_a
+    eff.dram_write_a = counts.dram_write_a / cr_a
+    eff.sram_read_input = counts.sram_read_input / cr_a
+    eff.sram_write_input = counts.sram_write_input / cr_a
+    eff.sram_read_output = counts.sram_read_output / cr_a
+    eff.sram_write_output = counts.sram_write_output / cr_a
+    eff.n_mac_e = float(counts.n_mac)
+    eff.cc_mac_e = counts.n_mac / counts.n_mac_cycle
+    eff.reg_read_e = counts.reg_read
+    eff.reg_write_e = counts.reg_write
+    return eff
+
+
+def perf_total_energy(eff, costs):
+    """STEP 4a: unit-cost-weighted energy; memory counts are bytes, register
+    accesses move 8-bit operands."""
+    dram_bits = 8.0 * (eff.dram_read_w + eff.dram_read_a + eff.dram_write_w + eff.dram_write_a)
+    sram_bits = 8.0 * (eff.sram_read_input + eff.sram_read_weight + eff.sram_read_output
+                       + eff.sram_write_input + eff.sram_write_weight + eff.sram_write_output)
+    reg_bits = 8.0 * (eff.reg_read_e + eff.reg_write_e)
+    return EnergyBreakdown(
+        mac=eff.n_mac_e * costs.e_mac,
+        dram=dram_bits * costs.e_dram_bit,
+        sram=sram_bits * costs.e_sram_bit,
+        reg=reg_bits * costs.e_reg_bit,
+    )
+
+
+def perf_total_latency(terms):
+    """STEP 4b: DRAM plus output writes, with the rest hidden under the max."""
+    return terms.dram + terms.sram_write_output + max(
+        terms.sram_read_input, terms.sram_read_weight,
+        terms.reg_read, terms.reg_write, terms.cc_mac)
+
+
+def perf_latency_terms(eff, spec, su):
+    """Normalize effective access counts to port-cycles."""
+    peak = max(spec.peak_macs_cycle(su), 1e-9)
+    return LatencyTerms(
+        dram=(eff.dram_read_w + eff.dram_read_a + eff.dram_write_w + eff.dram_write_a)
+        / spec.dram_bytes_per_cycle,
+        sram_write_output=eff.sram_write_output * 8.0 / su.act_bw,
+        sram_read_input=eff.sram_read_input * 8.0 / su.act_bw,
+        sram_read_weight=eff.sram_read_weight * 8.0 / su.w_bw,
+        reg_read=eff.reg_read_e / (2.0 * peak),
+        reg_write=eff.reg_write_e / peak,
+        cc_mac=eff.cc_mac_e,
+    )
+
+
+def perf_evaluate_layer(layer, spec, su):
+    """One layer's (effective counts, energy, latency terms, cycles): STEPs
+    1-3a from the library's step functions, then STEPs 3b-4 through the
+    overwritten effective-counts record and the after-the-fact bcs port term."""
+    shape = layer.shape
+    counts = perf.dense_activity(shape, spec, su)
+
+    s_w = float(np.count_nonzero(layer.weights == 0) / layer.weights.size)
+    s_a = layer.act_sparsity(default=0.0)
+    cr_w, cl = perf.weight_compression(layer, spec)
+    cr_a = perf.act_compression(layer, spec, s_a)
+
+    mode = spec.sparsity_mode
+    dense_cc = counts.n_mac / counts.n_mac_cycle
+    s_w_e, s_a_e, frac = 0.0, 0.0, None
+    if mode == "value-skip":
+        kernel_fracs = np.count_nonzero(layer.weights == 0, axis=(1, 2, 3)) / (
+            layer.shape.c * layer.shape.fy * layer.shape.fx)
+        s_w_e, s_a_e = perf.imbalance_adjust(s_w, spec, kernel_fracs), s_a
+    elif mode == "bit-skip":
+        frac = perf._lockstep_bit_fraction(layer.weights, spec.sync_lanes)
+    elif mode == "bit-column-skip":
+        frac = engine.simulate_layer(cl, shape, su, spec.sign_cycle).total_cycles / dense_cc
+    n_mac_e, cc = perf.effective_macs(counts, s_a_e, s_w_e, mode, nz_fraction=frac)
+
+    eff = perf_effective_memory(counts, cr_w, cr_a)
+    eff.n_mac_e = n_mac_e
+    eff.cc_mac_e = cc
+    eff.s_w, eff.s_a = s_w, s_a
+    # register traffic follows effective compute cycles (skipped columns and
+    # skipped values both suppress the operand fetches of their cycles)
+    scale = cc / dense_cc if dense_cc else 1.0
+    eff.reg_read_e = counts.reg_read * scale
+    eff.reg_write_e = counts.reg_write * scale
+
+    energy = perf_total_energy(eff, spec.costs)
+    terms = perf_latency_terms(eff, spec, su)
+    if mode == "bit-column-skip":
+        # the weight port streams one column slice per lane per cycle; index
+        # bytes ride the parser side path, so the port term counts column
+        # payload bits only (energy above still pays for the index via CR)
+        port_bits = counts.sram_read_weight * 8.0 * cl.payload_bits / cl.dense_bits
+        terms.sram_read_weight = port_bits / su.w_bw
+    cycles = perf_total_latency(terms)
+    return eff, energy, terms, cycles

@@ -142,7 +142,7 @@ def test_07_equation_reproduction(announce):
         # Eq. 1/2: N_mac=100, S_a=0.2, S_w=0.1
         counts = perf.ActivityCounts(
             n_mac=100, n_mac_cycle=10.0, utilization=1.0, steps=1, passes=1,
-            dram_read_w=0, dram_read_a=0, dram_write_w=0, dram_write_a=0,
+            dram_read_w=0, dram_read_a=0, dram_write_a=0,
             sram_read_input=0, sram_read_weight=0, sram_read_output=0,
             sram_write_input=0, sram_write_weight=0, sram_write_output=0,
             reg_read=0, reg_write=0)
@@ -150,20 +150,30 @@ def test_07_equation_reproduction(announce):
         assert n_mac_e == 72.0
         assert cc == 7.2
 
-        # Eq. 4: breakdown components sum exactly to the total
+        # Eq. 4: each component is its unit cost times its effective count
+        # (dense bytes over the tensor's CR), and they sum exactly to the total
         rng = np.random.default_rng(3)
+        costs = UnitCosts(e_mac=0.5, e_dram_bit=4.0, e_sram_bit=0.25, e_reg_bit=0.125)
         for _ in range(25):
-            fields = {f: float(rng.integers(0, 1000)) for f in (
-                "dram_read_w", "dram_read_a", "dram_write_w", "dram_write_a",
-                "sram_read_input", "sram_read_weight", "sram_read_output",
-                "sram_write_input", "sram_write_weight", "sram_write_output",
-                "reg_read", "reg_write")}
-            c2 = perf.ActivityCounts(n_mac=50, n_mac_cycle=5.0, utilization=1.0,
-                                     steps=1, passes=1, **fields)
-            eff = perf.effective_memory(c2, 1.5, 1.25)
-            eff.n_mac_e = 37.0
-            eff.reg_read_e, eff.reg_write_e = fields["reg_read"], fields["reg_write"]
-            br = perf.total_energy(eff, UnitCosts())
+            layer = make_layer("e", rng, k=int(rng.integers(1, 33)), c=int(rng.integers(1, 33)),
+                               fy=3, fx=3, ox=int(rng.integers(1, 17)), oy=4)
+            layer.weights[rng.random(size=layer.weights.shape) < rng.random()] = 0
+            layer.s_a = float(rng.random())
+            spec = replace(perf.preset(str(rng.choice(["dense", "scnn", "pragmatic", "huaa"]))),
+                           costs=costs)
+            (su,) = spec.map_layers(make_network("eq4", [layer]))
+            rep = perf.evaluate_layer(layer, spec, su)
+            c = perf.dense_activity(layer.shape, spec, su)
+            reg_scale = rep.cc_mac_e / (c.n_mac / c.n_mac_cycle)
+            br = rep.energy
+            assert br.mac == rep.n_mac_e * 0.5
+            assert br.dram == pytest.approx(8 * 4.0 * (
+                c.dram_read_w / rep.cr_w + (c.dram_read_a + c.dram_write_a) / rep.cr_a))
+            assert br.sram == pytest.approx(8 * 0.25 * (
+                (c.sram_read_weight + c.sram_write_weight) / rep.cr_w
+                + (c.sram_read_input + c.sram_read_output + c.sram_write_input
+                   + c.sram_write_output) / rep.cr_a))
+            assert br.reg == pytest.approx(8 * 0.125 * (c.reg_read + c.reg_write) * reg_scale)
             assert br.total == br.mac + br.dram + br.sram + br.reg
 
         # Eq. 5: max-term selection on constructed cases

@@ -9,19 +9,15 @@ from bitcol import codec, engine, mapper, perf
 from bitcol.perf import (
     AcceleratorSpec,
     ActivityCounts,
-    EffectiveCounts,
     EnergyBreakdown,
     LatencyTerms,
     UnitCosts,
     compare,
     dense_activity,
     effective_macs,
-    effective_memory,
     imbalance_adjust,
-    latency_terms,
     load_spec_configs,
     preset,
-    total_energy,
     total_latency,
     weight_compression,
 )
@@ -33,7 +29,7 @@ from conftest import make_layer, make_network
 def stub_counts(n_mac=100, n_mac_cycle=10.0, **overrides):
     base = dict(
         n_mac=n_mac, n_mac_cycle=n_mac_cycle, utilization=1.0, steps=1, passes=1,
-        dram_read_w=0.0, dram_read_a=0.0, dram_write_w=0.0, dram_write_a=0.0,
+        dram_read_w=0.0, dram_read_a=0.0, dram_write_a=0.0,
         sram_read_input=0.0, sram_read_weight=0.0, sram_read_output=0.0,
         sram_write_input=0.0, sram_write_weight=0.0, sram_write_output=0.0,
         reg_read=0.0, reg_write=0.0,
@@ -73,22 +69,39 @@ class TestEffectiveMacs:
             assert (n_e == 100.0) == (sa == 0 and sw == 0)
 
 
+PE1 = mapper.make_custom_su(1, 1, 1, su_id="pe1")
+UNIT_FREE = UnitCosts(e_mac=0, e_dram_bit=0, e_sram_bit=0, e_reg_bit=0)
+
+
 class TestEffectiveMemory:
-    def test_identity_at_cr_one(self):
-        counts = stub_counts(dram_read_w=64, dram_read_a=32, sram_read_weight=128)
-        eff = effective_memory(counts, 1.0, 1.0)
-        assert eff.dram_read_w == 64 and eff.dram_read_a == 32
-        assert eff.sram_read_weight == 128
+    def test_identity_at_cr_one(self, rng):
+        spec = AcceleratorSpec("plain", su=mapper.make_custom_su(8, 4, 8))
+        layer = make_layer("p", rng, k=8, c=8, fy=3, fx=3, ox=8, oy=8)
+        rep = perf.evaluate_layer(layer, spec, spec.su)
+        counts = dense_activity(layer.shape, spec, spec.su)
+        assert rep.cr_w == rep.cr_a == 1.0
+        assert rep.terms.dram * spec.dram_bytes_per_cycle == pytest.approx(
+            counts.dram_read_w + counts.dram_read_a + counts.dram_write_a)
+        assert rep.terms.sram_read_weight == counts.sram_read_weight * 8 / spec.su.w_bw
+        assert rep.terms.sram_read_input == counts.sram_read_input * 8 / spec.su.act_bw
 
     def test_weight_cr_halves_weight_traffic_only(self):
-        counts = stub_counts(dram_read_w=64, dram_read_a=32, sram_write_weight=10)
-        eff = effective_memory(counts, 2.0, 1.0)
-        assert eff.dram_read_w == 32 and eff.sram_write_weight == 5
-        assert eff.dram_read_a == 32
-
-    def test_cr_guard(self):
-        with pytest.raises(ValueError):
-            effective_memory(stub_counts(), 0.0, 1.0)
+        # 21 = bits 0, 2, 4: every G=8 group keeps 3 of 8 columns plus its
+        # index byte, so CR is 2048 / (768 + 256) = 2
+        spec = AcceleratorSpec("bcs", su="SU1", bit_serial=True, weight_codec="bcs",
+                               group_size=8, costs=replace(UNIT_FREE, e_dram_bit=1.0))
+        layer = make_layer("u", values=np.full(32 * 8, 21, dtype=np.int8),
+                           k=32, c=8, fy=1, fx=1, ox=16, oy=1)
+        su1 = mapper.catalog_su("SU1")
+        rep = perf.evaluate_layer(layer, spec, su1)
+        counts = dense_activity(layer.shape, spec, su1)
+        assert rep.cr_w == 2.0 and rep.cr_a == 1.0
+        dram = counts.dram_read_w / 2 + counts.dram_read_a + counts.dram_write_a
+        assert rep.terms.dram * spec.dram_bytes_per_cycle == pytest.approx(dram)
+        assert rep.energy.dram == 8 * dram
+        assert rep.terms.sram_read_weight == counts.sram_read_weight / 2 * 8 / su1.w_bw
+        assert rep.terms.sram_read_input == counts.sram_read_input * 8 / su1.act_bw
+        assert rep.terms.sram_write_output == counts.sram_write_output * 8 / su1.act_bw
 
     def test_bcs_cr_matches_container_byte_count(self, rng, tmp_path):
         # independent oracle: effective weight DRAM reads equal the actual
@@ -97,49 +110,66 @@ class TestEffectiveMemory:
         layer = make_layer("w", rng, k=4, c=32, fy=3, fx=3, ox=8, oy=8)
         layer.weights[rng.random(size=layer.weights.shape) < 0.6] = 0
         spec = replace(preset("bitcol"), group_size=8)
-        cr_w, cl = weight_compression(layer, spec)
-        counts = dense_activity(layer.shape, spec, mapper.select_su(layer.shape))
-        eff = effective_memory(counts, cr_w, 1.0)
+        su1 = mapper.catalog_su("SU1")
+        rep = perf.evaluate_layer(layer, spec, su1)
+        counts = dense_activity(layer.shape, spec, su1)
         path = tmp_path / "c.bcsw"
-        model_io.write_compressed(path, [cl])
+        model_io.write_compressed(path, [weight_compression(layer, spec)[1]])
         payload_bytes = len(path.read_bytes()) - (5 + 2 + len("w") + 2 + 8)
-        assert eff.dram_read_w == pytest.approx(payload_bytes * counts.passes)
+        weight_dram = payload_bytes * counts.passes
+        assert counts.dram_read_w / rep.cr_w == pytest.approx(weight_dram)
+        assert rep.terms.dram * spec.dram_bytes_per_cycle == pytest.approx(
+            weight_dram + counts.dram_read_a + counts.dram_write_a)
+
+    def test_bcs_weight_port_counts_payload_only_energy_counts_index(self):
+        # test_weight_cr_halves_weight_traffic_only's layer under column
+        # skipping: the port streams the 3 kept columns, while energy pays
+        # for them and for the index byte (CR 2)
+        spec = AcceleratorSpec("col", su="SU1", bit_serial=True, sparsity_mode="bit-column-skip",
+                               weight_codec="bcs", group_size=8,
+                               costs=replace(UNIT_FREE, e_sram_bit=1.0))
+        layer = make_layer("u", values=np.full(32 * 8, 21, dtype=np.int8),
+                           k=32, c=8, fy=1, fx=1, ox=16, oy=1)
+        su1 = mapper.catalog_su("SU1")
+        rep = perf.evaluate_layer(layer, spec, su1)
+        counts = dense_activity(layer.shape, spec, su1)
+        cl = codec.compress_layer(layer.weights, 8)
+        assert rep.cr_w == 2.0 and rep.cr_a == 1.0
+        assert rep.terms.sram_read_weight == (
+            counts.sram_read_weight * 8 * cl.payload_bits / cl.dense_bits / su1.w_bw)
+        assert rep.terms.sram_read_weight == 256 * 8 * 3 / 8 / 256
+        assert rep.energy.sram == pytest.approx(8 * (
+            counts.sram_read_input + counts.sram_read_weight / rep.cr_w
+            + counts.sram_read_output + counts.sram_write_input
+            + counts.sram_write_weight / rep.cr_w + counts.sram_write_output))
 
 
 class TestTotalEnergy:
-    def test_all_zero_costs(self):
-        eff = effective_memory(stub_counts(dram_read_w=100), 1.0, 1.0)
-        br = total_energy(eff, UnitCosts(e_mac=0, e_dram_bit=0, e_sram_bit=0, e_reg_bit=0))
-        assert br.total == 0.0
+    def test_all_zero_costs(self, rng):
+        spec = replace(preset("scnn"), costs=UNIT_FREE)
+        layer = make_layer("s", rng, k=8, c=8, fy=3, fx=3, ox=8, oy=8)
+        rep = perf.evaluate_layer(layer, spec, spec.su)
+        assert rep.energy == EnergyBreakdown(0.0, 0.0, 0.0, 0.0)
 
-    def test_ten_macs_at_unit_cost(self):
-        eff = effective_memory(stub_counts(n_mac=10, n_mac_cycle=1.0), 1.0, 1.0)
-        eff.n_mac_e = 10
-        br = total_energy(eff, UnitCosts(e_mac=1.0, e_dram_bit=0, e_sram_bit=0, e_reg_bit=0))
-        assert br.total == 10.0
+    def test_ten_macs_at_unit_cost(self, rng):
+        spec = AcceleratorSpec("one", su=PE1, costs=replace(UNIT_FREE, e_mac=1.0))
+        layer = make_layer("m", rng, k=1, c=10, fy=1, fx=1, ox=1, oy=1, kind="pointwise-conv")
+        assert perf.evaluate_layer(layer, spec, PE1).energy.total == 10.0
 
-    def test_hand_computed_breakdown(self):
-        counts = stub_counts(n_mac=50, dram_read_w=8, dram_write_a=2,
-                             sram_read_input=4, reg_read=6, reg_write=3)
-        eff = effective_memory(counts, 1.0, 1.0)
-        eff.n_mac_e = 50
-        eff.reg_read_e, eff.reg_write_e = 6, 3
-        costs = UnitCosts(e_mac=2.0, e_dram_bit=1.0, e_sram_bit=0.5, e_reg_bit=0.25)
-        br = total_energy(eff, costs)
-        assert br.mac == 100.0
-        assert br.dram == (8 + 2) * 8 * 1.0
-        assert br.sram == 4 * 8 * 0.5
-        assert br.reg == (6 + 3) * 8 * 0.25
+    def test_hand_computed_breakdown(self, rng):
+        # 2x3 pointwise over 2 pixels on one PE: 12 MACs; DRAM 6 weight +
+        # 6 input + 4 output bytes; SRAM 12 input and 12 weight reads, 4
+        # output reads, 6 input and 6 weight writes, 4 output writes;
+        # 24 register reads and 12 writes
+        spec = AcceleratorSpec("one", su=PE1, costs=UnitCosts(e_mac=2.0, e_dram_bit=1.0,
+                                                              e_sram_bit=0.5, e_reg_bit=0.25))
+        layer = make_layer("h", rng, k=2, c=3, fy=1, fx=1, ox=2, oy=1, kind="pointwise-conv")
+        br = perf.evaluate_layer(layer, spec, PE1).energy
+        assert br.mac == 12 * 2.0
+        assert br.dram == (6 + 6 + 4) * 8 * 1.0
+        assert br.sram == (12 + 12 + 4 + 6 + 6 + 4) * 8 * 0.5
+        assert br.reg == (24 + 12) * 8 * 0.25
         assert br.total == br.mac + br.dram + br.sram + br.reg
-
-    def test_additivity_random(self, rng):
-        for _ in range(20):
-            counts = stub_counts(**{f: float(rng.integers(0, 100)) for f in (
-                "dram_read_w", "dram_read_a", "dram_write_a", "sram_read_input",
-                "sram_read_weight", "sram_write_output", "reg_read", "reg_write")})
-            eff = effective_memory(counts, 1.0, 1.0)
-            br = total_energy(eff, UnitCosts())
-            assert br.total == pytest.approx(br.mac + br.dram + br.sram + br.reg)
 
 
 class TestTotalLatency:
@@ -229,11 +259,11 @@ class TestBitColumnCycles:
         su1 = mapper.catalog_su("SU1")
         rep = perf.evaluate_layer(layer, spec, su1)
         counts = dense_activity(layer.shape, spec, su1)
-        assert rep.eff.cc_mac_e == pytest.approx((counts.n_mac / counts.n_mac_cycle) * 3 / 8)
+        assert rep.cc_mac_e == pytest.approx((counts.n_mac / counts.n_mac_cycle) * 3 / 8)
         # cross-check against the functional simulator
         cl = codec.compress_layer(layer.weights, 8, mode="bcs")
         sim = engine.simulate_layer(cl, layer.shape, mapper.catalog_su("SU1"))
-        assert rep.eff.cc_mac_e == pytest.approx(sim.total_cycles)
+        assert rep.cc_mac_e == pytest.approx(sim.total_cycles)
 
     @pytest.mark.parametrize("sign_cycle", [False, True])
     def test_cycles_are_the_simulator_count_of_the_one_pack(self, rng, monkeypatch, sign_cycle):
@@ -248,7 +278,7 @@ class TestBitColumnCycles:
         assert packs == [8]  # weight_compression packs once; nothing else packs
         sim = engine.simulate_layer(real(layer.weights, 8), layer.shape,
                                     mapper.catalog_su("SU1"), sign_cycle)
-        assert rep.eff.cc_mac_e == pytest.approx(sim.total_cycles, rel=1e-12)
+        assert rep.cc_mac_e == pytest.approx(sim.total_cycles, rel=1e-12)
 
     def test_model_matches_simulator_on_random_net(self, rng):
         spec = replace(preset("bitcol"), dram_bytes_per_cycle=512)
