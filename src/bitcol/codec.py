@@ -62,14 +62,17 @@ SLOT_BIT = np.sort(np.where(_keep(np.arange(256, dtype=np.uint8)), np.arange(7, 
 
 def sm_clamp(values: np.ndarray) -> np.ndarray:
     """The int8 values that sign-magnitude stores: -128 reads as -127."""
-    return np.clip(np.asarray(values, dtype=np.int16), -127, 127).astype(np.int8)
+    values = np.asarray(values)
+    if values.dtype == np.int8:
+        return np.maximum(values, -127)
+    return np.clip(values.astype(np.int16), -127, 127).astype(np.int8)
 
 
 def sm_encode(values: np.ndarray) -> tuple[np.ndarray, int]:
     """Vectorized sign-magnitude bits (uint8) plus the -128 clamp count."""
     clamps = int(np.count_nonzero(np.asarray(values) == -128))
     v = sm_clamp(values)
-    return ((v < 0).astype(np.uint8) << 7) | np.abs(v).astype(np.uint8), clamps
+    return np.abs(v).view(np.uint8) | (v.view(np.uint8) & 0x80), clamps
 
 
 def sm_decode(bits: np.ndarray) -> np.ndarray:

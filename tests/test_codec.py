@@ -51,6 +51,20 @@ class TestSignMagnitude:
         # the codec stores exactly the clamped values
         assert np.array_equal(codec.sm_decode(codec.sm_encode(vals)[0]), clamped)
 
+    def test_clamp_and_encode_keep_the_int16_formulas(self):
+        def clamp(v):
+            return np.clip(np.asarray(v, dtype=np.int16), -127, 127).astype(np.int8)
+
+        for vals in (np.arange(-128, 128, dtype=np.int8),
+                     np.array([-40000, -300, -129, -128, -127, 0, 127, 128, 300, 40000])):
+            got, want = codec.sm_clamp(vals), clamp(vals)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+            bits, clamps = codec.sm_encode(vals)
+            assert bits.dtype == np.uint8
+            assert np.array_equal(bits, ((want < 0).astype(np.uint8) << 7)
+                                  | np.abs(want).astype(np.uint8))
+            assert clamps == int(np.count_nonzero(vals == -128))
+
     def test_roundtrip_all_values(self):
         vals = np.arange(-127, 128, dtype=np.int8)
         bits, clamps = codec.sm_encode(vals)

@@ -143,6 +143,77 @@ def test_verify_layer_chunks_keep_the_activation_stream(g, monkeypatch):
     assert engine.verify_layer(cl, values, np.random.default_rng(5)) == want
 
 
+@pytest.mark.parametrize("chunk", [None, 97])
+@pytest.mark.parametrize("g", [1, 8, 32, 64])
+def test_verify_layer_leaves_the_per_group_draw_state(g, chunk, monkeypatch):
+    # int32 draws of a whole chunk must leave the generator where the
+    # oracle's per-group int64 draws leave it, so simulate --seed repeats
+    if chunk:
+        monkeypatch.setattr(engine, "VERIFY_CHUNK", chunk)
+    values = bell_weights(np.random.default_rng(g), (16, 64, 3, 3))
+    cl = codec.compress_layer(values, g, mode="bcs")
+    rng, twin = np.random.default_rng(11), np.random.default_rng(11)
+    assert engine.verify_layer(cl, values, rng) == 0
+    for _ in range(cl.n_groups):
+        twin.integers(-128, 128, size=g, dtype=np.int64)
+    assert rng.bit_generator.state == twin.bit_generator.state
+    dense = codec.compress_layer(values, g, mode="dense")
+    assert engine.verify_layer(dense, values, rng) == 0
+    assert rng.bit_generator.state == twin.bit_generator.state
+
+
+@st.composite
+def chunked_layers(draw):
+    """A bcs layer of one group per kernel, in chunks of `chunk` groups whose
+    magnitude caps differ: a 127 chunk stores a bit-6 column, a 15 chunk only
+    bits 0-3. Returns (chunk, values, layer, rng)."""
+    g = draw(st.sampled_from(codec.GROUP_SIZES))
+    chunk = draw(st.integers(1, 6))
+    caps = draw(st.permutations(draw(st.lists(st.sampled_from([0, 1, 15, 127]), max_size=4))
+                                + [127, 15]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cap = np.repeat(caps, chunk)[:, None]
+    mags = rng.integers(0, 128, size=(len(cap), g)) & cap
+    mags[::chunk, 0] |= cap[::chunk, 0] & 64
+    vals = np.where(rng.random(mags.shape) < 0.5, -mags, mags)
+    vals[(cap == 127) & (rng.random(mags.shape) < 0.05)] = -128
+    values = vals.reshape(-1, g, 1, 1).astype(np.int8)
+    return chunk, values, codec.compress_layer(values, g, mode="bcs"), rng
+
+
+@PROPERTY
+@given(chunked_layers(), st.integers(0, 6), st.integers(0, 2**32 - 1))
+def test_verify_layer_column_skip_matches_scalar_loop(layer, n_flips, seed):
+    chunk, values, cl, rng = layer
+    ors = np.bitwise_or.reduceat(cl.indexes, np.arange(0, cl.n_groups, chunk))
+    assert (ors & 0x40).any() and not (ors & 0x70).all()
+    cl = corrupt(cl, rng, n_flips)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "VERIFY_CHUNK", chunk)
+        got = engine.verify_layer(cl, values, np.random.default_rng(seed))
+    assert got == oracles.verify_layer(cl, values, np.random.default_rng(seed))
+
+
+@PROPERTY
+@given(chunked_layers(), st.data())
+def test_verify_layer_counts_one_flipped_bit_in_any_stored_column(layer, data):
+    # flip element j's bit in each stored column of one group in turn, the
+    # sign column and every significance the group stores included
+    chunk, values, cl, _ = layer
+    i = data.draw(st.sampled_from(np.flatnonzero(cl.indexes).tolist()))
+    j = data.draw(st.integers(0, cl.group_size - 1))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    payload = cl.columns
+    first = codec.column_offsets(cl)[i]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "VERIFY_CHUNK", chunk)
+        for row in range(first, first + int(np.bitwise_count(cl.indexes[i]))):
+            cl.columns = payload.copy()
+            cl.columns[row, j // 8] ^= np.uint8(1 << j % 8)
+            got = engine.verify_layer(cl, values, np.random.default_rng(seed))
+            assert got == oracles.verify_layer(cl, values, np.random.default_rng(seed)) <= 1
+
+
 def test_verify_layer_at_the_accumulator_bound():
     # G=64 groups of +-127 store all 8 columns, and every dot, corrupted or
     # not, stays within 64 * 128 * 127 < 2**31. Group 0 loses bits of its
