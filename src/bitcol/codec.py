@@ -62,10 +62,7 @@ SLOT_BIT = np.sort(np.where(_keep(np.arange(256, dtype=np.uint8)), np.arange(7, 
 
 def sm_clamp(values: np.ndarray) -> np.ndarray:
     """The int8 values that sign-magnitude stores: -128 reads as -127."""
-    values = np.asarray(values)
-    if values.dtype == np.int8:
-        return np.maximum(values, -127)
-    return np.clip(values.astype(np.int16), -127, 127).astype(np.int8)
+    return np.clip(np.asarray(values, dtype=np.int16), -127, 127).astype(np.int8)
 
 
 def sm_encode(values: np.ndarray) -> tuple[np.ndarray, int]:

@@ -56,14 +56,19 @@ class TestSignMagnitude:
             return np.clip(np.asarray(v, dtype=np.int16), -127, 127).astype(np.int8)
 
         for vals in (np.arange(-128, 128, dtype=np.int8),
-                     np.array([-40000, -300, -129, -128, -127, 0, 127, 128, 300, 40000])):
+                     np.array([-40000, -300, -129, -128, -127, 0, 127, 128, 300, 40000]),
+                     [-300, -129, -128, -1, 0, 1, 127, 128, 300]):
             got, want = codec.sm_clamp(vals), clamp(vals)
             assert got.dtype == want.dtype and np.array_equal(got, want)
             bits, clamps = codec.sm_encode(vals)
             assert bits.dtype == np.uint8
             assert np.array_equal(bits, ((want < 0).astype(np.uint8) << 7)
                                   | np.abs(want).astype(np.uint8))
-            assert clamps == int(np.count_nonzero(vals == -128))
+            assert clamps == int(np.count_nonzero(np.asarray(vals) == -128))
+        # a list value outside int16 is an error, not a wrapped sign flip
+        for fn in (clamp, codec.sm_clamp, codec.sm_encode):
+            with pytest.raises(OverflowError):
+                fn([5, 40000, -3])
 
     def test_roundtrip_all_values(self):
         vals = np.arange(-127, 128, dtype=np.int8)
