@@ -45,7 +45,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from . import codec, model_io
-from .workload import ManifestError, Network, OracleError
+from .workload import ManifestError, Network, OracleError, check_layer_names
 
 Strategy = dict[str, tuple[int, int]]  # layer name -> (group size, zero columns)
 
@@ -224,22 +224,10 @@ def default_strategy(net: Network, group_size: int = 8, z: int = 0) -> Strategy:
     return {l.name: (group_size, z) for l in net.layers}
 
 
-def _check_layer_names(net: Network, given, error: type[Exception] = ManifestError,
-                       what: str = "strategy") -> None:
-    """Raise `error` unless `given` (a strategy, say) names exactly the network's layers."""
-    names = [l.name for l in net.layers]
-    missing = [name for name in names if name not in given]
-    if missing:
-        raise error(f"{what} is missing layers: {missing}")
-    unknown = [name for name in given if name not in names]
-    if unknown:
-        raise error(f"{what} names layers the network does not have: {unknown}")
-
-
 def apply_strategy(net: Network, strategy: Mapping[str, tuple[int, int]]
                    ) -> tuple[Network, dict[str, FlipResult]]:
     """Flip every layer of a network per its (group size, z) entry."""
-    _check_layer_names(net, strategy)
+    check_layer_names(net, strategy)
     results = {l.name: flip_layer(l.weights, *strategy[l.name]) for l in net.layers}
     return net.with_weights({name: res.values for name, res in results.items()}), results
 
@@ -256,7 +244,7 @@ def _strategy_table(net: Network, fill: Callable[[np.ndarray, int, int], Mapping
 
     def lookup(strategy: Mapping[str, tuple[int, int]]) -> list:
         if strategy.keys() != weights.keys():
-            _check_layer_names(net, strategy, OracleError)
+            check_layer_names(net, strategy, OracleError)
         out = []
         for name, w in weights.items():
             key = (name, *strategy[name])
@@ -336,7 +324,7 @@ def greedy_search(net: Network, initial: Mapping[str, tuple[int, int]], macc: fl
     """
     if math.isnan(macc):
         raise ValueError("macc is nan; give -inf for no metric floor")
-    _check_layer_names(net, initial)
+    check_layer_names(net, initial)
     strategy = {l.name: initial[l.name] for l in net.layers}
     while True:
         bacc = -math.inf

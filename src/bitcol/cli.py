@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bitflip, codec, engine, mapper, model_io, perf
-from .workload import BitcolError, ConfigError, ContainerError
+from .workload import BitcolError, ConfigError, ContainerError, check_layer_names
 
 VERIFY_FAILED = 2
 
@@ -71,26 +71,20 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _compress_network(net, group_arg):
-    """Yield per layer: (best forced-bcs pack over the candidate Gs, auto-mode pack at its G)."""
-    for layer in net.layers:
-        forced = codec.best_pack(layer.weights, group_arg, "bcs", layer.name)
-        yield forced, codec.compress_layer(layer.weights, forced.group_size,
-                                           mode="auto", name=layer.name)
-
-
 def cmd_compress(args) -> int:
     net = model_io.load_network(args.manifest)
     rows, chosen = [], []
-    # a row keeps the forced pack's numbers, not the pack: only `chosen` is written
-    for layer, (forced, cl) in zip(net.layers, _compress_network(net, args.group_size)):
+    for layer in net.layers:
+        cl = codec.best_pack(layer.weights, args.group_size, layer.name)
+        # a row reports the bcs pack at the chosen G, also for a layer written dense
+        bcs = codec.compress_layer(layer.weights, cl.group_size, "bcs", layer.name)
         n_bits = 8 * layer.weights.size
         nnz = int(np.count_nonzero(layer.weights))
         row_len = layer.shape.c * layer.shape.fy * layer.shape.fx
         rows.append({
-            "layer": layer.name, "group_size": forced.group_size, "mode": cl.mode,
-            "cr_real": codec.compression_ratio(forced),
-            "cr_ideal": codec.compression_ratio(forced, include_index=False),
+            "layer": layer.name, "group_size": cl.group_size, "mode": cl.mode,
+            "cr_real": codec.compression_ratio(bcs),
+            "cr_ideal": codec.compression_ratio(bcs, include_index=False),
             "cr_zre": n_bits / codec.zre_size(layer.weights),
             "cr_csr": n_bits / max(codec.csr_size(layer.weights, row_len), 1),
             "cr_value_ideal": n_bits / (8 * nnz) if nnz else float("inf"),
@@ -160,16 +154,11 @@ def cmd_simulate(args) -> int:
     net = model_io.load_network(args.manifest)
     sus = spec.map_layers(net)
     if args.container:
-        compressed = model_io.read_compressed(args.container)
-        by_name = {}
-        for cl in compressed:
-            if cl.name in by_name:
-                raise ContainerError(f"container names layer {cl.name!r} twice")
-            by_name[cl.name] = cl
-        bitflip._check_layer_names(net, by_name, ContainerError, "container")
+        by_name = {cl.name: cl for cl in model_io.read_compressed(args.container)}
+        check_layer_names(net, by_name, ContainerError, "container")
         compressed = [by_name[l.name] for l in net.layers]
     else:
-        compressed = [chosen for _, chosen in _compress_network(net, spec.group_size)]
+        compressed = [perf.weight_compression(l, spec)[1] for l in net.layers]
     for layer, su, cl in zip(net.layers, sus, compressed):  # in simulate_layer's order
         mapper.check_layer_shape(cl, layer.shape)
         mapper.check_group_size(cl.group_size, su)

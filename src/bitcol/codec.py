@@ -17,7 +17,8 @@ index bits mask; unpacking scatters them back and transposes again.
 
 Sign-magnitude cannot express -128: sm_clamp reads it as -127 (1 LSB of error;
 the codec stays total, and sm_encode counts the clamps). best_pack is the one
-group-size choice: the best CR over the candidate Gs, the smaller G on ties.
+group-size and mode choice: the auto-mode pack of best CR over the candidate
+Gs, the smaller G on ties.
 sparsity_stats encodes a layer once for every G it reports: bit sparsities
 do not depend on G, and each G's column indexes come from the encoded bytes.
 
@@ -292,12 +293,12 @@ def compress_layer(values: np.ndarray, group_size: int, mode: str = "auto",
                            clamp_count=clamps)
 
 
-def best_pack(values: np.ndarray, group_size: int | str, mode: str,
-              name: str = "") -> CompressedLayer:
-    """compress_layer at the G of best compression_ratio: the one G given, or the
-    first maximum over AUTO_GROUP_SIZES for "auto" (the smaller G wins ties)."""
+def best_pack(values: np.ndarray, group_size: int | str, name: str = "") -> CompressedLayer:
+    """The auto-mode compress_layer pack of best compression_ratio: at the one G
+    given, or the first maximum over AUTO_GROUP_SIZES for "auto" (the smaller G
+    wins ties). A layer that no candidate compresses packs dense at the first."""
     sizes = AUTO_GROUP_SIZES if group_size == "auto" else (group_size,)
-    return max((compress_layer(values, g, mode, name) for g in sizes), key=compression_ratio)
+    return max((compress_layer(values, g, "auto", name) for g in sizes), key=compression_ratio)
 
 
 def column_offsets(cl: CompressedLayer) -> np.ndarray:

@@ -158,7 +158,8 @@ def write_compressed(path: str | Path, layers: Sequence[CompressedLayer]) -> Non
 
 
 def read_compressed(path: str | Path) -> list[CompressedLayer]:
-    """Read a container; returned layers carry no tensor dims (see codec).
+    """Read a container; returned layers carry no tensor dims (see codec), and
+    no two of them share a name.
 
     Every count in a layer header is checked against the bytes that remain
     before anything is allocated from it, so no allocation exceeds the file.
@@ -169,7 +170,7 @@ def read_compressed(path: str | Path) -> list[CompressedLayer]:
     if data[4] != VERSION:
         raise ContainerError(f"{path}: unsupported version {data[4]}")
     pos = 5
-    layers = []
+    layers, names = [], set()
     while pos < len(data):
         if pos + 2 > len(data):
             raise ContainerError(f"{path}: truncated layer header")
@@ -181,6 +182,9 @@ def read_compressed(path: str | Path) -> list[CompressedLayer]:
             name = data[pos:pos + nlen].decode("utf-8")
         except UnicodeDecodeError as e:
             raise ContainerError(f"{path}: layer name at offset {pos} is not UTF-8") from e
+        if name in names:
+            raise ContainerError(f"{path}: container names layer {name!r} twice")
+        names.add(name)
         pos += nlen
         gsize, mode, n_values, n_groups = struct.unpack_from("<BBII", data, pos)
         pos += 10

@@ -287,7 +287,7 @@ def weight_compression(layer: Layer, spec: AcceleratorSpec
     if spec.weight_codec == "csr":
         row = layer.shape.c * layer.shape.fy * layer.shape.fx
         return n_bits / max(codec.csr_size(w, row), 1), None
-    cl = codec.best_pack(w, spec.group_size, "auto", layer.name)
+    cl = codec.best_pack(w, spec.group_size, layer.name)
     return codec.compression_ratio(cl), cl
 
 

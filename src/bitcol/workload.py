@@ -187,3 +187,15 @@ class Network:
             else:
                 layers.append(replace(l))
         return Network(self.name, layers)
+
+
+def check_layer_names(net: Network, given, error: type[Exception] = ManifestError,
+                      what: str = "strategy") -> None:
+    """Raise `error` unless `given` (a strategy, say) names exactly the network's layers."""
+    names = [l.name for l in net.layers]
+    missing = [name for name in names if name not in given]
+    if missing:
+        raise error(f"{what} is missing layers: {missing}")
+    unknown = [name for name in given if name not in names]
+    if unknown:
+        raise error(f"{what} names layers the network does not have: {unknown}")

@@ -1,6 +1,10 @@
+import csv
+
 import numpy as np
 import pytest
 
+from bitcol import codec, model_io
+from bitcol.cli import main
 from bitcol.workload import Layer, LayerShape, Network
 
 
@@ -20,6 +24,45 @@ def make_layer(name, rng=None, values=None, **shape_kw):
 
 def make_network(name, layers):
     return Network(name, layers)
+
+
+def stage_outputs(net, work, group_size="auto"):
+    """Run compress, report, simulate and perf on `net` at one group size.
+
+    perf runs `--preset bitcol`, or at a fixed G an INI `bitcol` section with
+    that `group_size`. Returns each stage's CSV rows by layer name (`compress`
+    is the cr.csv table, `perf` the per-layer rows), plus `perf_pack`: the
+    (G, mode) of the pack perf took from codec.best_pack for each layer, which
+    its CSV does not show.
+    """
+    m = str(model_io.save_network(net, work / "model"))
+    box, fixed = str(work / "model.bcsw"), [] if group_size == "auto" else [
+        "--group-size", str(group_size)]
+    spec = ["--preset", "bitcol"]
+    if group_size != "auto":
+        (work / "spec.ini").write_text(f"[bitcol]\ngroup_size = {group_size}\n")
+        spec = ["--spec-config", str(work / "spec.ini")]
+    csvs = {stage: work / f"{stage}.csv" for stage in ("compress", "report", "simulate", "perf")}
+    perf_pack, best_pack = {}, codec.best_pack
+
+    def spy(values, g, name=""):
+        cl = best_pack(values, g, name)
+        perf_pack[name] = (cl.group_size, cl.mode)
+        return cl
+
+    assert main(["compress", "--manifest", m, "--out", box, "--csv", str(csvs["compress"]),
+                 *fixed]) == 0
+    assert main(["report", "--container", box, "--out", str(csvs["report"])]) == 0
+    assert main(["simulate", "--manifest", m, "--out", str(csvs["simulate"]), *fixed]) == 0
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(codec, "best_pack", spy)
+        assert main(["perf", "--manifest", m, *spec, "--per-layer", str(csvs["perf"])]) == 0
+    out = {}
+    for stage, path in csvs.items():
+        with open(path, newline="") as f:
+            out[stage] = {r["layer"]: r for r in csv.DictReader(f)}
+    out["perf_pack"] = perf_pack
+    return out
 
 
 # layer shapes used across the mapper and acceptance suites: early conv,

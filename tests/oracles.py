@@ -61,11 +61,11 @@ from bitcol.codec import (GROUP_SIZES, POPCOUNT, CompressedLayer, SparsityStats,
                           partition_groups, sm_encode)
 from bitcol.model_io import MAGIC, VERSION
 from bitcol.workload import ContainerError
-from bitcol.bitflip import _check_layer_names, flip_layer
+from bitcol.bitflip import flip_layer
 from bitcol.engine import CycleCount, bce_group, dot_ref, packed_groups
 from bitcol.mapper import check_kind_compatible
 from bitcol.perf import EnergyBreakdown, LatencyTerms
-from bitcol.workload import MappingError, OracleError
+from bitcol.workload import MappingError, OracleError, check_layer_names
 
 
 def transpose8(words: np.ndarray) -> np.ndarray:
@@ -369,7 +369,8 @@ def solve_groups(groups: np.ndarray, z: int, include_sign: bool = True
 
 
 def read_compressed(path: str | Path) -> list[CompressedLayer]:
-    """Read a container; returned layers carry no tensor dims (see codec)."""
+    """Read a container; returned layers carry no tensor dims (see codec), and
+    a name read twice is rejected."""
     data = Path(path).read_bytes()
     if len(data) < 5 or data[:4] != MAGIC:
         raise ContainerError(f"{path}: bad magic")
@@ -385,6 +386,8 @@ def read_compressed(path: str | Path) -> list[CompressedLayer]:
         if pos + nlen + 10 > len(data):
             raise ContainerError(f"{path}: truncated layer header")
         name = data[pos:pos + nlen].decode("utf-8")
+        if any(cl.name == name for cl in layers):
+            raise ContainerError(f"{path}: container names layer {name!r} twice")
         pos += nlen
         gsize = data[pos]
         mode = data[pos + 1]
@@ -458,7 +461,7 @@ def proxy_metric(original):
 
 def greedy_search(net, initial, macc, oracle):
     """The sweep search with `oracle` called on a flipped copy of the network."""
-    _check_layer_names(net, initial)
+    check_layer_names(net, initial)
     strategy = {l.name: initial[l.name] for l in net.layers}
     cache = {}
 

@@ -1,10 +1,9 @@
 """codec.best_pack, the one group-size choice, against compress_layer itself.
 
-best_pack(values, G, mode) is compress_layer at G; best_pack(values, "auto",
-mode) is the first maximum of compression_ratio over AUTO_GROUP_SIZES, so the
-smaller G wins ties. compress picks G with mode "bcs" and perf with mode
-"auto"; the two picks agree whenever the auto pick is bcs, and differ only
-when no candidate compresses.
+best_pack(values, G) is the auto-mode compress_layer pack at G;
+best_pack(values, "auto") is the first maximum of compression_ratio over
+AUTO_GROUP_SIZES, so the smaller G wins ties. compress, simulate and perf all
+take each layer's pack from it; compress's CR row reports the bcs pack at its G.
 """
 
 import numpy as np
@@ -12,6 +11,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from bitcol import codec
+from bitcol.workload import Layer, LayerShape, Network
+
+from conftest import stage_outputs
 
 PROPERTY = settings(max_examples=40, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -38,40 +40,43 @@ def assert_same_pack(got, want):
 
 
 @PROPERTY
-@given(vals=layers(), g=st.sampled_from(codec.GROUP_SIZES),
-       mode=st.sampled_from(("auto", "bcs", "dense")))
-def test_one_group_size_is_that_pack(vals, g, mode):
-    assert_same_pack(codec.best_pack(vals, g, mode, "l"), codec.compress_layer(vals, g, mode, "l"))
-
-
-@PROPERTY
-@given(vals=layers(), mode=st.sampled_from(("auto", "bcs")))
-def test_auto_is_the_first_maximum(vals, mode):
-    packs = [codec.compress_layer(vals, g, mode) for g in codec.AUTO_GROUP_SIZES]
-    crs = [codec.compression_ratio(cl) for cl in packs]
-    assert_same_pack(codec.best_pack(vals, "auto", mode), packs[crs.index(max(crs))])
+@given(vals=layers(), g=st.sampled_from(codec.GROUP_SIZES))
+def test_one_group_size_is_that_pack(vals, g):
+    assert_same_pack(codec.best_pack(vals, g, "l"), codec.compress_layer(vals, g, "auto", "l"))
 
 
 @PROPERTY
 @given(vals=layers())
-def test_forced_and_auto_picks_agree_when_auto_packs_bcs(vals):
-    auto = codec.best_pack(vals, "auto", "auto")
-    forced = codec.best_pack(vals, "auto", "bcs")
-    if auto.mode == "bcs":
-        assert_same_pack(forced, auto)
+def test_auto_is_the_first_maximum(vals):
+    packs = [codec.compress_layer(vals, g) for g in codec.AUTO_GROUP_SIZES]
+    crs = [codec.compression_ratio(cl) for cl in packs]
+    assert_same_pack(codec.best_pack(vals, "auto"), packs[crs.index(max(crs))])
+
+
+@PROPERTY
+@given(vals=layers())
+def test_row_pack_is_the_bcs_pack_at_the_chosen_group_size(vals):
+    chosen = codec.best_pack(vals, "auto")
+    row = codec.compress_layer(vals, chosen.group_size, "bcs")
+    if chosen.mode == "bcs":
+        assert_same_pack(row, chosen)
     else:  # no candidate compresses, so every auto-mode pack is dense at CR 1.0
-        assert auto.group_size == codec.AUTO_GROUP_SIZES[0]
-        assert codec.compression_ratio(forced) <= 1.0
+        assert chosen.group_size == codec.AUTO_GROUP_SIZES[0]
+        assert codec.compression_ratio(row) <= 1.0
 
 
-def test_uniform_layer_picks_differ():
-    # Today's policies, kept as they are: compress keeps the best forced-bcs
-    # pack and perf the best auto-mode pack. On a layer where every group
-    # needs all 8 columns they differ; one size-only chooser (ROADMAP open
-    # item 3) is where this would change.
+def test_uniform_layer_picks_agree(tmp_path):
+    # Every group of a uniform-random layer needs nearly all 8 columns, so no
+    # candidate G compresses: compress, simulate and perf all pick the
+    # smallest G, dense, at CR 1.0. compress's CR row still reports the bcs
+    # pack at that G.
     vals = np.random.default_rng(0).integers(-128, 128, size=(4, 64, 3, 3)).astype(np.int8)
-    forced = codec.best_pack(vals, "auto", "bcs")
-    auto = codec.best_pack(vals, "auto", "auto")
-    assert (forced.mode, forced.group_size) == ("bcs", 32)
-    assert round(codec.compression_ratio(forced), 3) == 0.970  # 32 / 33
-    assert (auto.mode, auto.group_size, codec.compression_ratio(auto)) == ("dense", 8, 1.0)
+    net = Network("uniform", [Layer("conv", LayerShape(k=4, c=64, fy=3, fx=3, ox=16, oy=16),
+                                    vals)])
+    out = stage_outputs(net, tmp_path)
+    for stage in ("compress", "report", "simulate"):
+        assert (out[stage]["conv"]["group_size"], out[stage]["conv"]["mode"]) == ("8", "dense")
+    assert out["perf_pack"] == {"conv": (8, "dense")}
+    assert out["report"]["conv"]["cr_real"] == out["perf"]["conv"]["cr_w"] == "1"
+    row_cr = codec.compression_ratio(codec.compress_layer(vals, 8, "bcs"))
+    assert out["compress"]["conv"]["cr_real"] == format(row_cr, ".6g") == "0.893023"

@@ -130,8 +130,8 @@ def test_simulate_packs_without_the_compress_report(net_dir, monkeypatch):
         monkeypatch.setattr(codec, fn, lambda *a, _fn=fn, _real=getattr(codec, fn), **kw:
                             calls.append(_fn) or _real(*a, **kw))
     assert main(["simulate", "--manifest", str(net_dir / "model/manifest.txt")]) == 0
-    # three forced-bcs candidates and the auto pack per layer, and no CR report
-    assert calls == ["compress_layer"] * (4 * 3)
+    # best_pack's three candidates per layer, and no CR report
+    assert calls == ["compress_layer"] * (3 * 3)
 
 
 def test_verify_references_keep_their_own_clamp(tmp_path, monkeypatch):
@@ -708,7 +708,7 @@ def test_simulate_checks_on_the_fly_packs_before_any_layer_runs(tmp_path, capsys
         make_layer("conv2", values=conv2, k=4, c=16, fy=3, fx=3, ox=8, oy=8),
     ])
     assert [mapper.select_su(l.shape).id for l in net.layers] == ["SU1", "SU2"]
-    assert codec.best_pack(conv2, "auto", "bcs").group_size == 8
+    assert codec.best_pack(conv2, "auto").group_size == 8
     model_io.save_network(net, tmp_path / "model")
     for name in ("simulate_layer", "verify_layer"):
         monkeypatch.setattr(engine, name, _fail(name))
@@ -784,4 +784,15 @@ def test_simulate_container_naming_a_layer_twice_is_rejected_first(net_dir, caps
     rc = main(["simulate", "--manifest", str(net_dir / "model/manifest.txt"),
                "--container", str(cont), "--verify"])
     assert rc == 1
-    assert capsys.readouterr().err == "error: container names layer 'dw1' twice\n"
+    assert capsys.readouterr().err == f"error: {cont}: container names layer 'dw1' twice\n"
+
+
+def test_report_rejects_a_container_naming_a_layer_twice(net_dir, capsys):
+    net = model_io.load_network(net_dir / "model/manifest.txt")
+    layers = [codec.compress_layer(l.weights, 8, name=l.name) for l in net.layers]
+    cont = net_dir / "twice.bcsw"
+    model_io.write_compressed(cont, layers + layers[1:2])
+    assert main(["report", "--container", str(cont)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {cont}: container names layer 'dw1' twice\n"

@@ -1,10 +1,11 @@
 """Container parse-or-reject properties.
 
 The library reader walks each bcs layer's record starts through a 256-entry
-step table and splits the record bytes with one index-byte mask; the
+step table and splits the record bytes at those starts; the
 reference reader in oracles.py walks one group at a time. Written layers
 must read back field by field, both readers must agree on valid and
-truncated containers, and corrupt bytes may only raise ContainerError.
+truncated containers and reject a repeated layer name, and corrupt bytes may
+only raise ContainerError.
 """
 
 import struct
@@ -45,7 +46,11 @@ def layers(draw, g=None, mode=None):
     return codec.compress_layer(np.clip(vals, -128, 127).astype(np.int8), g, mode, name)
 
 
-containers = st.lists(layers(), max_size=4)
+def _name(cl):
+    return cl.name
+
+
+containers = st.lists(layers(), max_size=4, unique_by=_name)  # a container's names are unique
 
 
 def _blob(tmp_path, data: bytes):
@@ -87,7 +92,7 @@ def _layer_ends(layer_list) -> set[int]:
 @PROPERTY
 @given(data=st.data())
 def test_round_trip_field_by_field(tmp_path, g, mode, data):
-    written = data.draw(st.lists(layers(g, mode), min_size=1, max_size=3))
+    written = data.draw(st.lists(layers(g, mode), min_size=1, max_size=3, unique_by=_name))
     _written(tmp_path, written)
     _assert_same(read_compressed(tmp_path / "c.bcsw"), written)
 
@@ -97,6 +102,15 @@ def test_round_trip_field_by_field(tmp_path, g, mode, data):
 def test_matches_reference_reader(tmp_path, layer_list):
     path = _blob(tmp_path, _written(tmp_path, layer_list))
     _assert_same(read_compressed(path), oracles.read_compressed(path))
+
+
+@PROPERTY
+@given(layer_list=st.lists(layers(), min_size=1, max_size=3), at=st.integers(0, 3))
+def test_a_repeated_name_is_rejected_by_both_readers(tmp_path, layer_list, at):
+    path = _blob(tmp_path, _written(tmp_path, [*layer_list, layer_list[at % len(layer_list)]]))
+    for read in (read_compressed, oracles.read_compressed):
+        with pytest.raises(ContainerError, match="names layer .* twice"):
+            read(path)
 
 
 @settings(PROPERTY, max_examples=15)
