@@ -194,13 +194,11 @@ def cmd_map(args) -> int:
     rows = []
     for layer in net.layers:
         table = mapper.utilization_table(layer.shape)
-        chosen = mapper.select_su(layer.shape)
-        row = {"layer": layer.name, "kind": layer.shape.kind}
-        row.update({su_id.lower(): util for su_id, util in table.items()})
-        row["chosen"] = chosen.id
-        row["chosen_util"] = table[chosen.id]
-        row["w_bw"], row["act_bw"] = chosen.w_bw, chosen.act_bw
-        rows.append(row)
+        chosen = mapper.best_su(table)
+        rows.append({"layer": layer.name, "kind": layer.shape.kind,
+                     **{su_id.lower(): util for su_id, util in table.items()},
+                     "chosen": chosen.id, "chosen_util": table[chosen.id],
+                     "w_bw": chosen.w_bw, "act_bw": chosen.act_bw})
     if args.out:
         model_io.write_report_csv(rows, args.out)
     _print_table(rows)

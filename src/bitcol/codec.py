@@ -47,7 +47,6 @@ GROUP_SIZES = (1, 2, 4, 8, 16, 32, 64)
 AUTO_GROUP_SIZES = (8, 16, 32)  # "auto" keeps the best CR of these; the smaller wins ties
 
 POPCOUNT = np.bitwise_count(np.arange(256, dtype=np.uint8))
-_SM_VALUE = np.r_[0:128, 0:-128:-1].astype(np.int8)  # the value of each sign-magnitude byte
 
 
 def _keep(indexes: np.ndarray) -> np.ndarray:
@@ -74,7 +73,13 @@ def sm_encode(values: np.ndarray) -> tuple[np.ndarray, int]:
 
 
 def sm_decode(bits: np.ndarray) -> np.ndarray:
-    return _SM_VALUE[np.asarray(bits, dtype=np.uint8)]
+    """Each sign-magnitude byte's int8 value (m ^ -s) + s, in place on an int8 copy."""
+    v = np.array(bits, dtype=np.uint8).view(np.int8)
+    neg = v >> 7  # -s, the one temporary besides the result
+    v &= 0x7F
+    v ^= neg
+    v -= neg
+    return v
 
 
 def partition_groups(values: np.ndarray, group_size: int) -> np.ndarray:
@@ -219,16 +224,12 @@ class CompressedLayer:
     @property
     def bcs_bits(self) -> int:
         """Size under the index+columns cost model (8 + popcount*G per group)."""
-        if self.mode == "dense":
-            return self.dense_bits
-        return bcs_size(self.indexes, self.group_size)
+        return self.dense_bits if self.mode == "dense" else bcs_size(self.indexes, self.group_size)
 
     @property
     def payload_bits(self) -> int:
         """Bits of the column payload alone (no index)."""
-        if self.mode == "dense":
-            return self.dense_bits
-        return self.group_size * self._column_count()
+        return self.dense_bits if self.mode == "dense" else self.group_size * self._column_count()
 
 
 def _transpose8(words: np.ndarray) -> np.ndarray:

@@ -11,11 +11,11 @@ Sign columns load together with the activations and are modeled as free by
 default; pass sign_cycle=True to charge one cycle whenever the sign column
 is non-zero.
 
-verify_layer draws activations as int32, the same stream as the int64
-draws of a per-group loop, and takes each magnitude column's partial sum
-as one int32 row dot. The reference is an int32 row dot as well: a group
-of at most 64 int8 activations and magnitudes up to 127 bounds every dot
-by 64 * 128 * 127 < 2**31, corrupted payloads included.
+verify_layer draws activations as int32 (the stream of a per-group loop's
+int64 draws) and takes each group's engine dot as one int32 row dot of its
+decoded weights: a byte's shifted magnitude bits add up to its magnitude, so
+the column partial sums always equal that dot. Every dot, the reference's
+too, is bounded by 64 * 128 * 127 < 2**31, corrupted payloads included.
 
 The scalar per-group functions (packed_groups, bce_group, bce_column) are
 the model as the paper states it. Whole layers run vectorized on the
@@ -178,9 +178,10 @@ def verify_layer(cl: codec.CompressedLayer, values: np.ndarray,
     Dense-mode layers verify trivially against the raw values.
 
     Activations are drawn as int32: numpy's bounded draw gives the values
-    and leaves the generator state of G int64 draws per group. Each
-    magnitude column's partial sum is one int32 row dot; a column a group
-    does not store unpacks as zero bits and adds 0. |dot| <= 64 * 128 * 127 < 2**31.
+    and leaves the generator state of G int64 draws per group. As
+    sum_b 2**b * bit_b(m) = m, a group's shifted column partial sums are one
+    int32 row dot of codec.sm_decode(bytes) with the activations; a column a
+    group does not store unpacks as zero bits and adds 0. |dot| <= 64 * 128 * 127 < 2**31.
     """
     if cl.mode == "dense":
         stored = cl.dense_values.reshape(values.shape)
@@ -191,11 +192,7 @@ def verify_layer(cl: codec.CompressedLayer, values: np.ndarray,
     for lo in range(0, cl.n_groups, VERIFY_CHUNK):
         chunk, weights = sm[lo:lo + VERIFY_CHUNK], groups[lo:lo + VERIFY_CHUNK]
         acts = rng.integers(-128, 128, size=chunk.shape, dtype=np.int32)
-        # bit 7 is set only where the group's index carries the sign column; as
-        # int8, 1 - 2 * bit is +1 or -1 (in uint8 it would wrap to 255)
-        signed = acts * (1 - 2 * (chunk >> 7).view(np.int8))
-        dot = sum(np.einsum("ij,ij->i", (chunk >> b) & 1, signed, dtype=np.int32) << b
-                  for b in range(7))
+        dot = np.einsum("ij,ij->i", codec.sm_decode(chunk), acts, dtype=np.int32)
         ref = np.einsum("ij,ij->i", np.clip(weights, -127, 127), acts, dtype=np.int32)
         mismatches += int(np.count_nonzero(dot != ref))
     return mismatches

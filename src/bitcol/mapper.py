@@ -113,12 +113,15 @@ def utilization_table(shape: LayerShape) -> dict[str, float | None]:
             for su in CATALOG}
 
 
-def select_su(shape: LayerShape) -> SpatialUnrolling:
-    """Best-utilization entry of utilization_table; ties break by lower weight
-    bandwidth, then catalog order. Every layer kind has a compatible entry."""
-    table = utilization_table(shape)
+def best_su(table: dict[str, float | None]) -> SpatialUnrolling:
+    """Best-utilization entry of a utilization_table; ties: lower w_bw, then catalog order."""
     return min((su for su in CATALOG if table[su.id] is not None),
                key=lambda su: (-table[su.id], su.w_bw))
+
+
+def select_su(shape: LayerShape) -> SpatialUnrolling:
+    """best_su of the layer's table; every layer kind has a compatible entry."""
+    return best_su(utilization_table(shape))
 
 
 def lockstep_waves(nz: np.ndarray, shape: LayerShape, group_size: int,

@@ -16,6 +16,9 @@ candidate of a group in one pass over squared-error rows. Both build their
 nearest-value tables with the per-mask loop the library used before it
 derived them from one magnitude table.
 
+The sign-magnitude decode looks each byte up in a 256-entry value table,
+as the codec did before it decoded arithmetically.
+
 The column packer builds every group's eight bit columns and keeps the
 ones its index names, as the codec did before packing and unpacking walked
 one payload slot table, and later one 8x8 bit-transpose kernel. The
@@ -66,6 +69,13 @@ from bitcol.engine import CycleCount, bce_group, dot_ref, packed_groups
 from bitcol.mapper import check_kind_compatible
 from bitcol.perf import EnergyBreakdown, LatencyTerms
 from bitcol.workload import MappingError, OracleError, check_layer_names
+
+
+SM_VALUE = np.r_[0:128, 0:-128:-1].astype(np.int8)  # the value of each sign-magnitude byte
+
+
+def sm_decode(bits) -> np.ndarray:
+    return SM_VALUE[np.asarray(bits, dtype=np.uint8)]
 
 
 def transpose8(words: np.ndarray) -> np.ndarray:

@@ -150,6 +150,26 @@ def test_verify_references_keep_their_own_clamp(tmp_path, monkeypatch):
     assert engine.verify_layer(cl, vals, np.random.default_rng(0)) == 1
 
 
+def test_both_verify_paths_catch_a_broken_decode(tmp_path, monkeypatch):
+    # compress's round trip and simulate's engine dots both decode through
+    # sm_decode; a decode that reads 0x81 (-1) as +1 must fail both, because
+    # neither reference decodes
+    vals = np.zeros((4, 16, 3, 3), dtype=np.int8)
+    vals[0, :4, 0, 0], vals[2, 5, 1, 1] = [-1, 1, 3, -2], -1
+    net = make_network("decodenet", [Layer("conv1", LayerShape(k=4, c=16, fy=3, fx=3, ox=4, oy=4),
+                                           vals)])
+    model_io.save_network(net, tmp_path / "model")
+    runs = [["compress", "--out", str(tmp_path / "c.bcsw")], ["simulate"]]
+    for run in runs:
+        assert main([*run, "--manifest", str(tmp_path / "model/manifest.txt"), "--verify"]) == 0
+    assert [cl.mode for cl in model_io.read_compressed(tmp_path / "c.bcsw")] == ["bcs"]
+    decode = codec.sm_decode
+    monkeypatch.setattr(codec, "sm_decode", lambda bits: np.where(
+        np.asarray(bits) == 0x81, 1, decode(bits)).astype(np.int8))
+    for run in runs:
+        assert main([*run, "--manifest", str(tmp_path / "model/manifest.txt"), "--verify"]) == 2
+
+
 def test_simulate_missing_layer_in_container(net_dir, tmp_path):
     cont = tmp_path / "empty.bcsw"
     model_io.write_compressed(cont, [])
@@ -291,6 +311,18 @@ def test_map(net_dir):
     dw = next(r for r in rows if r["layer"] == "dw1")
     assert dw["chosen"] == "SU7"
     assert dw["su1"] == ""
+
+
+def test_map_builds_one_table_per_layer(net_dir, monkeypatch):
+    tables = []
+    monkeypatch.setattr(mapper, "utilization_table", lambda shape, _real=mapper.utilization_table:
+                        tables.append(shape) or _real(shape))
+    out = net_dir / "util.csv"
+    assert main(["map", "--manifest", str(net_dir / "model/manifest.txt"), "--out", str(out)]) == 0
+    net = model_io.load_network(net_dir / "model/manifest.txt")
+    assert tables == [layer.shape for layer in net.layers]
+    monkeypatch.undo()
+    assert [r["chosen"] for r in read_csv(out)] == [mapper.select_su(l.shape).id for l in net.layers]
 
 
 def test_perf(net_dir):

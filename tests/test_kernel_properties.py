@@ -10,12 +10,19 @@ np.bitwise_or.reduce over each row at every group size, on the zero-padded
 groups of a tensor whose channel count is no multiple of G, for both the
 sign-magnitude and the raw two's-complement bytes; sparsity_stats, which
 reads both, must equal oracles.sparsity_stats there.
+
+sm_decode computes each sign-magnitude byte's value arithmetically on an
+int8 copy; it must equal oracles.sm_decode, the 256-entry value table, on
+uint8 arrays of any shape, strided views (unpack_groups returns one for
+G < 8), a 0-d array and a Python list, return int8 and leave its input as
+it was.
 """
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import oracles
 from bitcol import codec
@@ -67,3 +74,35 @@ def test_or_index_other_row_lengths(g):
     # a column_index caller may hand in any row length; only powers of two from 8 take words
     rows = np.random.default_rng(g).integers(0, 256, size=(50, g), dtype=np.uint8)
     assert np.array_equal(codec._or_index(rows), np.bitwise_or.reduce(rows, axis=1))
+
+
+def _decodes_like_the_table(bits):
+    before = np.array(bits, copy=True)
+    got = codec.sm_decode(bits)
+    assert got.dtype == np.int8 and got.shape == np.shape(bits)
+    assert np.array_equal(got, oracles.sm_decode(bits))
+    assert np.array_equal(bits, before)
+
+
+@PROPERTY
+@given(hnp.arrays(np.uint8, hnp.array_shapes(min_dims=0, max_dims=4, min_side=0, max_side=9)),
+       st.integers(1, 3))
+@example(np.arange(256, dtype=np.uint8), 1)
+def test_sm_decode_equals_the_value_table(bits, step):
+    _decodes_like_the_table(bits)
+    if bits.ndim:
+        _decodes_like_the_table(bits[..., ::step])  # a strided view
+
+
+@pytest.mark.parametrize("g", [1, 2, 4, 8, 16])
+def test_sm_decode_reads_the_unpacked_groups(g):
+    values = np.random.default_rng(g).integers(-128, 128, size=(3, 2 * g + 1, 3, 3))
+    sm = codec.unpack_groups(codec.compress_layer(values.astype(np.int8), g, "bcs"))
+    assert sm.flags.c_contiguous == (g >= 8)  # the sm[:, :g] view below 8
+    _decodes_like_the_table(sm)
+
+
+def test_sm_decode_takes_a_0d_array_and_a_list():
+    for b in (0x00, 0x7F, 0x80, 0x81, 0xFF):
+        _decodes_like_the_table(np.array(b, dtype=np.uint8))
+    _decodes_like_the_table([0, 1, 127, 128, 129, 200, 255])
