@@ -20,7 +20,8 @@ the codec stays total, and sm_encode counts the clamps). best_pack is the one
 group-size and mode choice: the auto-mode pack of best CR over the candidate
 Gs, the smaller G on ties.
 sparsity_stats encodes a layer once for every G it reports: bit sparsities
-do not depend on G, and each G's column indexes come from the encoded bytes.
+do not depend on G. Column indexes are ORed once, at the smallest G; each
+larger G ORs adjacent block pairs of the G half its size.
 
 compress_layer defers a bcs layer's pack: the layer keeps its sign-magnitude
 groups and packs them on the first read of `columns`, then drops them. The
@@ -28,9 +29,8 @@ group-size choice, the compression ratios and the cycle model read only the
 indexes, so a candidate that is never written, laid out or unpacked is never
 packed. Assigning `columns` replaces the deferred payload.
 
-Popcounts run on np.bitwise_count (numpy >= 2.0); POPCOUNT is the same count
-as a 256-entry table keyed by index, for callers that look it up per index
-byte. _or_index ORs the bytes of each group 8 at a time, as <u8 words.
+Popcounts run on np.bitwise_count (numpy >= 2.0). _or_index ORs the bytes of
+each group 8 at a time, as <u8 words.
 """
 
 from __future__ import annotations
@@ -45,9 +45,6 @@ from .workload import ContainerError
 
 GROUP_SIZES = (1, 2, 4, 8, 16, 32, 64)
 AUTO_GROUP_SIZES = (8, 16, 32)  # "auto" keeps the best CR of these; the smaller wins ties
-
-POPCOUNT = np.bitwise_count(np.arange(256, dtype=np.uint8))
-
 
 def _keep(indexes: np.ndarray) -> np.ndarray:
     """(n, 8) bool: slot s of each group's bit columns (index bit 7 - s) is stored."""
@@ -440,13 +437,21 @@ def sparsity_stats(values: np.ndarray, group_sizes: Sequence[int]) -> list[Spars
     bit_tc = 1.0 - float(np.bitwise_count(values.view(np.uint8)).sum()) / (8 * n)
     bit_sm = 1.0 - float(np.bitwise_count(sm).sum()) / (8 * n)
     sr_tc, sr_sm = (b / value_sp if value_sp > 0 else math.inf for b in (bit_tc, bit_sm))
-    stats = []
-    for g in group_sizes:  # the zero padding has no set bits in either encoding
-        idx_tc, idx_sm = (_or_index(partition_groups(bits, g))
-                          for bits in (values, sm.view(np.int8)))
-        n_cols = 8 * len(idx_sm)
-        stats.append(SparsityStats(g, n, value_sp, bit_tc, bit_sm,
-                                   1.0 - float(np.bitwise_count(idx_tc).sum()) / n_cols,
-                                   1.0 - float(np.bitwise_count(idx_sm).sum()) / n_cols,
-                                   sr_tc, sr_sm))
-    return stats
+    if not set(group_sizes) <= set(GROUP_SIZES):
+        raise ValueError(f"group sizes {list(group_sizes)} not all in {GROUP_SIZES}")
+    if not group_sizes:
+        return []
+    g = min(group_sizes)  # the zero padding has no set bits in either encoding
+    idx = [_or_index(partition_groups(bits, g)).reshape(-1, math.ceil(values.shape[1] / g))
+           for bits in (values, sm.view(np.int8))]  # one row of blocks per (k, fy, fx)
+    stats = {}
+    for target in sorted(set(group_sizes)):
+        while g < target:  # block j at 2G covers blocks 2j and 2j+1 at G
+            g *= 2
+            idx = [np.pad(x, [(0, 0), (0, x.shape[1] % 2)]) for x in idx]
+            idx = [x[:, 0::2] | x[:, 1::2] for x in idx]
+        set_tc, set_sm = (int(np.bitwise_count(x).sum()) for x in idx)
+        n_cols = 8 * idx[0].size
+        stats[g] = SparsityStats(g, n, value_sp, bit_tc, bit_sm, 1.0 - set_tc / n_cols,
+                                 1.0 - set_sm / n_cols, sr_tc, sr_sm)
+    return [stats[g] for g in group_sizes]

@@ -12,11 +12,13 @@ explicit in the manifest; nothing is inferred from file size. A layer name
 is also the stem of the layer's file names, so it must be a file-name-safe
 token (see workload.Network).
 
-Compressed container (byte exact): magic "BCSW", version 0x01; per layer:
+Compressed container (byte exact): magic "BCSW", version 0x02; per layer:
 name length u16-LE + name bytes, group size u8, mode u8 (0=dense, 1=bcs),
-element count u32-LE, group count u32-LE, payload. Dense payload is the raw
-int8 bytes; bcs payload is, per group, one index byte followed by ceil(G/8)
-bytes for each set index bit, scanned sign column first then bit 6..0.
+element count u32-LE, group count u32-LE, payload, u32-LE zlib.crc32 of the
+payload. Dense payload is the raw int8 bytes; bcs payload is the index bytes
+(CompressedLayer.indexes), then the column bytes (.columns): ceil(G/8) per set
+index bit, group by group, sign column first then bit 6..0. The index popcount
+sum sizes the column slice, so no read walks the groups.
 """
 
 from __future__ import annotations
@@ -24,16 +26,17 @@ from __future__ import annotations
 import csv
 import math
 import struct
+import zlib
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .codec import GROUP_SIZES, POPCOUNT, CompressedLayer, column_offsets
+from .codec import GROUP_SIZES, CompressedLayer, column_offsets
 from .workload import ContainerError, Layer, LayerShape, ManifestError, Network
 
 MAGIC = b"BCSW"
-VERSION = 1
+VERSION = 2
 
 _LAYER_KEYS = ("layer", "kind", "K", "C", "FX", "FY", "OX", "OY", "B", "stride", "weights")
 _OPT_KEYS = ("s_a", "acts")
@@ -142,19 +145,21 @@ def save_network(net: Network, out_dir: str | Path) -> Path:
 
 
 def write_compressed(path: str | Path, layers: Sequence[CompressedLayer]) -> None:
-    """Write a container, one layer record at a time (see the module docstring)."""
+    """Write a container (see the module docstring); a bcs layer whose column
+    count is not its index popcount sum is rejected before the file opens."""
+    for cl in layers:
+        if cl.mode == "bcs" and column_offsets(cl)[-1] != len(cl.columns):
+            raise ContainerError(f"layer {cl.name!r}: index/payload length mismatch")
     with open(path, "wb") as f:
         f.write(MAGIC + bytes([VERSION]))
         for cl in layers:
             name = cl.name.encode("utf-8")
             f.write(struct.pack("<H", len(name)) + name +
                     struct.pack("<BBII", cl.group_size, cl.mode == "bcs", cl.n_values, cl.n_groups))
-            if cl.mode == "dense":
-                f.write(cl.dense_values.astype(np.int8))
-            else:
-                # each index byte goes in before its group's first column byte
-                f.write(np.insert(cl.columns.reshape(-1),
-                                  column_offsets(cl)[:-1] * cl.column_bytes, cl.indexes))
+            payload = (cl.dense_values.astype(np.int8) if cl.mode == "dense"
+                       else np.concatenate([cl.indexes, cl.columns.reshape(-1)]))
+            f.write(payload)
+            f.write(struct.pack("<I", zlib.crc32(payload)))
 
 
 def read_compressed(path: str | Path) -> list[CompressedLayer]:
@@ -192,26 +197,25 @@ def read_compressed(path: str | Path) -> list[CompressedLayer]:
             raise ContainerError(f"{path}: layer {name!r} has invalid group size {gsize}")
         if mode not in (0, 1):
             raise ContainerError(f"{path}: layer {name!r} has invalid mode {mode}")
-        if (n_values if mode == 0 else n_groups) > len(data) - pos:
+        size = n_values if mode == 0 else n_groups  # the payload, or its index slice
+        if size + 4 > len(data) - pos:
             raise ContainerError(f"{path}: layer {name!r} payload truncated")
+        if mode == 1:  # then the column slice: ceil(G/8) bytes per set index bit
+            gb = math.ceil(gsize / 8)
+            size += int(np.bitwise_count(np.frombuffer(data, np.uint8, n_groups, pos)).sum()) * gb
+            if size + 4 > len(data) - pos:
+                raise ContainerError(f"{path}: layer {name!r} payload truncated")
+        payload = np.frombuffer(data, np.uint8, size, pos)
+        if zlib.crc32(payload) != struct.unpack_from("<I", data, pos + size)[0]:
+            raise ContainerError(f"{path}: layer {name!r} payload fails its CRC32")
         if mode == 0:
-            dense = np.frombuffer(data, np.int8, n_values, pos).copy()
-            layers.append(CompressedLayer(name, gsize, "dense", n_values, n_groups, dense_values=dense))
-            pos += n_values
-            continue
-        gb = math.ceil(gsize / 8)
-        step = (1 + POPCOUNT.astype(np.int64) * gb).tolist()  # record length by index byte
-        starts, end = [0] * n_groups, pos
-        try:  # the one sequential step: walk the record starts
-            for g in range(n_groups):
-                starts[g], end = end - pos, end + step[data[end]]
-            rec = np.frombuffer(data, np.uint8, end - pos, pos)
-        except (IndexError, ValueError):  # a record runs past the end of the file
-            raise ContainerError(f"{path}: layer {name!r} payload truncated") from None
-        starts = np.array(starts, dtype=np.intp)  # one conversion: both splits below index with it
-        layers.append(CompressedLayer(name, gsize, "bcs", n_values, n_groups, indexes=rec[starts],
-                                      columns=np.delete(rec, starts).reshape(-1, gb)))
-        pos = end
+            layers.append(CompressedLayer(name, gsize, "dense", n_values, n_groups,
+                                          dense_values=payload.view(np.int8).copy()))
+        else:
+            layers.append(CompressedLayer(name, gsize, "bcs", n_values, n_groups,
+                                          indexes=payload[:n_groups].copy(),
+                                          columns=payload[n_groups:].reshape(-1, gb).copy()))
+        pos += size + 4
     return layers
 
 

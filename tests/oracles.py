@@ -25,8 +25,10 @@ one payload slot table, and later one 8x8 bit-transpose kernel. The
 reference transpose spells that kernel out bit by bit with unpackbits and
 packbits.
 
-The container reader walks a bcs payload one group at a time, as it did
-before the library split each layer's records with one index-byte mask.
+The container reader walks a bcs payload one group at a time, finding each
+group's column bytes from the index bytes before it, and checks each
+layer's CRC32 over the bytes it walked; the library takes the index bytes
+and the column bytes as two slices.
 
 The two lockstep lane-set reductions of the perf model (value skipping's
 slowest kernel, bit skipping's slowest lane) slice or zero-pad the lanes
@@ -53,6 +55,7 @@ once.
 
 import math
 import struct
+import zlib
 from itertools import combinations
 from pathlib import Path
 from types import SimpleNamespace
@@ -60,8 +63,8 @@ from types import SimpleNamespace
 import numpy as np
 
 from bitcol import codec, engine, perf
-from bitcol.codec import (GROUP_SIZES, POPCOUNT, CompressedLayer, SparsityStats,
-                          partition_groups, sm_encode)
+from bitcol.codec import (GROUP_SIZES, CompressedLayer, SparsityStats, partition_groups,
+                          sm_encode)
 from bitcol.model_io import MAGIC, VERSION
 from bitcol.workload import ContainerError
 from bitcol.bitflip import flip_layer
@@ -71,6 +74,7 @@ from bitcol.perf import EnergyBreakdown, LatencyTerms
 from bitcol.workload import MappingError, OracleError, check_layer_names
 
 
+POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)  # set bits per byte
 SM_VALUE = np.r_[0:128, 0:-128:-1].astype(np.int8)  # the value of each sign-magnitude byte
 
 
@@ -101,7 +105,7 @@ def pack_columns(sm_bits: np.ndarray, indexes: np.ndarray) -> np.ndarray:
 def _group_nz(cl, sign_cycle):
     if cl.mode == "dense":
         return np.full(cl.n_groups, 8, dtype=np.int64)
-    nz = codec.POPCOUNT[cl.indexes & 0x7F].astype(np.int64)
+    nz = POPCOUNT[cl.indexes & 0x7F].astype(np.int64)
     if sign_cycle:
         nz += (cl.indexes >> 7) & 1
     return nz
@@ -307,7 +311,7 @@ def solve_groups_loop(groups: np.ndarray, z: int) -> tuple[np.ndarray, np.ndarra
     flipped = np.array(groups, dtype=np.int8)
     err = np.zeros(len(flipped), dtype=np.int64)
     idx = codec.column_index(flipped)
-    todo = np.flatnonzero(codec.POPCOUNT[idx] > 8 - z)
+    todo = np.flatnonzero(POPCOUNT[idx] > 8 - z)
     if todo.size:
         tables = _candidate_tables(z)
         v = np.arange(-128, 128, dtype=np.int32)
@@ -363,7 +367,7 @@ def solve_groups(groups: np.ndarray, z: int, include_sign: bool = True
         flip = table[vidx]
         bits, _ = codec.sm_encode(flip)
         idx = np.bitwise_or.reduce(bits, axis=1)
-        feasible = (8 - codec.POPCOUNT[idx]) >= z
+        feasible = (8 - POPCOUNT[idx]) >= z
         if not feasible.any():
             continue
         err = ((g32 - flip.astype(np.int32)) ** 2).sum(axis=1, dtype=np.int64)
@@ -408,32 +412,44 @@ def read_compressed(path: str | Path) -> list[CompressedLayer]:
             raise ContainerError(f"{path}: layer {name!r} has invalid group size {gsize}")
         if mode not in (0, 1):
             raise ContainerError(f"{path}: layer {name!r} has invalid mode {mode}")
+        start = pos
         if mode == 0:
             if pos + n_values > len(data):
                 raise ContainerError(f"{path}: layer {name!r} payload truncated")
             dense = np.frombuffer(data, dtype=np.int8, count=n_values, offset=pos).copy()
-            pos += n_values
+            _check_crc(path, name, data, start, pos + n_values)
+            pos += n_values + 4
             layers.append(CompressedLayer(name, gsize, "dense", n_values, n_groups,
                                           dense_values=dense))
         else:
             gb = math.ceil(gsize / 8)
+            if pos + n_groups > len(data):
+                raise ContainerError(f"{path}: layer {name!r} payload truncated")
             indexes = np.zeros(n_groups, dtype=np.uint8)
             cols = []
+            col = pos + n_groups  # the column bytes follow all the index bytes
             for g in range(n_groups):
-                if pos >= len(data):
-                    raise ContainerError(f"{path}: layer {name!r} payload truncated")
-                idx = data[pos]
-                pos += 1
+                idx = data[pos + g]
                 indexes[g] = idx
                 nbytes = int(POPCOUNT[idx]) * gb
-                if pos + nbytes > len(data):
+                if col + nbytes > len(data):
                     raise ContainerError(f"{path}: layer {name!r} payload truncated")
-                cols.append(np.frombuffer(data, dtype=np.uint8, count=nbytes, offset=pos))
-                pos += nbytes
+                cols.append(np.frombuffer(data, dtype=np.uint8, count=nbytes, offset=col))
+                col += nbytes
             columns = (np.concatenate(cols) if cols else np.zeros(0, dtype=np.uint8)).reshape(-1, gb)
+            _check_crc(path, name, data, start, col)
+            pos = col + 4
             layers.append(CompressedLayer(name, gsize, "bcs", n_values, n_groups,
                                           indexes=indexes, columns=columns))
     return layers
+
+
+def _check_crc(path, name, data, start, end):
+    """The u32-LE CRC32 after data[start:end] must match those bytes."""
+    if end + 4 > len(data):
+        raise ContainerError(f"{path}: layer {name!r} payload truncated")
+    if zlib.crc32(data[start:end]) != struct.unpack_from("<I", data, end)[0]:
+        raise ContainerError(f"{path}: layer {name!r} payload fails its CRC32")
 
 
 def imbalance_adjust(raw_sparsity, sync_lanes, lane_fractions):

@@ -16,6 +16,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import oracles
 from bitcol import bitflip, codec, engine, mapper, model_io, perf
 from bitcol.perf import AcceleratorSpec, LatencyTerms, UnitCosts
 from bitcol.workload import LayerShape
@@ -70,7 +71,7 @@ def test_02_engine_exactness(announce):
             for i, pg in enumerate(engine.packed_groups(cl)):
                 dot, cycles = engine.bce_group(acts[i], pg)
                 assert dot == engine.dot_ref(acts[i], weights[i, :, 0, 0])
-                assert cycles == int(codec.POPCOUNT[cl.indexes[i] & 0x7F])
+                assert cycles == int(oracles.POPCOUNT[cl.indexes[i] & 0x7F])
 
 
 def test_03_flip_example_minus3(announce):
@@ -93,7 +94,7 @@ def test_04_flip_solver_optimality(announce):
         vals = np.arange(-127, 128, dtype=np.int64)
         bits, _ = codec.sm_encode(vals)
         pair_idx = np.bitwise_or(bits[:, None], bits[None, :])
-        zero_bits = 8 - codec.POPCOUNT[pair_idx]
+        zero_bits = 8 - oracles.POPCOUNT[pair_idx]
         for _ in range(100):
             group = rng.integers(-127, 128, size=2, dtype=np.int8)
             err = (vals[:, None] - int(group[0])) ** 2 + (vals[None, :] - int(group[1])) ** 2
@@ -131,7 +132,7 @@ def test_06_ideal_cr_monotone(announce):
             for g in (1, 2, 4, 8, 16, 32, 64):
                 groups = codec.partition_groups(vals, g)
                 idx = codec.column_index(groups)
-                payload = g * int(codec.POPCOUNT[idx].sum())
+                payload = g * int(oracles.POPCOUNT[idx].sum())
                 cr = (8 * vals.size / payload) if payload else math.inf
                 assert cr <= prev or (math.isinf(cr) and math.isinf(prev))
                 prev = cr

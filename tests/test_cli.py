@@ -116,12 +116,27 @@ def test_simulate_verify_catches_corruption(net_dir):
     cont = net_dir / "model.bcsw"
     main(["compress", "--manifest", str(net_dir / "model/manifest.txt"),
           "--out", str(cont), "--group-size", "8"])
-    data = bytearray(cont.read_bytes())
-    data[-1] ^= 0x55  # flip bits in the last payload byte
-    cont.write_bytes(bytes(data))
+    layers = model_io.read_compressed(cont)
+    last = layers[-1]  # flip bits in the last payload byte
+    (last.columns if last.mode == "bcs" else last.dense_values)[-1] ^= 0x55
+    model_io.write_compressed(cont, layers)  # under a fresh CRC, so the container parses
     rc = main(["simulate", "--manifest", str(net_dir / "model/manifest.txt"),
                "--container", str(cont), "--verify"])
     assert rc == 2
+
+
+def test_a_container_corrupted_on_disk_fails_at_parse(net_dir, capsys):
+    cont = net_dir / "model.bcsw"
+    main(["compress", "--manifest", str(net_dir / "model/manifest.txt"),
+          "--out", str(cont), "--group-size", "8"])
+    data = bytearray(cont.read_bytes())
+    data[-5] ^= 0x55  # flip bits in the last payload byte, before the layer's CRC
+    cont.write_bytes(bytes(data))
+    capsys.readouterr()
+    for run in (["simulate", "--manifest", str(net_dir / "model/manifest.txt"),
+                 "--container", str(cont), "--verify"], ["report", "--container", str(cont)]):
+        assert main(run) == 1
+        assert "layer 'pw1' payload fails its CRC32" in capsys.readouterr().err
 
 
 def test_simulate_packs_without_the_compress_report(net_dir, monkeypatch):

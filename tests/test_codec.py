@@ -180,7 +180,7 @@ class TestCompression:
     def test_index_soundness(self, rng):
         vals = rng.integers(-127, 128, size=(4, 32, 1, 1), dtype=np.int8)
         cl = compress_layer(vals, 8, mode="bcs")
-        assert int(codec.POPCOUNT[cl.indexes].sum()) == len(cl.columns)
+        assert int(oracles.POPCOUNT[cl.indexes].sum()) == len(cl.columns)
 
     def test_truncation_detected(self, rng):
         vals = rng.integers(-127, 128, size=(2, 16, 1, 1), dtype=np.int8)
@@ -322,11 +322,11 @@ class TestSparsityStats:
         n = vals.size
         (st,) = sparsity_stats(vals, (g,))
         tc, (sm, _) = vals.view(np.uint8), codec.sm_encode(vals)
-        assert st.bit_sparsity_tc == 1.0 - float(codec.POPCOUNT[tc].sum()) / (8 * n)
-        assert st.bit_sparsity_sm == 1.0 - float(codec.POPCOUNT[sm].sum()) / (8 * n)
+        assert st.bit_sparsity_tc == 1.0 - float(oracles.POPCOUNT[tc].sum()) / (8 * n)
+        assert st.bit_sparsity_sm == 1.0 - float(oracles.POPCOUNT[sm].sum()) / (8 * n)
         groups = partition_groups(vals, g)
         assert st.column_sparsity_sm == \
-            1.0 - float(codec.POPCOUNT[column_index(groups)].sum()) / (8 * len(groups))
+            1.0 - float(oracles.POPCOUNT[column_index(groups)].sum()) / (8 * len(groups))
 
     def test_sm_beats_tc_on_small_negatives(self, rng):
         vals = -rng.integers(1, 16, size=(2, 32, 1, 1)).astype(np.int8)

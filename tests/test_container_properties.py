@@ -1,14 +1,15 @@
 """Container parse-or-reject properties.
 
-The library reader walks each bcs layer's record starts through a 256-entry
-step table and splits the record bytes at those starts; the
-reference reader in oracles.py walks one group at a time. Written layers
-must read back field by field, both readers must agree on valid and
-truncated containers and reject a repeated layer name, and corrupt bytes may
-only raise ContainerError.
+The library reader takes each bcs layer's index bytes and column bytes as
+two slices; the reference reader in oracles.py walks one group at a time.
+Written layers must read back field by field, both readers must agree on
+valid and truncated containers and reject a repeated layer name and a
+version-1 container, corrupt bytes may only raise ContainerError, and a
+changed payload or CRC byte always does.
 """
 
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -79,12 +80,18 @@ def _assert_same(got, want):
 
 def _layer_ends(layer_list) -> set[int]:
     """Byte offsets at which a container of these layers ends a layer."""
-    pos, ends = 5, {5}
+    return {end for _, end in _payloads(layer_list)} | {5}
+
+
+def _payloads(layer_list) -> list[tuple[int, int]]:
+    """(start, end) byte offsets of each layer's payload plus CRC."""
+    pos, spans = 5, []
     for cl in layer_list:
         payload = cl.n_values if cl.mode == "dense" else cl.n_groups + cl.columns.size
-        pos += 2 + len(cl.name.encode("utf-8")) + 10 + payload
-        ends.add(pos)
-    return ends
+        pos += 2 + len(cl.name.encode("utf-8")) + 10
+        spans.append((pos, pos + payload + 4))
+        pos += payload + 4
+    return spans
 
 
 @pytest.mark.parametrize("mode", ["dense", "bcs"])
@@ -151,10 +158,47 @@ def test_corruption_raises_only_container_error(tmp_path, layer_list, flip, cut,
 @pytest.mark.parametrize("mode", [0, 1])
 def test_zero_value_layer_rejected(tmp_path, mode):
     # a layer header with n_values = n_groups = 0 once ended in a bare IndexError
-    header = b"BCSW\x01" + struct.pack("<H", 1) + b"x" + struct.pack("<BBII", 8, mode, 0, 0)
-    path = _blob(tmp_path, header)
+    header = b"BCSW\x02" + struct.pack("<H", 1) + b"x" + struct.pack("<BBII", 8, mode, 0, 0)
+    path = _blob(tmp_path, header + struct.pack("<I", zlib.crc32(b"")))
     with pytest.raises(ContainerError, match="holds no values"):
         read_compressed(path)
     with pytest.raises(ContainerError, match="holds no values"):
         oracles.read_compressed(path)
     assert main(["report", "--container", str(path)]) == 1
+
+
+@settings(PROPERTY, max_examples=100)
+@given(layer_list=st.lists(layers(), min_size=1, max_size=3, unique_by=_name),
+       flip=st.integers(1, 255), data=st.data())
+def test_a_changed_payload_or_crc_byte_is_rejected(tmp_path, layer_list, flip, data):
+    # CRC32 detects every burst of up to 32 bits, so one changed byte never passes;
+    # a changed index byte also moves the end of its layer's column slice
+    blob = bytearray(_written(tmp_path, layer_list))
+    start, end = data.draw(st.sampled_from(_payloads(layer_list)))
+    blob[data.draw(st.integers(start, end - 1))] ^= flip
+    path = _blob(tmp_path, bytes(blob))
+    for read in (read_compressed, oracles.read_compressed):
+        with pytest.raises(ContainerError):
+            read(path)
+
+
+@PROPERTY
+@given(layer_list=containers)
+def test_version_1_is_rejected_by_both_readers(tmp_path, layer_list):
+    blob = bytearray(_written(tmp_path, layer_list))
+    blob[4] = 1
+    path = _blob(tmp_path, bytes(blob))
+    for read in (read_compressed, oracles.read_compressed):
+        with pytest.raises(ContainerError, match="unsupported version 1"):
+            read(path)
+    assert main(["report", "--container", str(path)]) == 1
+
+
+@pytest.mark.parametrize("change", [-1, 1])
+def test_a_payload_of_the_wrong_length_is_not_written(tmp_path, change):
+    cl = codec.compress_layer(np.arange(-8, 8, dtype=np.int8).reshape(1, 16, 1, 1), 8, "bcs", "w")
+    cl.columns = np.zeros((len(cl.columns) + change, cl.column_bytes), dtype=np.uint8)
+    path = tmp_path / "c.bcsw"
+    with pytest.raises(ContainerError, match="layer 'w': index/payload length mismatch"):
+        write_compressed(path, [cl])
+    assert not path.exists()

@@ -66,7 +66,7 @@ def test_index_is_achieved_and_feasible(groups, z):
     bits, clamps = codec.sm_encode(flipped)
     assert clamps == 0
     assert np.array_equal(idx, np.bitwise_or.reduce(bits, axis=1))
-    assert int((8 - codec.POPCOUNT[idx]).min()) >= z
+    assert int((8 - oracles.POPCOUNT[idx]).min()) >= z
     d = flipped.astype(np.int64) - groups
     assert np.array_equal(err, (d * d).sum(axis=1))
 

@@ -1,5 +1,6 @@
 import struct
 import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -173,7 +174,7 @@ class TestContainer:
     def test_empty_layer_list_header_only(self, tmp_path):
         path = tmp_path / "c.bcsw"
         write_compressed(path, [])
-        assert path.read_bytes() == b"BCSW\x01"
+        assert path.read_bytes() == b"BCSW\x02"
         assert read_compressed(path) == []
 
     def test_dense_layer_is_header_plus_raw(self, tmp_path, rng):
@@ -182,16 +183,16 @@ class TestContainer:
         path = tmp_path / "c.bcsw"
         write_compressed(path, [cl])
         data = path.read_bytes()
-        header = b"BCSW\x01" + struct.pack("<H", 2) + b"d0" + bytes([8, 0]) + struct.pack("<II", 8, 1)
-        assert data == header + vals.tobytes()
+        header = b"BCSW\x02" + struct.pack("<H", 2) + b"d0" + bytes([8, 0]) + struct.pack("<II", 8, 1)
+        assert data == header + vals.tobytes() + struct.pack("<I", zlib.crc32(vals.tobytes()))
 
     def test_all_zero_group_payload_is_one_index_byte(self, tmp_path):
         cl = codec.compress_layer(np.zeros((1, 8, 1, 1), dtype=np.int8), 8, mode="bcs", name="z")
         path = tmp_path / "c.bcsw"
         write_compressed(path, [cl])
         data = path.read_bytes()
-        header = b"BCSW\x01" + struct.pack("<H", 1) + b"z" + bytes([8, 1]) + struct.pack("<II", 8, 1)
-        assert data == header + b"\x00"
+        header = b"BCSW\x02" + struct.pack("<H", 1) + b"z" + bytes([8, 1]) + struct.pack("<II", 8, 1)
+        assert data == header + b"\x00" + struct.pack("<I", zlib.crc32(b"\x00"))
 
     def test_hand_packed_example_group(self, tmp_path):
         # {+2,+6,+4,+4,0,0,0,0} at G=8: index 0b110; bit2 set in elements
@@ -201,7 +202,19 @@ class TestContainer:
         path = tmp_path / "c.bcsw"
         write_compressed(path, [cl])
         payload = path.read_bytes()[5 + 2 + 1 + 2 + 8:]
-        assert payload == bytes([0x06, 0x0E, 0x03])
+        assert payload == bytes([0x06, 0x0E, 0x03]) + struct.pack("<I", zlib.crc32(b"\x06\x0e\x03"))
+
+    def test_index_bytes_then_column_bytes(self, tmp_path):
+        # two groups at G=8: {0,0,+1,0,...} (index 0x01, bit 0 column 0x04)
+        # and {-2,0,0,0,0,+2,0,0} (index 0x82: sign column 0x01, then bit 1
+        # column 0x21); both indexes come first, then the three column bytes
+        vals = np.array([0, 0, 1, 0, 0, 0, 0, 0, -2, 0, 0, 0, 0, 2, 0, 0],
+                        dtype=np.int8).reshape(1, 16, 1, 1)
+        cl = codec.compress_layer(vals, 8, mode="bcs", name="g")
+        path = tmp_path / "c.bcsw"
+        write_compressed(path, [cl])
+        payload = bytes([0x01, 0x82, 0x04, 0x01, 0x21])
+        assert path.read_bytes()[5 + 2 + 1 + 2 + 8:] == payload + struct.pack("<I", zlib.crc32(payload))
 
     def test_roundtrip_many_layers(self, tmp_path, rng):
         layers = []
@@ -250,7 +263,7 @@ class TestContainer:
     @pytest.mark.parametrize("mode", [0, 1])
     def test_header_count_past_file_end_allocates_nothing(self, tmp_path, mode):
         # a million elements (dense) or groups (bcs) claimed over a 4-byte payload
-        header = b"BCSW\x01" + struct.pack("<H", 1) + b"h" + bytes([8, mode])
+        header = b"BCSW\x02" + struct.pack("<H", 1) + b"h" + bytes([8, mode])
         path = tmp_path / "c.bcsw"
         path.write_bytes(header + struct.pack("<II", 10**6, 10**6) + bytes(4))
         tracemalloc.start()
@@ -264,8 +277,9 @@ class TestContainer:
 
     def test_dense_group_count_checked(self, tmp_path):
         path = tmp_path / "c.bcsw"
-        path.write_bytes(b"BCSW\x01" + struct.pack("<H", 1) + b"d" + bytes([8, 0])
-                         + struct.pack("<II", 8, 2**32 - 1) + bytes(8))
+        path.write_bytes(b"BCSW\x02" + struct.pack("<H", 1) + b"d" + bytes([8, 0])
+                         + struct.pack("<II", 8, 2**32 - 1) + bytes(8)
+                         + struct.pack("<I", zlib.crc32(bytes(8))))
         with pytest.raises(model_io.ContainerError, match="groups cannot hold"):
             read_compressed(path)
 

@@ -80,7 +80,7 @@ def test_slot_bit_table():
     assert codec.SLOT_BIT[0x00].tolist() == [-1] * 8
     assert codec.SLOT_BIT[0xFF].tolist() == [7, 6, 5, 4, 3, 2, 1, 0]
     assert codec.SLOT_BIT[0b10010100].tolist() == [7, 4, 2, -1, -1, -1, -1, -1]
-    assert ((codec.SLOT_BIT >= 0).sum(axis=1) == codec.POPCOUNT).all()
+    assert ((codec.SLOT_BIT >= 0).sum(axis=1) == oracles.POPCOUNT).all()
 
 
 def test_slot_bit_agrees_with_the_keep_mask():

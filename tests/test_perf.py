@@ -105,7 +105,7 @@ class TestEffectiveMemory:
 
     def test_bcs_cr_matches_container_byte_count(self, rng, tmp_path):
         # independent oracle: effective weight DRAM reads equal the actual
-        # container payload bytes times the pass count
+        # container payload bytes (no header, no CRC) times the pass count
         from bitcol import model_io
         layer = make_layer("w", rng, k=4, c=32, fy=3, fx=3, ox=8, oy=8)
         layer.weights[rng.random(size=layer.weights.shape) < 0.6] = 0
@@ -115,7 +115,7 @@ class TestEffectiveMemory:
         counts = dense_activity(layer.shape, spec, su1)
         path = tmp_path / "c.bcsw"
         model_io.write_compressed(path, [weight_compression(layer, spec)[1]])
-        payload_bytes = len(path.read_bytes()) - (5 + 2 + len("w") + 2 + 8)
+        payload_bytes = len(path.read_bytes()) - (5 + 2 + len("w") + 2 + 8) - 4
         weight_dram = payload_bytes * counts.passes
         assert counts.dram_read_w / rep.cr_w == pytest.approx(weight_dram)
         assert rep.terms.dram * spec.dram_bytes_per_cycle == pytest.approx(

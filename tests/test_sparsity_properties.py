@@ -1,8 +1,9 @@
 """One-encode sparsity statistics against the per-G reference in oracles.py.
 
 The reference partitions and encodes the layer anew for each group size.
-The library encodes it once and reads every requested G's column indexes
-from the encoded bytes, so each returned SparsityStats must equal the
+The library encodes it once, ORs the column indexes once at the smallest
+requested G and folds adjacent block pairs for each larger G, so each
+returned SparsityStats must equal the
 reference's at its G, field by field and exactly: analyze writes them to
 CSV. The draws cover every G in any order, channel counts that are no
 multiple of G, depthwise C=1 and tensors with -128.
