@@ -1,11 +1,12 @@
 """Reference versions of vectorized library code.
 
-The wave walk, the per-group exactness loop and the SU1 bank layout are
-written as they were before the engine, perf and the mapper moved onto one
-bit-plane unpack and one lockstep wave kernel. They run on the engine's
-scalar per-group model (packed_groups, parse_index, bce_group, dot_ref)
-only, so the property tests that compare them with the library stay
-independent of the code they check.
+The wave walk and the SU1 bank layout are written as they were before the
+engine, perf and the mapper moved onto one bit-plane unpack and one
+lockstep wave kernel. They run on the engine's scalar per-group model
+(packed_groups, parse_index) only, so the property tests that compare them
+with the library stay independent of the code they check.
+The round-trip check walks packed_groups too, rebuilding each element from
+its sign and magnitude column bits, with no unpack_groups or sm_decode.
 
 The flip solver is the sweep over all 256 (zeroed magnitude columns, sign)
 candidates that the library used before it scored only the candidates
@@ -43,7 +44,8 @@ network, and the metric rescans every weight against the clamped original.
 The sparsity statistics partition and encode the layer anew for one group
 size, as they did before one encode served every group size.
 
-The ZRE size walks the stream one value at a time, emitting entries.
+The ZRE size walks the stream one value at a time, emitting entries. The
+CSR size builds the data, column-index and row-pointer arrays row by row.
 
 The perf model's per-layer evaluation copies every dense count into an
 effective-counts record divided by CR, overwrites the effective MACs,
@@ -68,7 +70,7 @@ from bitcol.codec import (GROUP_SIZES, CompressedLayer, SparsityStats, partition
 from bitcol.model_io import MAGIC, VERSION
 from bitcol.workload import ContainerError
 from bitcol.bitflip import flip_layer
-from bitcol.engine import CycleCount, bce_group, dot_ref, packed_groups
+from bitcol.engine import CycleCount, packed_groups
 from bitcol.mapper import check_kind_compatible
 from bitcol.perf import EnergyBreakdown, LatencyTerms
 from bitcol.workload import MappingError, OracleError, check_layer_names
@@ -164,23 +166,25 @@ def simulate_layer(cl, shape, su, sign_cycle=False):
 
 
 
-def verify_layer(cl, values, rng):
-    """Exactness check: compare every group's engine dot against dot_ref.
-
-    Returns the mismatch count (0 when the engine is exact). Dense-mode
-    layers verify trivially against the raw values.
+def verify_layer(cl, values):
+    """Round-trip check, one group and one element at a time: the number of
+    groups with an element whose stored value differs from the manifest's
+    (-128 read as -127; channel padding compared with 0). A bcs element is
+    rebuilt from its bit in each stored magnitude column and its sign bit.
     """
+    g = cl.group_size
+    want = partition_groups(values, g)
     if cl.mode == "dense":
-        stored = cl.dense_values.reshape(values.shape)
-        return int(np.count_nonzero(stored != values))
-    groups = codec.partition_groups(values, cl.group_size)
-    clamped = np.clip(groups.astype(np.int16), -127, 127).astype(np.int8)
+        got = partition_groups(cl.dense_values.reshape(values.shape), g)
+        return sum(any(int(a) != int(b) for a, b in zip(row, ref)) for row, ref in zip(got, want))
     mismatches = 0
-    for i, pg in enumerate(packed_groups(cl)):
-        acts = rng.integers(-128, 128, size=cl.group_size, dtype=np.int64)
-        dot, _ = bce_group(acts, pg)
-        if dot != dot_ref(acts, clamped[i]):
-            mismatches += 1
+    for pg, ref in zip(packed_groups(cl), want):
+        for j in range(g):
+            magnitude = sum(int(col[j]) << sig for sig, col in pg.columns.items())
+            value = -magnitude if pg.sign_bits[j] else magnitude
+            if value != max(int(ref[j]), -127):
+                mismatches += 1
+                break
     return mismatches
 
 
@@ -564,6 +568,22 @@ def zre_size(values):
     full, rest = divmod(run, 16)
     entries += full + (1 if rest else 0)
     return 12 * entries
+
+
+def csr_size(values, row_length):
+    """CSR size in bits of the three arrays built row by row: an 8-bit datum
+    and a column index (wide enough for row_length - 1) per non-zero, and
+    rows + 1 row pointers (wide enough for the non-zero count)."""
+    flat = [int(v) for v in np.asarray(values).reshape(-1)]
+    data, cols, pointers = [], [], [0]
+    for lo in range(0, len(flat), row_length):
+        for j, v in enumerate(flat[lo:lo + row_length]):
+            if v:
+                data.append(v)
+                cols.append(j)
+        pointers.append(len(data))
+    return (8 * len(data) + len(cols) * (row_length - 1).bit_length()
+            + len(pointers) * len(data).bit_length())
 
 
 def perf_effective_memory(counts, cr_w, cr_a):

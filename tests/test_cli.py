@@ -162,13 +162,13 @@ def test_verify_references_keep_their_own_clamp(tmp_path, monkeypatch):
     assert main(["compress", "--manifest", str(tmp_path / "model/manifest.txt"),
                  "--out", str(tmp_path / "c.bcsw"), "--verify"]) == 2
     cl = codec.compress_layer(vals, 8, mode="bcs")
-    assert engine.verify_layer(cl, vals, np.random.default_rng(0)) == 1
+    assert engine.verify_layer(cl, vals) == 1
 
 
 def test_both_verify_paths_catch_a_broken_decode(tmp_path, monkeypatch):
-    # compress's round trip and simulate's engine dots both decode through
-    # sm_decode; a decode that reads 0x81 (-1) as +1 must fail both, because
-    # neither reference decodes
+    # compress's and simulate's round trips both decode through sm_decode; a
+    # decode that reads 0x81 (-1) as +1 must fail both, because the reference
+    # does not decode
     vals = np.zeros((4, 16, 3, 3), dtype=np.int8)
     vals[0, :4, 0, 0], vals[2, 5, 1, 1] = [-1, 1, 3, -2], -1
     net = make_network("decodenet", [Layer("conv1", LayerShape(k=4, c=16, fy=3, fx=3, ox=4, oy=4),
@@ -183,6 +183,54 @@ def test_both_verify_paths_catch_a_broken_decode(tmp_path, monkeypatch):
         np.asarray(bits) == 0x81, 1, decode(bits)).astype(np.int8))
     for run in runs:
         assert main([*run, "--manifest", str(tmp_path / "model/manifest.txt"), "--verify"]) == 2
+
+
+def test_simulate_verify_counts_a_change_that_moved_no_dot(tmp_path, capsys):
+    # kernel 0, position (0, 1), channel 4 is element 4 of group 1, where the
+    # seed-0 activation stream of the former dot-product check drew 0: a +1
+    # change there moved no dot. The decoded weights differ all the same.
+    assert np.random.default_rng(0).integers(-128, 128, size=(36, 8))[1, 4] == 0
+    vals = (np.arange(4 * 8 * 3 * 3) % 13 - 6).astype(np.int8).reshape(4, 8, 3, 3)
+    changed = vals.copy()
+    changed[0, 4, 0, 1] += 1
+    net = make_network("zeroact", [Layer("conv1", LayerShape(k=4, c=8, fy=3, fx=3, ox=4, oy=4),
+                                         vals)])
+    model_io.save_network(net, tmp_path / "model")
+    cont = tmp_path / "c.bcsw"
+    model_io.write_compressed(cont, [codec.compress_layer(changed, 8, "bcs", "conv1")])
+    capsys.readouterr()
+    assert main(["simulate", "--manifest", str(tmp_path / "model/manifest.txt"),
+                 "--container", str(cont), "--verify", "--seed", "0"]) == 2
+    assert capsys.readouterr().err == "verify: 1 of 36 groups differ from the manifest\n"
+
+
+def test_compress_verify_counts_a_set_bit_in_the_channel_padding(tmp_path, capsys,
+                                                                 monkeypatch):
+    # C=12 at G=8: group 1 holds kernel 0's channels 8-11 and 4 padding
+    # channels. A reader that sets padding element 6's bit in that group's
+    # lowest stored column still decompresses to the manifest's tensor,
+    # which strips the padding; the group compare counts it.
+    vals = (np.arange(2 * 12) % 5 - 2).astype(np.int8).reshape(2, 12, 1, 1)
+    net = make_network("padnet", [Layer("pw", LayerShape(k=2, c=12, fy=1, fx=1, ox=4, oy=4,
+                                                         kind="pointwise-conv"), vals)])
+    model_io.save_network(net, tmp_path / "model")
+    read = model_io.read_compressed
+    reread = []
+
+    def read_with_a_padding_bit(path):
+        (cl,) = reread[:] = read(path)
+        cl.columns = cl.columns.copy()
+        cl.columns[codec.column_offsets(cl)[2] - 1, 0] |= 1 << 6
+        return reread
+
+    monkeypatch.setattr(model_io, "read_compressed", read_with_a_padding_bit)
+    assert main(["compress", "--manifest", str(tmp_path / "model/manifest.txt"),
+                 "--out", str(tmp_path / "c.bcsw"), "--group-size", "8", "--verify"]) == 2
+    assert capsys.readouterr().err == \
+        "verify: layer 'pw': 1 of 4 groups differ from the manifest\n"
+    (cl,) = reread
+    assert cl.mode == "bcs"
+    assert np.array_equal(codec.decompress_layer(cl, vals.shape), vals)
 
 
 def test_simulate_missing_layer_in_container(net_dir, tmp_path):
@@ -413,6 +461,7 @@ def test_bitflip_minus_inf_macc_sets_no_floor(net_dir):
      "error: oracle output is not UTF-8: 'utf-8' codec can't decode byte 0xff"),
     ("sys.stderr.buffer.write(b'bad \\xff input\\n'); sys.exit(3)",
      "error: oracle command failed with exit 3: bad \ufffd input\n"),
+    ("sys.stdout.write(' \\n\\n')", "error: oracle produced no output\n"),
 ])
 def test_bitflip_non_utf8_oracle_is_oracle_error(net_dir, capsys, body, message):
     script = net_dir / "oracle.py"
@@ -425,6 +474,19 @@ def test_bitflip_non_utf8_oracle_is_oracle_error(net_dir, capsys, body, message)
     err = capsys.readouterr().err
     assert err.startswith(message)
     assert "Traceback" not in err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--oracle-cmd", "  ", "--macc", "0"], "empty oracle command"),
+    (["--oracle-cmd", "true", "--proxy-oracle"],
+     "--oracle-cmd and --proxy-oracle are mutually exclusive"),
+])
+def test_bitflip_oracle_flags_checked(net_dir, capsys, argv, message):
+    out_dir = net_dir / "searched"
+    assert main(["bitflip", "--manifest", str(net_dir / "model/manifest.txt"),
+                 "--out", str(out_dir), *argv]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not out_dir.exists()
 
 
@@ -516,6 +578,7 @@ def test_readme_spec_config_example_runs(tmp_path):
     ("[a]\nbase = bitcol\n\n[a]\nbase = scnn\n", "section 'a' already exists"),
     ("base = bitcol\n[a]\nbase = scnn\n", "File contains no section headers"),
     ("[a]\nbase = bitcol\njunk line\n", "Source contains parsing errors"),
+    ("# no sections\n", "has no sections"),
     ("[a]\nbase = bitcol\nsu = %(x)s\n", "[a] unknown spatial unrolling '%(x)s'"),
     ("[a]\nbase = bitcol\nsu = SU3\ngroup_size = 16\n",
      "[a] group size 16 is not a multiple of the unrolled channels C_u=32 of SU3"),
@@ -843,3 +906,42 @@ def test_report_rejects_a_container_naming_a_layer_twice(net_dir, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {cont}: container names layer 'dw1' twice\n"
+
+
+@pytest.mark.parametrize("offset,byte,message", [
+    (0, 3, "has invalid group size 3"),
+    (1, 2, "has invalid mode 2"),
+])
+def test_container_header_checked_before_its_payload(net_dir, capsys, offset, byte, message):
+    # the CRC covers the payload only, so a bad header byte is named as such
+    net = model_io.load_network(net_dir / "model/manifest.txt")
+    cont = net_dir / "c.bcsw"
+    model_io.write_compressed(cont, [codec.compress_layer(net.layers[0].weights, 8,
+                                                          name="conv1")])
+    data = bytearray(cont.read_bytes())
+    data[len(model_io.MAGIC) + 1 + 2 + len("conv1") + offset] = byte  # after version, name
+    cont.write_bytes(bytes(data))
+    assert main(["report", "--container", str(cont)]) == 1
+    assert capsys.readouterr().err == f"error: {cont}: layer 'conv1' {message}\n"
+
+
+@pytest.mark.parametrize("fields,message", [
+    ("kind=bogus FX=1 FY=1", "unknown layer kind 'bogus'"),
+    ("kind=depthwise-conv FX=3 FY=1",
+     "depthwise-conv layers carry one input channel per filter (C=1)"),
+    ("kind=pointwise-conv FX=1 FY=3", "pointwise-conv layers require FX=FY=1"),
+    ("kind=fully-connected FX=3 FY=1", "fully-connected layers require FX=FY=1"),
+])
+def test_manifest_layer_kind_checked(tmp_path, capsys, fields, message):
+    (tmp_path / "w.bin").write_bytes(bytes(8 * 3))
+    (tmp_path / "manifest.txt").write_text(
+        f"network=n\nlayer=l {fields} K=1 C=8 OX=1 OY=1 B=1 stride=1 weights=w.bin\n")
+    assert main(["analyze", "--manifest", str(tmp_path / "manifest.txt")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_perf_missing_spec_config_is_input_error(net_dir, capsys):
+    cfg = net_dir / "none.ini"
+    assert main(["perf", "--manifest", str(net_dir / "model/manifest.txt"),
+                 "--spec-config", str(cfg)]) == 1
+    assert capsys.readouterr().err == f"error: cannot read spec config {cfg}\n"

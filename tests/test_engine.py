@@ -238,12 +238,12 @@ class TestVerifyLayer:
         shape = LayerShape(k=4, c=16, fy=1, fx=1, ox=4, oy=4)
         vals = rng.integers(-127, 128, size=shape.weight_dims, dtype=np.int8)
         cl = codec.compress_layer(vals, 8, mode="bcs")
-        assert verify_layer(cl, vals, np.random.default_rng(0)) == 0
+        assert verify_layer(cl, vals) == 0
 
     def test_corrupted_layer_caught(self, rng):
         shape = LayerShape(k=4, c=16, fy=1, fx=1, ox=4, oy=4)
         vals = rng.integers(1, 128, size=shape.weight_dims, dtype=np.int8)
         cl = codec.compress_layer(vals, 8, mode="bcs")
         cl.columns = cl.columns.copy()
-        cl.columns[0] ^= 0xFF
-        assert verify_layer(cl, vals, np.random.default_rng(0)) > 0
+        cl.columns[0] ^= 0xFF  # every element of group 0 changes one magnitude bit
+        assert verify_layer(cl, vals) == 1

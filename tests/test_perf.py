@@ -23,6 +23,7 @@ from bitcol.perf import (
 )
 from bitcol.workload import ConfigError, LayerShape, Network
 
+import oracles
 from conftest import make_layer, make_network
 
 
@@ -493,6 +494,8 @@ class TestPresetsAndConfig:
         ("peak_macs = 0", "peak_macs must be"),
         pytest.param("peak_macs = " + "9" * 400, "peak_macs must be", id="peak_macs-huge"),
         ("sync_lanes = 0", "sync_lanes must be"),
+        ("sparsity_mode = bogus", "unknown sparsity mode 'bogus'"),
+        ("weight_codec = bogus", "unknown weight codec 'bogus'"),
         ("dram_bytes_per_cycle = nan", "dram_bytes_per_cycle must be"),
         ("dram_bytes_per_cycle = 1e400", "dram_bytes_per_cycle must be"),
         ("e_reg_bit = inf", "unit cost e_reg_bit must be"),
@@ -534,6 +537,31 @@ class TestPresetsAndConfig:
         layer.acts = np.zeros(64, dtype=np.int8)
         cr_sample = perf.act_compression(layer, spec, 0.5)
         assert cr_sample == 8 * 64 / codec.zre_size(layer.acts)
+
+    def test_csr_weight_compression_is_exact(self, rng):
+        # rows of C*FY*FX = 36 values take 6-bit column indexes
+        layer = make_layer("w", rng, k=4, c=4, fy=3, fx=3, ox=4, oy=4)
+        layer.weights[rng.random(layer.weights.shape) < 0.6] = 0
+        spec = replace(preset("scnn"), weight_codec="csr")
+        assert weight_compression(layer, spec) == \
+            (8 * 144 / oracles.csr_size(layer.weights, 36), None)
+        layer.weights[...] = 0
+        layer.weights[0, 0, 0, 0] = 5  # one datum, 6 index bits, 5 pointers of 1 bit
+        assert weight_compression(layer, spec) == (8 * 144 / (8 + 6 + 5), None)
+
+    def test_csr_act_compression_on_a_sample_is_exact(self, rng):
+        layer = make_layer("a", rng, k=2, c=8, fy=1, fx=1, ox=4, oy=4)
+        spec = replace(preset("scnn"), act_codec="csr")
+        layer.acts = rng.integers(-128, 128, size=600).astype(np.int8)
+        layer.acts[rng.random(600) < 0.7] = 0
+        assert perf.act_compression(layer, spec, 0.5) == \
+            8 * 600 / oracles.csr_size(layer.acts, 256)
+        layer.acts = np.zeros(300, dtype=np.int8)
+        layer.acts[[3, 299]] = 1  # 2 data, 8 index bits each, 3 pointers of 2 bits
+        assert perf.act_compression(layer, spec, 0.5) == 8 * 300 / (2 * 16 + 3 * 2)
+        layer.acts = None  # analytic: 16 bits per non-zero, capped at 64
+        assert perf.act_compression(layer, spec, 0.75) == 2.0
+        assert perf.act_compression(layer, spec, 1.0) == 64.0
 
 
 class TestDepthwiseEvaluation:
