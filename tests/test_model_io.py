@@ -145,14 +145,14 @@ class TestManifestRules:
         (["network=n"], "manifest has no layers"),
         (["# nothing", "network=n", ""], "manifest has no layers"),
         (["network=n", f"layer=a {LAYER} s_a=abc"], "line 2: s_a: could not convert"),
-        (["network=n", "layer=a " + LAYER.replace("K=1", "K=one")],
-         "line 2: invalid literal for int"),
         (["network=n", "layer=a " + LAYER.replace("OX=1", "OX=" + "9" * 400)],
          "layer dimension ox=9+ must be in 1..2147483647"),
         (["network=n", "quant=int8-per-channel", f"layer=a {LAYER}"],
          "line 2: expected a layer record"),
         (["network=n", "layer=a " + LAYER.replace("K=1", "K=65536").replace("C=4", "C=65536")],
          "layer has 4294967296 weight values; a container layer holds at most 4294967295"),
+        (["network=n", "layer=a " + LAYER.replace("K=1", "K=one")],
+         "line 2: invalid literal for int"),
     ])
     def test_manifest_rule(self, tmp_path, lines, message):
         (tmp_path / "w.bin").write_bytes(bytes(4))
