@@ -19,9 +19,10 @@ Sign-magnitude cannot express -128: sm_clamp reads it as -127 (1 LSB of error;
 the codec stays total, and sm_encode counts the clamps). best_pack is the one
 group-size and mode choice: the auto-mode pack of best CR over the candidate
 Gs, the smaller G on ties.
-sparsity_stats encodes a layer once for every G it reports: bit sparsities
-do not depend on G. Column indexes are ORed once, at the smallest G; each
-larger G ORs adjacent block pairs of the G half its size.
+sparsity_stats partitions a layer once, at the smallest G it reports, and
+sign-magnitude encodes that copy: both bit sparsities and both column index
+sets come from the two, since the zero padding sets no bit. Each larger G ORs
+adjacent block pairs of the G half its size (an odd row gets a zero block).
 
 compress_layer defers a bcs layer's pack: the layer keeps its sign-magnitude
 groups and packs them on the first read of `columns`, then drops them. The
@@ -378,15 +379,23 @@ def zre_size(values: np.ndarray) -> int:
     """Zero run-length encoding size in bits: 12 per entry (4-bit run + 8-bit value).
 
     Runs longer than 15 split by emitting a (15, 0) entry, which covers 16
-    zeros; trailing zeros close with a (run-1, 0) entry.
+    zeros; trailing zeros close with a (run-1, 0) entry. So the entries are
+    the non-zeros, floor(L/16) per zero run of length L, and one more when the
+    trailing run's length is no multiple of 16. A run of L >= 16 zeros holds
+    L - 15 consecutive starts of an all-zero 16-wide window, so floor(L/16) =
+    ceil((L - 15)/16) over the runs of the window mask, which has few.
     """
-    flat = np.asarray(values).reshape(-1)
-    zero = np.zeros(flat.size + 2, dtype=bool)  # a non-zero sentinel at each end
-    np.equal(flat, 0, out=zero[1:-1])
-    edges = np.flatnonzero(zero[1:] != zero[:-1])
-    runs = edges[1::2] - edges[::2]  # the length of each zero run
-    entries = flat.size - int(runs.sum()) + int((runs // 16).sum())
-    if zero[-2] and runs[-1] % 16:  # a trailing run's last partial 16 closes with (run-1, 0)
+    zero = np.asarray(values).reshape(-1) == 0
+    win = zero  # win[i]: values i .. i+w-1 are all zero, for w = 1, 2, 4, 8, then 16
+    for w in (1, 2, 4, 8):
+        win = win[:-w] & win[w:]
+    starts = np.flatnonzero(win)
+    last = np.flatnonzero(np.diff(starts) != 1)  # the last start of each window run but one
+    widths = np.diff(last, prepend=-1, append=starts.size - 1)  # L - 15 per run of L >= 16
+    entries = zero.size - int(np.count_nonzero(zero)) + int(((widths + 15) // 16).sum())
+    if win.size and win[-1]:  # a trailing run of widths[-1] + 15 zeros
+        entries += bool((widths[-1] + 15) % 16)
+    elif zero.size and zero[-1]:  # a trailing run of 1 to 15 zeros
         entries += 1
     return 12 * entries
 
@@ -434,22 +443,24 @@ def sparsity_stats(values: np.ndarray, group_sizes: Sequence[int]) -> list[Spars
     if n == 0:
         raise ValueError("empty tensor")
     value_sp = float(np.count_nonzero(values == 0) / n)
-    sm, _ = sm_encode(values)
-    bit_tc = 1.0 - float(np.bitwise_count(values.view(np.uint8)).sum()) / (8 * n)
-    bit_sm = 1.0 - float(np.bitwise_count(sm).sum()) / (8 * n)
-    sr_tc, sr_sm = (b / value_sp if value_sp > 0 else math.inf for b in (bit_tc, bit_sm))
     if not set(group_sizes) <= set(GROUP_SIZES):
         raise ValueError(f"group sizes {list(group_sizes)} not all in {GROUP_SIZES}")
     if not group_sizes:
         return []
     g = min(group_sizes)  # the zero padding has no set bits in either encoding
-    idx = [_or_index(partition_groups(bits, g)).reshape(-1, math.ceil(values.shape[1] / g))
-           for bits in (values, sm.view(np.int8))]  # one row of blocks per (k, fy, fx)
+    tc = partition_groups(values, g)
+    sm, _ = sm_encode(tc)
+    bit_tc, bit_sm = (1.0 - float(np.bitwise_count(x.view(np.uint8)).sum()) / (8 * n)
+                      for x in (tc, sm))
+    sr_tc, sr_sm = (b / value_sp if value_sp > 0 else math.inf for b in (bit_tc, bit_sm))
+    idx = [_or_index(x).reshape(-1, math.ceil(values.shape[1] / g))
+           for x in (tc, sm)]  # one row of blocks per (k, fy, fx)
     stats = {}
     for target in sorted(set(group_sizes)):
         while g < target:  # block j at 2G covers blocks 2j and 2j+1 at G
             g *= 2
-            idx = [np.pad(x, [(0, 0), (0, x.shape[1] % 2)]) for x in idx]
+            if idx[0].shape[1] % 2:  # an odd row gets a zero block
+                idx = [np.pad(x, [(0, 0), (0, 1)]) for x in idx]
             idx = [x[:, 0::2] | x[:, 1::2] for x in idx]
         set_tc, set_sm = (int(np.bitwise_count(x).sum()) for x in idx)
         n_cols = 8 * idx[0].size

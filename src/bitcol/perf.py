@@ -262,12 +262,19 @@ def imbalance_adjust(raw_sparsity: float, spec: AcceleratorSpec,
 def _lockstep_bit_fraction(weights: np.ndarray, sync_lanes: int) -> float:
     """Effective work share for unstructured bit skipping: mean over lane sets
     of the slowest lane's two's-complement bit count / 8. A set wider than the
-    layer is one set, so the width is clamped to the element count."""
+    layer is one set, so the width is clamped to the element count.
+
+    Each lane's bit count p is stored as the thermometer code 0xFF >> (8 - p),
+    so the OR of a lane set (codec._or_index) has the set's largest p bits set.
+    """
     bits = np.ascontiguousarray(weights).view(np.uint8).reshape(-1)
     lanes = min(sync_lanes, bits.size)
-    pops = np.zeros(-(-bits.size // lanes) * lanes, dtype=np.uint8)  # zero-padded lanes
-    np.bitwise_count(bits, out=pops[:bits.size])
-    return float(pops.reshape(-1, lanes).max(axis=1).mean() / 8.0)
+    codes = np.zeros(-(-bits.size // lanes) * lanes, dtype=np.uint8)  # zero-padded lanes
+    pops = codes[:bits.size]
+    np.bitwise_count(bits, out=pops)
+    np.subtract(8, pops, out=pops)
+    np.right_shift(0xFF, pops, out=pops)
+    return float(np.bitwise_count(codec._or_index(codes.reshape(-1, lanes))).mean() / 8.0)
 
 
 def weight_compression(layer: Layer, spec: AcceleratorSpec

@@ -1,9 +1,10 @@
 """The codec's whole-array kernels against their plain forms.
 
-zre_size counts zero runs from their edges; oracles.zre_size walks the
-stream one value at a time. The draws are zero-heavy and hit the run
-lengths where ZRE splits (15, 16, 17 and 32 zeros), inside the stream and
-at its end, plus the empty and the all-zero stream.
+zre_size counts the non-zeros plus the runs of all-zero 16-wide windows,
+which only zero runs of 16 or more hold; oracles.zre_size walks the stream
+one value at a time. The draws are zero-heavy and hit the run lengths next
+to each multiple of 16 where ZRE splits (15 to 17, 31 to 33, 47 to 49),
+inside the stream and at its end, plus the empty and the all-zero stream.
 
 _or_index ORs each group 8 bytes at a time as <u8 words; it must equal
 np.bitwise_or.reduce over each row at every group size, on the zero-padded
@@ -30,7 +31,7 @@ from bitcol import codec
 PROPERTY = settings(max_examples=150, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
 
-RUNS = st.one_of(st.sampled_from([15, 16, 17, 32]), st.integers(0, 40))
+RUNS = st.one_of(st.sampled_from([15, 16, 17, 31, 32, 33, 47, 48, 49]), st.integers(0, 40))
 
 
 @st.composite
@@ -49,6 +50,10 @@ def zero_heavy(draw):
 @example(np.zeros(0, dtype=np.int8))
 @example(np.zeros(300, dtype=np.int8))
 @example(np.r_[np.zeros(32), 5, np.zeros(17)].astype(np.int8))
+@example(np.r_[np.zeros(16), 5].astype(np.int8))
+@example(np.r_[np.zeros(20), -3, np.zeros(33), 7].astype(np.int8))
+@example(np.r_[9, np.zeros(32)].astype(np.int8))
+@example(np.r_[9, np.zeros(33)].astype(np.int8))
 def test_zre_size_matches_the_stream_walk(values):
     assert codec.zre_size(values) == oracles.zre_size(values)
 

@@ -166,6 +166,9 @@ def test_imbalance_adjust_matches_slice_reference(fracs, sync_lanes, raw):
 @settings(max_examples=80, deadline=None)
 @given(values=st.lists(st.integers(-128, 127), min_size=1, max_size=300),
        sync_lanes=st.integers(1, 400))
+@example(values=list(range(-120, 120, 7)), sync_lanes=16)  # 35 values: the <u8 word path
+@example(values=list(range(-128, 128)) + [0] * 44, sync_lanes=128)
+@example(values=[0, -1, 3], sync_lanes=2)  # popcounts 0 and 8 in one lane set
 def test_lockstep_bit_fraction_matches_padded_reference(values, sync_lanes):
     w = np.array(values, dtype=np.int8)
     assert perf._lockstep_bit_fraction(w, sync_lanes) == \
