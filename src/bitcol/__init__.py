@@ -36,9 +36,7 @@ from .perf import (
     UnitCosts,
     compare,
     dense_activity,
-    effective_macs,
     evaluate_network,
-    imbalance_adjust,
     preset,
     total_latency,
 )

@@ -30,7 +30,8 @@ group-size choice, the compression ratios and the cycle model read only the
 indexes, so a candidate that is never written, laid out or unpacked is never
 packed. Assigning `columns` replaces the deferred payload.
 
-Popcounts run on np.bitwise_count (numpy >= 2.0). _or_index ORs the bytes of
+Popcounts run on np.bitwise_count (numpy >= 2.0); _popcount sums a byte
+array's set bits 8 bytes at a time, as <u8 words. _or_index ORs the bytes of
 each group 8 at a time, as <u8 words.
 """
 
@@ -136,9 +137,17 @@ def _or_index(sm: np.ndarray) -> np.ndarray:
     return x.astype(np.uint8)
 
 
+def _popcount(x: np.ndarray) -> int:
+    """Set bits in a byte array of any shape: whole <u8 words, then the tail bytes."""
+    b = np.ascontiguousarray(x).reshape(-1).view(np.uint8)
+    words = b.size // 8 * 8
+    return (int(np.bitwise_count(b[:words].view("<u8")).sum())
+            + int(np.bitwise_count(b[words:]).sum()))
+
+
 def bcs_size(indexes: np.ndarray, group_size: int) -> int:
     """Bcs size in bits for these group indexes: 8 each plus G per column."""
-    return 8 * len(indexes) + group_size * int(np.bitwise_count(indexes).sum())
+    return 8 * len(indexes) + group_size * _popcount(indexes)
 
 
 class _Unpacked(NamedTuple):
@@ -200,7 +209,7 @@ class CompressedLayer:
                 raise ContainerError("bcs layer needs indexes and columns")
             if len(self.indexes) != self.n_groups:
                 raise ContainerError("index count does not match group count")
-            if int(np.bitwise_count(self.indexes).sum()) != self._column_count():
+            if _popcount(self.indexes) != self._column_count():
                 raise ContainerError("index popcounts do not match stored column count")
         elif self.dense_values is None or len(self.dense_values) != self.n_values:
             raise ContainerError("dense layer needs n_values raw bytes")
@@ -209,7 +218,7 @@ class CompressedLayer:
         """Stored columns: a deferred payload holds one per set index bit."""
         payload = self.__dict__["_columns"]
         if isinstance(payload, _Unpacked):
-            return int(np.bitwise_count(self.indexes).sum())
+            return _popcount(self.indexes)
         return len(payload)
 
     @property
@@ -255,7 +264,7 @@ def pack_columns(sm_bits: np.ndarray, indexes: np.ndarray) -> np.ndarray:
     # the payload outlives this call: allocated after the temporaries, it
     # would pin their freed memory in the heap and raise peak RSS
     keep = _keep(indexes)
-    columns = np.empty((int(np.bitwise_count(indexes).sum()), cb), dtype=np.uint8)
+    columns = np.empty((_popcount(indexes), cb), dtype=np.uint8)
     words = np.zeros((n, cb), dtype="<u8")
     words.view(np.uint8)[:, :g] = sm_bits
     # byte s of word j: bit 7 - s of elements 8j..8j+7, then one cb-byte item per column
@@ -317,8 +326,6 @@ def unpack_groups(cl: CompressedLayer) -> np.ndarray:
     Columns absent from a group's index unpack as zero bits, so bit 7 is set
     only in groups whose index carries the sign column.
     """
-    if cl.mode != "bcs":
-        raise ValueError("unpack_groups needs a bcs-mode layer")
     g, cb, n = cl.group_size, cl.column_bytes, cl.n_groups
     offs = column_offsets(cl)
     if offs[-1] != len(cl.columns):
@@ -450,8 +457,7 @@ def sparsity_stats(values: np.ndarray, group_sizes: Sequence[int]) -> list[Spars
     g = min(group_sizes)  # the zero padding has no set bits in either encoding
     tc = partition_groups(values, g)
     sm, _ = sm_encode(tc)
-    bit_tc, bit_sm = (1.0 - float(np.bitwise_count(x.view(np.uint8)).sum()) / (8 * n)
-                      for x in (tc, sm))
+    bit_tc, bit_sm = (1.0 - _popcount(x) / (8 * n) for x in (tc, sm))
     sr_tc, sr_sm = (b / value_sp if value_sp > 0 else math.inf for b in (bit_tc, bit_sm))
     idx = [_or_index(x).reshape(-1, math.ceil(values.shape[1] / g))
            for x in (tc, sm)]  # one row of blocks per (k, fy, fx)
@@ -462,7 +468,7 @@ def sparsity_stats(values: np.ndarray, group_sizes: Sequence[int]) -> list[Spars
             if idx[0].shape[1] % 2:  # an odd row gets a zero block
                 idx = [np.pad(x, [(0, 0), (0, 1)]) for x in idx]
             idx = [x[:, 0::2] | x[:, 1::2] for x in idx]
-        set_tc, set_sm = (int(np.bitwise_count(x).sum()) for x in idx)
+        set_tc, set_sm = (_popcount(x) for x in idx)
         n_cols = 8 * idx[0].size
         stats[g] = SparsityStats(g, n, value_sp, bit_tc, bit_sm, 1.0 - set_tc / n_cols,
                                  1.0 - set_sm / n_cols, sr_tc, sr_sm)

@@ -32,7 +32,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .codec import GROUP_SIZES, CompressedLayer, column_offsets
+from .codec import GROUP_SIZES, CompressedLayer, _popcount, column_offsets
 from .workload import ContainerError, Layer, LayerShape, ManifestError, Network
 
 MAGIC = b"BCSW"
@@ -202,7 +202,7 @@ def read_compressed(path: str | Path) -> list[CompressedLayer]:
             raise ContainerError(f"{path}: layer {name!r} payload truncated")
         if mode == 1:  # then the column slice: ceil(G/8) bytes per set index bit
             gb = math.ceil(gsize / 8)
-            size += int(np.bitwise_count(np.frombuffer(data, np.uint8, n_groups, pos)).sum()) * gb
+            size += _popcount(np.frombuffer(data, np.uint8, n_groups, pos)) * gb
             if size + 4 > len(data) - pos:
                 raise ContainerError(f"{path}: layer {name!r} payload truncated")
         payload = np.frombuffer(data, np.uint8, size, pos)
@@ -222,12 +222,8 @@ def read_compressed(path: str | Path) -> list[CompressedLayer]:
 def render_value(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, float):
-        return format(value, ".6g")
-    if isinstance(value, (np.floating,)):
+    if isinstance(value, (float, np.floating)):
         return format(float(value), ".6g")
-    if isinstance(value, (np.integer,)):
-        return str(int(value))
     return str(value)
 
 

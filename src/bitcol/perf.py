@@ -10,20 +10,22 @@ returns one LayerPerf record:
    reads follow the spatial unrolling (per temporal step, C_u*OX_u
    activation and C_u*K_u weight elements); register traffic is two reads
    and one write per MAC.
-2. Sparsity statistics, adjusted for lockstep load imbalance where the
-   accelerator schedules at runtime (imbalance_adjust). Bit-column skipping
-   takes the compressed layer's lockstep cycle count from
-   engine.simulate_layer, the functional simulator.
-3. effective_macs: effective MACs/cycles (value skipping shrinks the MAC
-   count; bit and bit-column skipping shrink cycles only); evaluate_layer
-   divides each dense memory count by its tensor's compression ratio.
-4. evaluate_layer: an EnergyBreakdown of unit-cost-weighted effective
-   accesses plus MAC energy, and LatencyTerms, each access count normalized
-   to port-cycles (DRAM bytes/cycle, SRAM port widths from the SU
-   bandwidth, register files parallel per MAC lane). The record's cycles is
-   total_latency(terms) = DRAM + output writes + max(weight reads, input
-   reads, register reads, register writes, compute): memory transfers hide
-   under compute.
+2. Sparsity, in one dispatch on the spec's sparsity mode. Value skipping
+   shrinks the MAC count, N_e = N(1-S_a)(1-S_w), where S_w is adjusted for
+   lockstep load imbalance: each set of sync_lanes kernels skips only its
+   smallest zero fraction. Bit skipping scales the dense cycles by the
+   lockstep bit share of the weights. Bit-column skipping takes the
+   compressed layer's lockstep cycle count from engine.simulate_layer, the
+   functional simulator, and its weight port reads column payload bits only.
+3. Compression: evaluate_layer divides each dense memory count by its
+   tensor's compression ratio (weight_compression, act_compression);
+   register traffic follows the effective compute cycles.
+4. An EnergyBreakdown of unit-cost-weighted effective accesses plus MAC
+   energy, and LatencyTerms, each access count normalized to port-cycles
+   (DRAM bytes/cycle, SRAM port widths from the SU bandwidth, register files
+   parallel per MAC lane). The record's cycles is total_latency(terms) =
+   DRAM + output writes + max(weight reads, input reads, register reads,
+   register writes, compute): memory transfers hide under compute.
 
 Shipped presets express the sparsity-mode / compression / dataflow
 distinctions of the published baselines they are named after; their unit
@@ -42,7 +44,7 @@ import numpy as np
 
 from . import codec, engine
 from .mapper import (SpatialUnrolling, catalog_su, check_group_size, check_kind_compatible,
-                     make_custom_su, select_su, spatial_utilization, temporal_steps)
+                     make_custom_su, select_su, temporal_steps)
 from .workload import BitcolError, ConfigError, Layer, LayerShape, Network
 
 SPARSITY_MODES = ("none", "value-skip", "bit-skip", "bit-column-skip")
@@ -153,7 +155,7 @@ def dense_activity(shape: LayerShape, spec: AcceleratorSpec,
                    su: SpatialUnrolling) -> ActivityCounts:
     """STEP 1: dense operation and memory activity of one layer mapped on `su`."""
     steps = temporal_steps(shape, su)
-    util = spatial_utilization(shape, su)
+    util = shape.macs / (steps * su.lanes)
     n_mac_cycle = spec.peak_macs_cycle(su) * util
 
     ix, iy = shape.input_hw
@@ -186,29 +188,6 @@ def dense_activity(shape: LayerShape, spec: AcceleratorSpec,
     )
 
 
-def effective_macs(counts: ActivityCounts, s_a: float, s_w: float, mode: str,
-                   nz_fraction: float | None = None) -> tuple[float, float]:
-    """STEP 3a: effective MAC count and compute cycles.
-
-    Value skipping removes MACs: N_e = N * (1-S_a) * (1-S_w). Bit and
-    bit-column skipping keep the MAC count and scale the dense cycle count
-    by nz_fraction, the sync-adjusted share of non-zero bits or columns.
-    """
-    if mode not in SPARSITY_MODES:
-        raise ConfigError(f"unknown sparsity mode {mode!r}")
-    if not (0.0 <= s_a <= 1.0 and 0.0 <= s_w <= 1.0):
-        raise ValueError("sparsities must be in [0, 1]")
-    if mode == "none":
-        s_a = s_w = 0.0
-    if mode in ("none", "value-skip"):
-        n_mac_e = counts.n_mac * (1.0 - s_a) * (1.0 - s_w)
-        return n_mac_e, n_mac_e / counts.n_mac_cycle
-    if nz_fraction is None:
-        raise ValueError(f"{mode} needs the sync-adjusted non-zero fraction")
-    dense_cc = counts.n_mac / counts.n_mac_cycle
-    return float(counts.n_mac), dense_cc * nz_fraction
-
-
 @dataclass
 class EnergyBreakdown:
     mac: float
@@ -235,28 +214,17 @@ class LatencyTerms:
 
 
 def total_latency(terms: LatencyTerms) -> float:
-    """STEP 4b: DRAM plus output writes, with the rest hidden under the max."""
+    """STEP 4: DRAM plus output writes, with the rest hidden under the max."""
     return terms.dram + terms.sram_write_output + max(
         terms.sram_read_input, terms.sram_read_weight,
         terms.reg_read, terms.reg_write, terms.cc_mac)
 
 
-def imbalance_adjust(raw_sparsity: float, spec: AcceleratorSpec,
-                     lane_fractions: np.ndarray | None = None) -> float:
-    """STEP 2: lockstep load-imbalance adjustment of a skip fraction.
-
-    Co-scheduled lanes advance at the busiest lane, so the effective skip of
-    a lane set is the minimum over its lanes. With no per-lane data the
-    workload is assumed uniform and the raw fraction passes through.
-    """
-    if not 0.0 <= raw_sparsity <= 1.0:
-        raise ValueError("sparsity must be in [0, 1]")
-    if spec.sparsity_mode == "none" or lane_fractions is None:
-        return raw_sparsity
-    lanes = np.asarray(lane_fractions, dtype=float)
-    if lanes.size == 0:
-        return raw_sparsity
-    return float(np.minimum.reduceat(lanes, range(0, lanes.size, spec.sync_lanes)).mean())
+def _lockstep_skip_fraction(kernel_fracs: np.ndarray, sync_lanes: int) -> float:
+    """Effective skip share for value skipping: co-scheduled lanes advance at
+    the busiest lane, so each set of sync_lanes kernels skips only its
+    smallest zero fraction; the share is the mean over sets."""
+    return float(np.minimum.reduceat(kernel_fracs, range(0, kernel_fracs.size, sync_lanes)).mean())
 
 
 def _lockstep_bit_fraction(weights: np.ndarray, sync_lanes: int) -> float:
@@ -377,20 +345,30 @@ def evaluate_layer(layer: Layer, spec: AcceleratorSpec, su: SpatialUnrolling) ->
     cr_w, cl = weight_compression(layer, spec)
     cr_a = act_compression(layer, spec, s_a)
 
-    mode = spec.sparsity_mode
+    # STEP 2: the sparsity mode sets the effective MACs, the compute
+    # cycles and the weight-port bits. Value skipping removes MACs,
+    # N_e = N(1-S_a)(1-S_w); bit and bit-column skipping keep the MAC count
+    # and scale the dense cycles by their lockstep work share.
     dense_cc = counts.n_mac / counts.n_mac_cycle
-    s_w_e, s_a_e, frac = 0.0, 0.0, None
-    if mode == "value-skip":
+    n_mac_e, cc = float(counts.n_mac), dense_cc
+    port_bits = counts.sram_read_weight / cr_w * 8.0
+    if spec.sparsity_mode == "value-skip":
         kernel_fracs = np.count_nonzero(layer.weights == 0, axis=(1, 2, 3)) / (
-            layer.shape.c * layer.shape.fy * layer.shape.fx)
-        s_w_e, s_a_e = imbalance_adjust(s_w, spec, kernel_fracs), s_a
-    elif mode == "bit-skip":
-        frac = _lockstep_bit_fraction(layer.weights, spec.sync_lanes)
-    elif mode == "bit-column-skip":
-        frac = engine.simulate_layer(cl, shape, su, spec.sign_cycle).total_cycles / dense_cc
-    n_mac_e, cc = effective_macs(counts, s_a_e, s_w_e, mode, nz_fraction=frac)
+            shape.c * shape.fy * shape.fx)
+        s_w_e = _lockstep_skip_fraction(kernel_fracs, spec.sync_lanes)
+        n_mac_e = counts.n_mac * (1.0 - s_a) * (1.0 - s_w_e)
+        cc = n_mac_e / counts.n_mac_cycle
+    elif spec.sparsity_mode == "bit-skip":
+        cc = dense_cc * _lockstep_bit_fraction(layer.weights, spec.sync_lanes)
+    elif spec.sparsity_mode == "bit-column-skip":
+        share = engine.simulate_layer(cl, shape, su, spec.sign_cycle).total_cycles / dense_cc
+        cc = dense_cc * share
+        # the bcs weight port streams one column slice per lane per cycle;
+        # index bytes ride the parser side path, so its port term counts
+        # column payload bits only (energy still pays for the index via cr_w)
+        port_bits = counts.sram_read_weight * 8.0 * cl.payload_bits / cl.dense_bits
 
-    # STEP 3b: weight traffic shrinks by cr_w; input and output traffic by cr_a
+    # STEP 3: weight traffic shrinks by cr_w; input and output traffic by cr_a
     dram = counts.dram_read_w / cr_w + counts.dram_read_a / cr_a + counts.dram_write_a / cr_a
     sram_read_input = counts.sram_read_input / cr_a
     sram_read_weight = counts.sram_read_weight / cr_w
@@ -402,16 +380,11 @@ def evaluate_layer(layer: Layer, spec: AcceleratorSpec, su: SpatialUnrolling) ->
     # skipped values both suppress the operand fetches of their cycles)
     scale = cc / dense_cc if dense_cc else 1.0
     reg_read, reg_write = counts.reg_read * scale, counts.reg_write * scale
-    # the bcs weight port streams one column slice per lane per cycle; index
-    # bytes ride the parser side path, so its port term counts column payload
-    # bits only (energy still pays for the index through cr_w)
-    port_bits = (counts.sram_read_weight * 8.0 * cl.payload_bits / cl.dense_bits
-                 if mode == "bit-column-skip" else sram_read_weight * 8.0)
     peak = max(spec.peak_macs_cycle(su), 1e-9)
     costs = spec.costs
     return LayerPerf(
         layer.name, su.id, counts.utilization, counts.n_mac, n_mac_e, cc, cr_w, cr_a, s_w, s_a,
-        # STEP 4a: memory counts are bytes; register accesses move 8-bit operands
+        # STEP 4: memory counts are bytes; register accesses move 8-bit operands
         energy=EnergyBreakdown(mac=n_mac_e * costs.e_mac, dram=8.0 * dram * costs.e_dram_bit,
                                sram=8.0 * sram * costs.e_sram_bit,
                                reg=8.0 * (reg_read + reg_write) * costs.e_reg_bit),

@@ -456,11 +456,9 @@ def _check_crc(path, name, data, start, end):
         raise ContainerError(f"{path}: layer {name!r} payload fails its CRC32")
 
 
-def imbalance_adjust(raw_sparsity, sync_lanes, lane_fractions):
+def imbalance_adjust(lane_fractions, sync_lanes):
     """Mean over lane sets of the set's smallest skip fraction."""
     lanes = np.asarray(lane_fractions, dtype=float)
-    if lanes.size == 0:
-        return raw_sparsity
     sets = [lanes[i:i + sync_lanes] for i in range(0, lanes.size, sync_lanes)]
     return float(np.mean([s.min() for s in sets]))
 
@@ -648,9 +646,11 @@ def perf_latency_terms(eff, spec, su):
 
 
 def perf_evaluate_layer(layer, spec, su):
-    """One layer's (effective counts, energy, latency terms, cycles): STEPs
-    1-3a from the library's step functions, then STEPs 3b-4 through the
-    overwritten effective-counts record and the after-the-fact bcs port term."""
+    """One layer's (effective counts, energy, latency terms, cycles): STEP 1
+    and the compression ratios from the library's step functions, STEP 2
+    written out here (Eq. 1/2 and the lockstep references above), then STEPs
+    3-4 through the overwritten effective-counts record and the
+    after-the-fact bcs port term."""
     shape = layer.shape
     counts = perf.dense_activity(shape, spec, su)
 
@@ -661,16 +661,24 @@ def perf_evaluate_layer(layer, spec, su):
 
     mode = spec.sparsity_mode
     dense_cc = counts.n_mac / counts.n_mac_cycle
-    s_w_e, s_a_e, frac = 0.0, 0.0, None
-    if mode == "value-skip":
-        kernel_fracs = np.count_nonzero(layer.weights == 0, axis=(1, 2, 3)) / (
-            layer.shape.c * layer.shape.fy * layer.shape.fx)
-        s_w_e, s_a_e = perf.imbalance_adjust(s_w, spec, kernel_fracs), s_a
-    elif mode == "bit-skip":
-        frac = perf._lockstep_bit_fraction(layer.weights, spec.sync_lanes)
-    elif mode == "bit-column-skip":
-        frac = engine.simulate_layer(cl, shape, su, spec.sign_cycle).total_cycles / dense_cc
-    n_mac_e, cc = perf.effective_macs(counts, s_a_e, s_w_e, mode, nz_fraction=frac)
+    if mode in ("none", "value-skip"):
+        # Eq. 1/2: N_e = N (1 - S_a)(1 - S_w), CC = N_e / (MACs per cycle),
+        # both sparsities zero when the design skips nothing
+        s_w_e, s_a_e = 0.0, 0.0
+        if mode == "value-skip":
+            kernel_size = shape.c * shape.fy * shape.fx
+            s_w_e = imbalance_adjust([np.count_nonzero(kernel == 0) / kernel_size
+                                      for kernel in layer.weights], spec.sync_lanes)
+            s_a_e = s_a
+        n_mac_e = counts.n_mac * (1.0 - s_a_e) * (1.0 - s_w_e)
+        cc = n_mac_e / counts.n_mac_cycle
+    else:
+        # bit and bit-column skipping keep every MAC and scale the dense cycles
+        if mode == "bit-skip":
+            frac = lockstep_bit_fraction(layer.weights, spec.sync_lanes)
+        else:
+            frac = engine.simulate_layer(cl, shape, su, spec.sign_cycle).total_cycles / dense_cc
+        n_mac_e, cc = float(counts.n_mac), dense_cc * frac
 
     eff = perf_effective_memory(counts, cr_w, cr_a)
     eff.n_mac_e = n_mac_e

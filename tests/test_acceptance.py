@@ -140,16 +140,16 @@ def test_06_ideal_cr_monotone(announce):
 
 def test_07_equation_reproduction(announce):
     with criterion(announce, 7, "effective-MAC, energy and latency equations"):
-        # Eq. 1/2: N_mac=100, S_a=0.2, S_w=0.1
-        counts = perf.ActivityCounts(
-            n_mac=100, n_mac_cycle=10.0, utilization=1.0, steps=1, passes=1,
-            dram_read_w=0, dram_read_a=0, dram_write_a=0,
-            sram_read_input=0, sram_read_weight=0, sram_read_output=0,
-            sram_write_input=0, sram_write_weight=0, sram_write_output=0,
-            reg_read=0, reg_write=0)
-        n_mac_e, cc = perf.effective_macs(counts, 0.2, 0.1, "value-skip")
-        assert n_mac_e == 72.0
-        assert cc == 7.2
+        # Eq. 1/2: N_mac=100, S_a=0.2, S_w=0.1 on a value-skip layer of one
+        # 100-weight kernel, mapped at utilization 1 with a 10 MAC/cycle peak
+        su = mapper.make_custom_su(100, 1, 1, su_id="eq100")
+        layer = make_layer("eq", values=[0] * 10 + [1] * 90, k=1, c=100, fy=1, fx=1, ox=1, oy=1)
+        layer.s_a = 0.2
+        spec = AcceleratorSpec("eq", su=su, sparsity_mode="value-skip", peak_macs=10)
+        rep = perf.evaluate_layer(layer, spec, su)
+        assert rep.n_mac == 100 and rep.s_w == 0.1
+        assert rep.n_mac_e == 72.0
+        assert rep.cc_mac_e == 7.2
 
         # Eq. 4: each component is its unit cost times its effective count
         # (dense bytes over the tensor's CR), and they sum exactly to the total

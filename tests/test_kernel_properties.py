@@ -12,6 +12,11 @@ groups of a tensor whose channel count is no multiple of G, for both the
 sign-magnitude and the raw two's-complement bytes; sparsity_stats, which
 reads both, must equal oracles.sparsity_stats there.
 
+_popcount sums the set bits of a byte array 8 bytes at a time as <u8 words,
+then the tail bytes; it must equal the sum of oracles.POPCOUNT, the 256-entry
+table, at every length from 0 to 70 (each tail length from 0 to 7), on 2-D
+arrays, on strided views and on int8 input.
+
 sm_decode computes each sign-magnitude byte's value arithmetically on an
 int8 copy; it must equal oracles.sm_decode, the 256-entry value table, on
 uint8 arrays of any shape, strided views (unpack_groups returns one for
@@ -79,6 +84,19 @@ def test_or_index_other_row_lengths(g):
     # a column_index caller may hand in any row length; only powers of two from 8 take words
     rows = np.random.default_rng(g).integers(0, 256, size=(50, g), dtype=np.uint8)
     assert np.array_equal(codec._or_index(rows), np.bitwise_or.reduce(rows, axis=1))
+
+
+@PROPERTY
+@given(data=st.binary(max_size=70), step=st.integers(1, 3), rows=st.sampled_from([1, 2, 5]))
+def test_popcount_sums_the_table(data, step, rows):
+    flat = np.frombuffer(data, np.uint8)
+    assert codec._popcount(flat) == int(oracles.POPCOUNT[flat].sum())
+    assert codec._popcount(flat.view(np.int8)) == int(oracles.POPCOUNT[flat].sum())
+    strided = flat[::step]
+    assert codec._popcount(strided) == int(oracles.POPCOUNT[strided].sum())
+    grid = flat[:len(flat) // rows * rows].reshape(rows, -1)
+    for x in (grid, grid[:, ::step], grid.T):
+        assert codec._popcount(x) == int(oracles.POPCOUNT[x].sum())
 
 
 def _decodes_like_the_table(bits):

@@ -153,6 +153,8 @@ class TestManifestRules:
          "layer has 4294967296 weight values; a container layer holds at most 4294967295"),
         (["network=n", "layer=a " + LAYER.replace("K=1", "K=one")],
          "line 2: invalid literal for int"),
+        *((["network=n", f"layer=a {LAYER} s_a={s_a}"],
+           rf"layer 'a': s_a={s_a} outside \[0, 1\]") for s_a in ("1.5", "-0.1", "nan", "inf")),
     ])
     def test_manifest_rule(self, tmp_path, lines, message):
         (tmp_path / "w.bin").write_bytes(bytes(4))

@@ -8,14 +8,11 @@ import pytest
 from bitcol import codec, engine, mapper, perf
 from bitcol.perf import (
     AcceleratorSpec,
-    ActivityCounts,
     EnergyBreakdown,
     LatencyTerms,
     UnitCosts,
     compare,
     dense_activity,
-    effective_macs,
-    imbalance_adjust,
     load_spec_configs,
     preset,
     total_latency,
@@ -27,47 +24,49 @@ import oracles
 from conftest import make_layer, make_network
 
 
-def stub_counts(n_mac=100, n_mac_cycle=10.0, **overrides):
-    base = dict(
-        n_mac=n_mac, n_mac_cycle=n_mac_cycle, utilization=1.0, steps=1, passes=1,
-        dram_read_w=0.0, dram_read_a=0.0, dram_write_a=0.0,
-        sram_read_input=0.0, sram_read_weight=0.0, sram_read_output=0.0,
-        sram_write_input=0.0, sram_write_weight=0.0, sram_write_output=0.0,
-        reg_read=0.0, reg_write=0.0,
-    )
-    base.update(overrides)
-    return ActivityCounts(**base)
+# Eq. 1/2 on a crafted layer: N = 100 MACs, one kernel of 100 weights on a
+# [100, 1, 1] unrolling (utilization 1) with a 10 MAC/cycle peak, so the
+# dense compute is 10 cycles and S_w is the kernel's zero share
+EQ_SU = mapper.make_custom_su(100, 1, 1, su_id="eq100")
+
+
+def eq_layer_perf(mode, s_a, weights):
+    layer = make_layer("eq", values=weights, k=1, c=100, fy=1, fx=1, ox=1, oy=1)
+    layer.s_a = s_a
+    spec = AcceleratorSpec("eq", su=EQ_SU, sparsity_mode=mode, peak_macs=10)
+    return perf.evaluate_layer(layer, spec, EQ_SU)
+
+
+def with_zeros(n_zeros, value=1):
+    return [0] * n_zeros + [value] * (100 - n_zeros)
 
 
 class TestEffectiveMacs:
     def test_value_skip_substitution(self):
-        n_e, cc = effective_macs(stub_counts(), 0.2, 0.1, "value-skip")
-        assert n_e == 72.0
-        assert cc == 7.2
+        rep = eq_layer_perf("value-skip", 0.2, with_zeros(10))
+        assert rep.s_w == 0.1
+        assert rep.n_mac_e == 72.0
+        assert rep.cc_mac_e == 7.2
 
     def test_zero_sparsity_identity(self):
-        n_e, cc = effective_macs(stub_counts(), 0.0, 0.0, "value-skip")
-        assert n_e == 100.0 and cc == 10.0
+        rep = eq_layer_perf("value-skip", 0.0, with_zeros(0))
+        assert rep.n_mac_e == 100.0 and rep.cc_mac_e == 10.0
 
     def test_none_mode_forces_terms_to_zero(self):
-        n_e, _ = effective_macs(stub_counts(), 0.9, 0.9, "none")
-        assert n_e == 100.0
+        rep = eq_layer_perf("none", 0.9, with_zeros(90))
+        assert rep.n_mac_e == 100.0 and rep.cc_mac_e == 10.0
 
     def test_bit_mode_keeps_macs_scales_cycles(self):
-        n_e, cc = effective_macs(stub_counts(), 0.0, 0.0, "bit-column-skip", nz_fraction=3 / 8)
-        assert n_e == 100.0
-        assert cc == pytest.approx(10 * 3 / 8)
-
-    def test_bit_mode_needs_fraction(self):
-        with pytest.raises(ValueError):
-            effective_macs(stub_counts(), 0.0, 0.0, "bit-skip")
+        rep = eq_layer_perf("bit-skip", 0.0, with_zeros(0, value=7))  # 3 of 8 bits set
+        assert rep.n_mac_e == 100.0
+        assert rep.cc_mac_e == pytest.approx(10 * 3 / 8)
 
     def test_bound_property(self, rng):
         for _ in range(50):
-            sa, sw = rng.random(), rng.random()
-            n_e, _ = effective_macs(stub_counts(), sa, sw, "value-skip")
+            sa, zeros = rng.random(), int(rng.integers(0, 101))
+            n_e = eq_layer_perf("value-skip", sa, with_zeros(zeros)).n_mac_e
             assert n_e <= 100.0
-            assert (n_e == 100.0) == (sa == 0 and sw == 0)
+            assert (n_e == 100.0) == (sa == 0 and zeros == 0)
 
 
 PE1 = mapper.make_custom_su(1, 1, 1, su_id="pe1")
@@ -198,19 +197,18 @@ class TestTotalLatency:
 
 
 class TestImbalance:
+    """Value skipping in lockstep: each set of sync_lanes kernels skips only
+    its smallest zero share."""
+
     def test_uniform_no_adjustment(self):
-        spec = preset("scnn")
-        assert imbalance_adjust(0.5, spec, np.full(32, 0.5)) == pytest.approx(0.5)
+        layer = make_layer("u", values=[0, 5] * 32, k=32, c=2, fy=1, fx=1, ox=1, oy=1)
+        rep = perf.evaluate_layer(layer, replace(preset("scnn"), su=PE1), PE1)
+        assert rep.n_mac_e == pytest.approx(rep.n_mac * 0.5)
 
     def test_lockstep_max_work(self):
-        spec = replace(preset("scnn"), sync_lanes=2)
-        assert imbalance_adjust(0.25, spec, np.array([0.5, 0.0])) == 0.0
-
-    def test_scalar_passthrough(self):
-        assert imbalance_adjust(0.3, preset("scnn")) == 0.3
-
-    def test_none_mode_identity(self):
-        assert imbalance_adjust(0.3, preset("dense")) == 0.3
+        layer = make_layer("m", values=[0, 5, 5, 5], k=2, c=2, fy=1, fx=1, ox=1, oy=1)
+        rep = perf.evaluate_layer(layer, replace(preset("scnn"), su=PE1, sync_lanes=2), PE1)
+        assert rep.s_w == 0.25 and rep.n_mac_e == rep.n_mac
 
 
 class TestDenseActivity:
