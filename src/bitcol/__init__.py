@@ -4,10 +4,8 @@ from .bitflip import (
     ExternalOracle,
     FlipResult,
     apply_strategy,
-    best_column_set,
     flip_layer,
     greedy_search,
-    nearest_with_mask,
     proxy_oracle,
 )
 from .codec import (

@@ -76,15 +76,6 @@ def _nearest_table(nonneg: bool) -> np.ndarray:
     return _TABLES[nonneg]
 
 
-def nearest_with_mask(v: int, allowed_mask: int, allow_negative: bool = True) -> int:
-    """Nearest int8 whose magnitude is a submask of allowed_mask."""
-    if not 0 <= allowed_mask <= 0x7F:
-        raise ValueError("allowed_mask must be a 7-bit mask")
-    if not -128 <= v <= 127:
-        raise ValueError(f"{v} is not an int8 value")
-    return int(_nearest_table(not allow_negative)[allowed_mask, v + 128])
-
-
 def _candidate_rows(z: int) -> tuple[np.ndarray, np.ndarray]:
     """Candidates zeroing exactly z >= 1 bits: their (candidates, 256) nearest
     values and (256 values, candidates) uint16 squared errors (at most 128**2).
@@ -98,7 +89,7 @@ def _candidate_rows(z: int) -> tuple[np.ndarray, np.ndarray]:
                  for cols in combinations(range(7), n_mag)]
         tables = np.array([_nearest_table(nonneg)[0x7F ^ mags] for nonneg, mags in cands])
         zeroed = np.array([0x80 * nonneg | mags for nonneg, mags in cands], dtype=np.uint8)
-        if (codec.sm_encode(tables)[0] & zeroed[:, None]).any():
+        if (codec.sm_encode(tables) & zeroed[:, None]).any():
             raise RuntimeError(f"a z={z} candidate sets a column it zeroes")
         sq = (tables.astype(np.int32) - np.arange(-128, 128)) ** 2
         _ROWS[z] = tables, np.ascontiguousarray(sq.T, dtype=np.uint16)
@@ -168,19 +159,6 @@ def _sse_by_group_size(values: np.ndarray, z: int, sizes) -> dict[int, int]:
             e = e[0::2] + e[1::2]  # rows of adjacent blocks of one group
             g *= 2
     return sse
-
-
-@dataclass
-class BestFlip:
-    flipped: np.ndarray   # (G,) int8
-    index: int
-    sq_error: int
-
-
-def best_column_set(group, z: int) -> BestFlip:
-    """Optimal flip of a single group (values clamped to [-127, 127])."""
-    flip, idx, err = _solve_groups(codec.sm_clamp(group)[None, :], z)
-    return BestFlip(flip[0], int(idx[0]), int(err[0]))
 
 
 @dataclass

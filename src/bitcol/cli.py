@@ -88,7 +88,7 @@ def cmd_compress(args) -> int:
             "cr_zre": n_bits / codec.zre_size(layer.weights),
             "cr_csr": n_bits / max(codec.csr_size(layer.weights, row_len), 1),
             "cr_value_ideal": n_bits / (8 * nnz) if nnz else float("inf"),
-            "clamped": cl.clamp_count,
+            "clamped": int(np.count_nonzero(layer.weights == -128)),
         })
         chosen.append(cl)
     model_io.write_compressed(args.out, chosen)

@@ -16,9 +16,9 @@ layout). Packing transposes each 8-byte word of sign-magnitude bytes as an
 index bits mask; unpacking scatters them back and transposes again.
 
 Sign-magnitude cannot express -128: sm_clamp reads it as -127 (1 LSB of error;
-the codec stays total, and sm_encode counts the clamps). best_pack is the one
-group-size and mode choice: the auto-mode pack of best CR over the candidate
-Gs, the smaller G on ties.
+the codec stays total, and `compress` counts the -128 weights in its own
+`clamped` column). best_pack is the one group-size and mode choice: the
+auto-mode pack of best CR over the candidate Gs, the smaller G on ties.
 sparsity_stats partitions a layer once, at the smallest G it reports, and
 sign-magnitude encodes that copy: both bit sparsities and both column index
 sets come from the two, since the zero padding sets no bit. Each larger G ORs
@@ -64,11 +64,10 @@ def sm_clamp(values: np.ndarray) -> np.ndarray:
     return np.clip(np.asarray(values, dtype=np.int16), -127, 127).astype(np.int8)
 
 
-def sm_encode(values: np.ndarray) -> tuple[np.ndarray, int]:
-    """Vectorized sign-magnitude bits (uint8) plus the -128 clamp count."""
-    clamps = int(np.count_nonzero(np.asarray(values) == -128))
+def sm_encode(values: np.ndarray) -> np.ndarray:
+    """Vectorized sign-magnitude bits (uint8) of the sm_clamp values."""
     v = sm_clamp(values)
-    return np.abs(v).view(np.uint8) | (v.view(np.uint8) & 0x80), clamps
+    return np.abs(v).view(np.uint8) | (v.view(np.uint8) & 0x80)
 
 
 def sm_decode(bits: np.ndarray) -> np.ndarray:
@@ -114,7 +113,7 @@ def column_index(group: np.ndarray) -> np.ndarray | int:
 
     Accepts one group (G,) or a stack (n, G); returns a scalar or (n,) uint8.
     """
-    bits, _ = sm_encode(group)
+    bits = sm_encode(group)
     idx = _or_index(bits.reshape(-1, bits.shape[-1])).reshape(bits.shape[:-1])
     return int(idx) if idx.ndim == 0 else idx
 
@@ -177,10 +176,11 @@ class CompressedLayer:
     """Bit-column-compressed (or dense passthrough) payload of one layer.
 
     BCS mode keeps, per group, the 8-bit index plus ceil(G/8) bytes for each
-    surviving column (element j at bit j%8 of byte j//8). `dims` is in-memory
-    bookkeeping only (the container format does not record tensor shape).
-    A bcs layer from compress_layer packs `columns` on its first read (see
-    the module docstring); until then its column count is the index popcount.
+    surviving column (element j at bit j%8 of byte j//8). The fields are the
+    container record's: it stores no tensor shape, so decompress_layer takes
+    the dims from the manifest. A bcs layer from compress_layer packs
+    `columns` on its first read (see the module docstring); its column count
+    is the index popcount either way.
     """
 
     name: str
@@ -191,8 +191,6 @@ class CompressedLayer:
     indexes: np.ndarray | None = None    # (n_groups,) uint8
     columns: np.ndarray | None = _Columns()  # (total columns, ceil(G/8)) uint8
     dense_values: np.ndarray | None = None  # flat int8, K-major
-    dims: tuple[int, int, int, int] | None = None
-    clamp_count: int = 0
 
     def __post_init__(self):
         if self.mode not in ("dense", "bcs"):
@@ -209,17 +207,11 @@ class CompressedLayer:
                 raise ContainerError("bcs layer needs indexes and columns")
             if len(self.indexes) != self.n_groups:
                 raise ContainerError("index count does not match group count")
-            if _popcount(self.indexes) != self._column_count():
+            payload = self.__dict__["_columns"]  # a deferred payload holds one column per set bit
+            if not isinstance(payload, _Unpacked) and _popcount(self.indexes) != len(payload):
                 raise ContainerError("index popcounts do not match stored column count")
         elif self.dense_values is None or len(self.dense_values) != self.n_values:
             raise ContainerError("dense layer needs n_values raw bytes")
-
-    def _column_count(self) -> int:
-        """Stored columns: a deferred payload holds one per set index bit."""
-        payload = self.__dict__["_columns"]
-        if isinstance(payload, _Unpacked):
-            return _popcount(self.indexes)
-        return len(payload)
 
     @property
     def column_bytes(self) -> int:
@@ -237,7 +229,7 @@ class CompressedLayer:
     @property
     def payload_bits(self) -> int:
         """Bits of the column payload alone (no index)."""
-        return self.dense_bits if self.mode == "dense" else self.group_size * self._column_count()
+        return self.dense_bits if self.mode == "dense" else self.group_size * _popcount(self.indexes)
 
 
 def _transpose8(words: np.ndarray) -> np.ndarray:
@@ -285,21 +277,18 @@ def compress_layer(values: np.ndarray, group_size: int, mode: str = "auto",
     if mode not in ("auto", "dense", "bcs"):
         raise ValueError(f"unknown mode {mode!r}")
     values = np.asarray(values, dtype=np.int8)
-    dims = values.shape
     n_values = values.size
     groups = partition_groups(values, group_size)
-    sm_bits, clamps = sm_encode(groups)
+    sm_bits = sm_encode(groups)
     indexes = _or_index(sm_bits)
     n_groups = len(groups)
 
     use_bcs = mode == "bcs" or (mode == "auto" and bcs_size(indexes, group_size) < 8 * n_values)
     if not use_bcs:
         return CompressedLayer(name, group_size, "dense", n_values, n_groups,
-                               dense_values=values.reshape(-1).copy(), dims=dims,
-                               clamp_count=clamps)
+                               dense_values=values.reshape(-1).copy())
     return CompressedLayer(name, group_size, "bcs", n_values, n_groups,
-                           indexes=indexes, columns=_Unpacked(sm_bits), dims=dims,
-                           clamp_count=clamps)
+                           indexes=indexes, columns=_Unpacked(sm_bits))
 
 
 def best_pack(values: np.ndarray, group_size: int | str, name: str = "") -> CompressedLayer:
@@ -350,16 +339,12 @@ def nz_columns(cl: CompressedLayer, sign: bool = False) -> np.ndarray:
     return np.bitwise_count(cl.indexes & (0xFF if sign else 0x7F)).astype(np.int64)
 
 
-def decompress_layer(cl: CompressedLayer,
-                     dims: tuple[int, int, int, int] | None = None) -> np.ndarray:
+def decompress_layer(cl: CompressedLayer, dims: tuple[int, int, int, int]) -> np.ndarray:
     """Exact inverse of compress_layer (post-clamp when -128 occurred).
 
-    Needs the tensor dims to strip channel padding; they come from the
-    in-memory layer or, after reading a container, from the manifest.
+    The (K, C, FY, FX) tensor dims, which strip the channel padding, come
+    from the manifest: the layer record does not hold them.
     """
-    dims = dims or cl.dims
-    if dims is None:
-        raise ContainerError(f"layer {cl.name!r}: tensor dims required to decompress")
     k, c, fy, fx = dims
     if k * c * fy * fx != cl.n_values:
         raise ContainerError(f"layer {cl.name!r}: dims {dims} do not match element count {cl.n_values}")
@@ -456,7 +441,7 @@ def sparsity_stats(values: np.ndarray, group_sizes: Sequence[int]) -> list[Spars
         return []
     g = min(group_sizes)  # the zero padding has no set bits in either encoding
     tc = partition_groups(values, g)
-    sm, _ = sm_encode(tc)
+    sm = sm_encode(tc)
     bit_tc, bit_sm = (1.0 - _popcount(x) / (8 * n) for x in (tc, sm))
     sr_tc, sr_sm = (b / value_sp if value_sp > 0 else math.inf for b in (bit_tc, bit_sm))
     idx = [_or_index(x).reshape(-1, math.ceil(values.shape[1] / g))

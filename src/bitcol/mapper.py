@@ -172,7 +172,7 @@ def weight_bank_layout(cl: codec.CompressedLayer, shape: LayerShape,
     if cl.mode == "bcs":
         index, columns = cl.indexes, cl.columns
     else:  # dense mode streams all 8 columns of every group
-        sm, _ = codec.sm_encode(codec.partition_groups(
+        sm = codec.sm_encode(codec.partition_groups(
             cl.dense_values.reshape(shape.weight_dims), g))
         index = np.full(cl.n_groups, 0xFF, dtype=np.uint8)
         columns = codec.pack_columns(sm, index)

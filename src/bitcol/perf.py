@@ -377,10 +377,13 @@ def evaluate_layer(layer: Layer, spec: AcceleratorSpec, su: SpatialUnrolling) ->
             + counts.sram_write_input / cr_a + counts.sram_write_weight / cr_w
             + sram_write_output)
     # register traffic follows effective compute cycles (skipped columns and
-    # skipped values both suppress the operand fetches of their cycles)
-    scale = cc / dense_cc if dense_cc else 1.0
+    # skipped values both suppress the operand fetches of their cycles). No
+    # guard is needed: LayerShape keeps every dimension >= 1, so
+    # dense_cc = steps * lanes / peak > 0, and peak >= lanes / 8 >= 1/8 (or
+    # peak_macs >= 1).
+    scale = cc / dense_cc
     reg_read, reg_write = counts.reg_read * scale, counts.reg_write * scale
-    peak = max(spec.peak_macs_cycle(su), 1e-9)
+    peak = spec.peak_macs_cycle(su)
     costs = spec.costs
     return LayerPerf(
         layer.name, su.id, counts.utilization, counts.n_mac, n_mac_e, cc, cr_w, cr_a, s_w, s_a,

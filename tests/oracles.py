@@ -219,7 +219,7 @@ def weight_bank_layout(cl, shape, su):
             schedules.append((sched, bits))
     else:
         groups = codec.partition_groups(cl.dense_values.reshape(shape.weight_dims), g)
-        sm, _ = codec.sm_encode(groups)
+        sm = codec.sm_encode(groups)
         schedules = []
         for row in sm:
             sched = ["sign"] + list(range(6, -1, -1))
@@ -369,7 +369,7 @@ def solve_groups(groups: np.ndarray, z: int, include_sign: bool = True
             continue
         table = _nearest_table(sign_forced)[0x7F ^ mag_mask]
         flip = table[vidx]
-        bits, _ = codec.sm_encode(flip)
+        bits = codec.sm_encode(flip)
         idx = np.bitwise_or.reduce(bits, axis=1)
         feasible = (8 - POPCOUNT[idx]) >= z
         if not feasible.any():
@@ -537,7 +537,7 @@ def sparsity_stats(values: np.ndarray, group_size: int) -> SparsityStats:
     bit_tc = 1.0 - float(POPCOUNT[values.view(np.uint8)].sum()) / (8 * n)
     # the groups' zero padding encodes to no set bits
     groups = partition_groups(values, group_size)
-    sm_bits, _ = sm_encode(groups)
+    sm_bits = sm_encode(groups)
     bit_sm = 1.0 - float(POPCOUNT[sm_bits].sum()) / (8 * n)
 
     idx_sm = np.bitwise_or.reduce(sm_bits, axis=1)

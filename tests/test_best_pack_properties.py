@@ -32,8 +32,7 @@ def layers(draw):
 
 
 def assert_same_pack(got, want):
-    assert (got.mode, got.group_size, got.n_groups, got.clamp_count) == \
-        (want.mode, want.group_size, want.n_groups, want.clamp_count)
+    assert (got.mode, got.group_size, got.n_groups) == (want.mode, want.group_size, want.n_groups)
     for field in ("indexes", "columns", "dense_values"):
         a, b = getattr(got, field), getattr(want, field)
         assert (a is None and b is None) or np.array_equal(a, b)

@@ -8,25 +8,24 @@ from bitcol import bitflip, codec
 from bitcol.bitflip import (
     ExternalOracle,
     apply_strategy,
-    best_column_set,
     default_strategy,
     flip_layer,
     greedy_search,
     load_strategy,
-    nearest_with_mask,
     proxy_oracle,
     save_strategy,
 )
 from bitcol.workload import ManifestError, Network, OracleError
 
 from conftest import make_layer, make_network
+from group_flip import best_column_set, nearest_with_mask
 
 
 def brute_force_error(group, z):
     """Exhaustive minimum squared error over all candidate vectors with
     >= z zero bits in the achieved 8-bit index (G <= 2)."""
     vals = np.arange(-127, 128, dtype=np.int64)
-    bits, _ = codec.sm_encode(vals)
+    bits = codec.sm_encode(vals)
     if len(group) == 1:
         idx = bits
         err = (vals - int(group[0])) ** 2

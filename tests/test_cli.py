@@ -84,12 +84,38 @@ def test_compress_auto_and_verify(net_dir):
     assert cont.exists()
 
 
+def test_compress_clamped_column_counts_minus_128(tmp_path):
+    # three -128s in a zero layer that packs bcs, sixteen in one whose groups
+    # set every column and so stay dense; C=20 zero pads the bcs layer's groups
+    sparse = np.zeros(40, dtype=np.int8)
+    sparse[[0, 7, 33]] = -128
+    dense = np.tile(np.array([-86, 85, -128, 127], dtype=np.int8), 16)
+    net = make_network("clamps", [
+        make_layer("sparse", values=sparse, k=2, c=20, fy=1, fx=1, ox=1, oy=1),
+        make_layer("dense", values=dense, k=1, c=64, fy=1, fx=1, ox=1, oy=1)])
+    manifest = model_io.save_network(net, tmp_path / "model")
+    csv_path = tmp_path / "cr.csv"
+    assert main(["compress", "--manifest", str(manifest), "--out", str(tmp_path / "c.bcsw"),
+                 "--csv", str(csv_path), "--verify"]) == 0
+    rows = read_csv(csv_path)
+    assert [(r["layer"], r["mode"], r["clamped"]) for r in rows] == \
+        [("sparse", "bcs", "3"), ("dense", "dense", "16")]
+
+
 def test_report_reads_container(net_dir):
     cont = net_dir / "model.bcsw"
     main(["compress", "--manifest", str(net_dir / "model/manifest.txt"), "--out", str(cont)])
     out = net_dir / "report.csv"
     assert main(["report", "--container", str(cont), "--out", str(out)]) == 0
     assert len(read_csv(out)) == 3
+
+
+def test_report_on_a_container_without_layers(tmp_path, capsys):
+    cont, out = tmp_path / "empty.bcsw", tmp_path / "report.csv"
+    model_io.write_compressed(cont, [])
+    assert main(["report", "--container", str(cont), "--out", str(out)]) == 0
+    assert out.read_text() == "layer,group_size,mode,elements,groups,cr_real,cr_ideal,bits\n"
+    assert capsys.readouterr().out == ""
 
 
 def test_tables_follow_stdout_redirection(net_dir):

@@ -26,22 +26,17 @@ def tensor(values, k=1, c=None, fy=1, fx=1):
 
 class TestSignMagnitude:
     def test_minus_three(self):
-        bits, clamps = codec.sm_encode(np.array([-3]))
-        assert (bits[0] >> 7, bits[0] & 0x7F, clamps) == (1, 3, 0)
+        bits = codec.sm_encode(np.array([-3]))
+        assert (bits[0] >> 7, bits[0] & 0x7F) == (1, 3)
         assert bits[0] == 0b1000_0011
 
     def test_zero_normalized(self):
-        bits, clamps = codec.sm_encode(np.array([0]))
-        assert (bits[0], clamps) == (0, 0)
+        bits = codec.sm_encode(np.array([0]))
+        assert bits[0] == 0
 
     def test_minus_128_clamps(self):
-        bits, clamps = codec.sm_encode(np.array([-128]))
-        assert (bits[0] >> 7, bits[0] & 0x7F, clamps) == (1, 127, 1)
-
-    def test_clamp_count_over_random_tensor(self, rng):
-        vals = rng.integers(-128, 128, size=(4, 16, 1, 1), dtype=np.int8)
-        _, clamps = codec.sm_encode(vals)
-        assert clamps == int(np.count_nonzero(vals == -128))
+        bits = codec.sm_encode(np.array([-128]))
+        assert (bits[0] >> 7, bits[0] & 0x7F) == (1, 127)
 
     def test_sm_clamp_reads_minus_128_as_minus_127(self):
         vals = np.arange(-128, 128, dtype=np.int8)
@@ -49,7 +44,7 @@ class TestSignMagnitude:
         assert clamped.dtype == np.int8
         assert clamped[0] == -127 and np.array_equal(clamped[1:], vals[1:])
         # the codec stores exactly the clamped values
-        assert np.array_equal(codec.sm_decode(codec.sm_encode(vals)[0]), clamped)
+        assert np.array_equal(codec.sm_decode(codec.sm_encode(vals)), clamped)
 
     def test_clamp_and_encode_keep_the_int16_formulas(self):
         def clamp(v):
@@ -60,11 +55,10 @@ class TestSignMagnitude:
                      [-300, -129, -128, -1, 0, 1, 127, 128, 300]):
             got, want = codec.sm_clamp(vals), clamp(vals)
             assert got.dtype == want.dtype and np.array_equal(got, want)
-            bits, clamps = codec.sm_encode(vals)
+            bits = codec.sm_encode(vals)
             assert bits.dtype == np.uint8
             assert np.array_equal(bits, ((want < 0).astype(np.uint8) << 7)
                                   | np.abs(want).astype(np.uint8))
-            assert clamps == int(np.count_nonzero(np.asarray(vals) == -128))
         # a list value outside int16 is an error, not a wrapped sign flip
         for fn in (clamp, codec.sm_clamp, codec.sm_encode):
             with pytest.raises(OverflowError):
@@ -72,9 +66,7 @@ class TestSignMagnitude:
 
     def test_roundtrip_all_values(self):
         vals = np.arange(-127, 128, dtype=np.int8)
-        bits, clamps = codec.sm_encode(vals)
-        assert clamps == 0
-        assert np.array_equal(codec.sm_decode(bits), vals)
+        assert np.array_equal(codec.sm_decode(codec.sm_encode(vals)), vals)
 
 
 class TestPartition:
@@ -153,7 +145,7 @@ class TestCompression:
         vals = rng.integers(-128, 128, size=(3, 7, 2, 2), dtype=np.int8)
         cl = compress_layer(vals, 8, mode="dense")
         assert np.array_equal(cl.dense_values, vals.reshape(-1))
-        assert np.array_equal(decompress_layer(cl), vals)
+        assert np.array_equal(decompress_layer(cl, vals.shape), vals)
         assert compression_ratio(cl) == 1.0
 
     def test_auto_prefers_smaller(self, rng):
@@ -169,13 +161,12 @@ class TestCompression:
             vals = rng.integers(-127, 128, size=(k, c, fy, fx), dtype=np.int8)
             for g in (1, 2, 4, 8, 16, 32, 64):
                 cl = compress_layer(vals, g, mode="bcs")
-                assert np.array_equal(decompress_layer(cl), vals)
+                assert np.array_equal(decompress_layer(cl, vals.shape), vals)
 
     def test_minus_128_roundtrips_clamped(self):
         vals = tensor([-128, 1, -128, 0])
         cl = compress_layer(vals, 4, mode="bcs")
-        assert cl.clamp_count == 2
-        assert decompress_layer(cl).reshape(-1).tolist() == [-127, 1, -127, 0]
+        assert decompress_layer(cl, vals.shape).reshape(-1).tolist() == [-127, 1, -127, 0]
 
     def test_index_soundness(self, rng):
         vals = rng.integers(-127, 128, size=(4, 32, 1, 1), dtype=np.int8)
@@ -189,7 +180,14 @@ class TestCompression:
         broken.__dict__.update(vars(cl))
         broken.columns = cl.columns[:-1]
         with pytest.raises(codec.ContainerError):
-            decompress_layer(broken)
+            decompress_layer(broken, vals.shape)
+
+    @pytest.mark.parametrize("mode", ["bcs", "dense"])
+    def test_dims_must_hold_the_value_count(self, rng, mode):
+        vals = rng.integers(-127, 128, size=(2, 16, 1, 1), dtype=np.int8)
+        cl = compress_layer(vals, 8, mode=mode)
+        with pytest.raises(codec.ContainerError, match="do not match element count 32"):
+            decompress_layer(cl, (2, 16, 1, 2))
 
     @pytest.mark.parametrize("g", [8, 64])
     @pytest.mark.parametrize("extra", [-1, 1])
@@ -210,7 +208,7 @@ class TestCompression:
         vals[rng.random(vals.shape) < 0.3] = 0
         cl = compress_layer(vals, g, mode="bcs")
         assert cl.n_groups == 3 * 2 * 3 * math.ceil(c / g)
-        assert np.array_equal(decompress_layer(cl), vals)
+        assert np.array_equal(decompress_layer(cl, vals.shape), vals)
 
     @pytest.mark.parametrize("n_groups", [0, 3, 17, 2**32 - 1])
     def test_group_count_outside_value_bounds_rejected(self, n_groups):
@@ -321,7 +319,7 @@ class TestSparsityStats:
         vals[rng.random(vals.shape) < 0.25] = 0
         n = vals.size
         (st,) = sparsity_stats(vals, (g,))
-        tc, (sm, _) = vals.view(np.uint8), codec.sm_encode(vals)
+        tc, sm = vals.view(np.uint8), codec.sm_encode(vals)
         assert st.bit_sparsity_tc == 1.0 - float(oracles.POPCOUNT[tc].sum()) / (8 * n)
         assert st.bit_sparsity_sm == 1.0 - float(oracles.POPCOUNT[sm].sum()) / (8 * n)
         groups = partition_groups(vals, g)

@@ -53,10 +53,9 @@ def test_deferred_payload_is_the_eager_pack(tmp_path_factory, vals, g, mode):
     deferred = codec.compress_layer(vals, g, mode, "l")
     if deferred.mode == "dense":
         return
-    sm, clamps = codec.sm_encode(codec.partition_groups(vals, g))
+    sm = codec.sm_encode(codec.partition_groups(vals, g))
     eager = codec.CompressedLayer("l", g, "bcs", vals.size, len(sm), indexes=deferred.indexes,
-                                  columns=codec.pack_columns(sm, deferred.indexes),
-                                  clamp_count=clamps)
+                                  columns=codec.pack_columns(sm, deferred.indexes))
     assert deferred.payload_bits == eager.payload_bits
     assert _container(tmp_path, deferred) == _container(tmp_path, eager)
     got = deferred.columns
@@ -82,7 +81,7 @@ def test_assigned_columns_replace_the_deferred_payload(rng, packs):
     payload = np.zeros((int(np.bitwise_count(cl.indexes).sum()), 1), dtype=np.uint8)
     cl.columns = payload
     assert cl.columns is payload and not packs
-    assert not codec.decompress_layer(cl).any()
+    assert not codec.decompress_layer(cl, vals.shape).any()
 
 
 def test_first_read_drops_the_groups(rng, packs):

@@ -123,7 +123,7 @@ class TestBceGroup:
         # summing all 8 columns (zero columns included) equals the scheduled walk
         weights = rng.integers(-16, 17, size=(20, 8), dtype=np.int8)
         cl = compress_groups(weights)
-        sm, _ = codec.sm_encode(weights)
+        sm = codec.sm_encode(weights)
         for i, pg in enumerate(packed_groups(cl)):
             acts = rng.integers(-128, 128, size=8)
             dot, _ = bce_group(acts, pg)

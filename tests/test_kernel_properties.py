@@ -72,7 +72,7 @@ def test_or_index_is_the_row_or_at_every_group_size(g, blocks, seed):
     values = rng.integers(-128, 128, size=(2, c, 3, 3)).astype(np.int8)
     values[rng.random(values.shape) < 0.5] = 0
     groups = codec.partition_groups(values, g)
-    for rows in (groups, codec.sm_encode(groups)[0]):
+    for rows in (groups, codec.sm_encode(groups)):
         got = codec._or_index(rows)
         assert got.dtype == np.uint8
         assert np.array_equal(got, np.bitwise_or.reduce(rows.view(np.uint8), axis=1))

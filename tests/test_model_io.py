@@ -155,6 +155,7 @@ class TestManifestRules:
          "line 2: invalid literal for int"),
         *((["network=n", f"layer=a {LAYER} s_a={s_a}"],
            rf"layer 'a': s_a={s_a} outside \[0, 1\]") for s_a in ("1.5", "-0.1", "nan", "inf")),
+        ([f"layer=a {LAYER}"], "manifest has no network= line"),
     ])
     def test_manifest_rule(self, tmp_path, lines, message):
         (tmp_path / "w.bin").write_bytes(bytes(4))

@@ -73,7 +73,7 @@ def test_unpack_inverts_pack(g, k, c, f, scale, seed):
     v = np.clip(np.rint(rng.normal(0, scale, size=(k, c, f, f))), -128, 127).astype(np.int8)
     v[rng.random(v.shape) < 0.3] = 0
     got = codec.unpack_groups(codec.compress_layer(v, g, "bcs"))
-    np.testing.assert_array_equal(got, codec.sm_encode(codec.partition_groups(v, g))[0])
+    np.testing.assert_array_equal(got, codec.sm_encode(codec.partition_groups(v, g)))
 
 
 def test_slot_bit_table():
