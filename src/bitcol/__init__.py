@@ -33,7 +33,6 @@ from .perf import (
     AcceleratorSpec,
     UnitCosts,
     compare,
-    dense_activity,
     evaluate_network,
     preset,
     total_latency,

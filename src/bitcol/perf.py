@@ -1,15 +1,15 @@
 """Analytical performance and energy model.
 
-Four steps per (layer, accelerator) pair; evaluate_layer runs them and
+evaluate_layer models one (layer, accelerator) pair in four steps and
 returns one LayerPerf record:
 
-1. dense_activity: dense activity counts from a deliberately simple
-   streaming/tiling model: every streamed tensor moves DRAM->SRAM once per
-   layer pass, where the pass count is max over tensors of ceil(tensor
-   bytes / its SRAM capacity); outputs are written back once. SRAM operand
-   reads follow the spatial unrolling (per temporal step, C_u*OX_u
-   activation and C_u*K_u weight elements); register traffic is two reads
-   and one write per MAC.
+1. Dense counts, stated once each at the top of evaluate_layer, from a
+   deliberately simple streaming/tiling model: every streamed tensor moves
+   DRAM->SRAM once per layer pass, where the pass count is max over tensors
+   of ceil(tensor bytes / its SRAM capacity); outputs are written back once.
+   SRAM operand reads follow the spatial unrolling (per temporal step,
+   C_u*OX_u activation and C_u*K_u weight elements); register traffic is two
+   reads and one write per MAC.
 2. Sparsity, in one dispatch on the spec's sparsity mode. Value skipping
    shrinks the MAC count, N_e = N(1-S_a)(1-S_w), where S_w is adjusted for
    lockstep load imbalance: each set of sync_lanes kernels skips only its
@@ -17,9 +17,9 @@ returns one LayerPerf record:
    lockstep bit share of the weights. Bit-column skipping takes the
    compressed layer's lockstep cycle count from engine.simulate_layer, the
    functional simulator, and its weight port reads column payload bits only.
-3. Compression: evaluate_layer divides each dense memory count by its
-   tensor's compression ratio (weight_compression, act_compression);
-   register traffic follows the effective compute cycles.
+3. Compression: each tensor's streamed bytes are divided once by its
+   compression ratio (weight_compression, act_compression); register
+   traffic follows the effective compute cycles.
 4. An EnergyBreakdown of unit-cost-weighted effective accesses plus MAC
    energy, and LatencyTerms, each access count normalized to port-cycles
    (DRAM bytes/cycle, SRAM port widths from the SU bandwidth, register files
@@ -45,7 +45,7 @@ import numpy as np
 from . import codec, engine
 from .mapper import (SpatialUnrolling, catalog_su, check_group_size, check_kind_compatible,
                      make_custom_su, select_su, temporal_steps)
-from .workload import BitcolError, ConfigError, Layer, LayerShape, Network
+from .workload import BitcolError, ConfigError, Layer, Network
 
 SPARSITY_MODES = ("none", "value-skip", "bit-skip", "bit-column-skip")
 WEIGHT_CODECS = ("none", "zre", "csr", "bcs")
@@ -127,65 +127,6 @@ class AcceleratorSpec:
         if self.peak_macs is not None:
             return float(self.peak_macs)
         return su.lanes / (8 if self.bit_serial else 1)
-
-
-@dataclass
-class ActivityCounts:
-    """Dense per-layer activity: MACs, MACs/cycle, and byte-level traffic."""
-
-    n_mac: int
-    n_mac_cycle: float
-    utilization: float
-    steps: int
-    passes: int
-    dram_read_w: float
-    dram_read_a: float
-    dram_write_a: float
-    sram_read_input: float
-    sram_read_weight: float
-    sram_read_output: float
-    sram_write_input: float
-    sram_write_weight: float
-    sram_write_output: float
-    reg_read: float
-    reg_write: float
-
-
-def dense_activity(shape: LayerShape, spec: AcceleratorSpec,
-                   su: SpatialUnrolling) -> ActivityCounts:
-    """STEP 1: dense operation and memory activity of one layer mapped on `su`."""
-    steps = temporal_steps(shape, su)
-    util = shape.macs / (steps * su.lanes)
-    n_mac_cycle = spec.peak_macs_cycle(su) * util
-
-    ix, iy = shape.input_hw
-    w_bytes = shape.n_weights
-    a_bytes = shape.b * shape.in_channels * ix * iy
-    o_bytes = shape.b * shape.k * shape.ox * shape.oy
-    passes = max(
-        math.ceil(w_bytes / spec.costs.weight_sram_bytes),
-        math.ceil((a_bytes + o_bytes) / spec.costs.act_sram_bytes),
-        1,
-    )
-    c_par = su.g_u or su.c_u
-    return ActivityCounts(
-        n_mac=shape.macs,
-        n_mac_cycle=n_mac_cycle,
-        utilization=util,
-        steps=steps,
-        passes=passes,
-        dram_read_w=w_bytes * passes,
-        dram_read_a=a_bytes * passes,
-        dram_write_a=float(o_bytes),
-        sram_read_input=float(steps * c_par * su.ox_u),
-        sram_read_weight=float(steps * c_par * su.k_u),
-        sram_read_output=float(o_bytes),
-        sram_write_input=float(a_bytes * passes),
-        sram_write_weight=float(w_bytes * passes),
-        sram_write_output=float(o_bytes),
-        reg_read=2.0 * shape.macs,
-        reg_write=float(shape.macs),
-    )
 
 
 @dataclass
@@ -337,8 +278,21 @@ class PerfReport:
 
 def evaluate_layer(layer: Layer, spec: AcceleratorSpec, su: SpatialUnrolling) -> LayerPerf:
     """STEPs 1-4 for one layer mapped on `su`."""
+    # STEP 1: dense counts
     shape = layer.shape
-    counts = dense_activity(shape, spec, su)
+    steps = temporal_steps(shape, su)
+    util = shape.macs / (steps * su.lanes)
+    peak = spec.peak_macs_cycle(su)
+    n_mac_cycle = peak * util
+    ix, iy = shape.input_hw
+    w_bytes = shape.n_weights
+    a_bytes = shape.b * shape.in_channels * ix * iy
+    o_bytes = shape.b * shape.k * shape.ox * shape.oy
+    passes = max(math.ceil(w_bytes / spec.costs.weight_sram_bytes),
+                 math.ceil((a_bytes + o_bytes) / spec.costs.act_sram_bytes), 1)
+    c_par = su.g_u or su.c_u
+    input_reads = float(steps * c_par * su.ox_u)
+    weight_reads = float(steps * c_par * su.k_u)
 
     s_w = float(np.count_nonzero(layer.weights == 0) / layer.weights.size)
     s_a = layer.act_sparsity(default=0.0)
@@ -349,15 +303,15 @@ def evaluate_layer(layer: Layer, spec: AcceleratorSpec, su: SpatialUnrolling) ->
     # cycles and the weight-port bits. Value skipping removes MACs,
     # N_e = N(1-S_a)(1-S_w); bit and bit-column skipping keep the MAC count
     # and scale the dense cycles by their lockstep work share.
-    dense_cc = counts.n_mac / counts.n_mac_cycle
-    n_mac_e, cc = float(counts.n_mac), dense_cc
-    port_bits = counts.sram_read_weight / cr_w * 8.0
+    dense_cc = shape.macs / n_mac_cycle
+    n_mac_e, cc = float(shape.macs), dense_cc
+    port_bits = weight_reads / cr_w * 8.0
     if spec.sparsity_mode == "value-skip":
         kernel_fracs = np.count_nonzero(layer.weights == 0, axis=(1, 2, 3)) / (
             shape.c * shape.fy * shape.fx)
         s_w_e = _lockstep_skip_fraction(kernel_fracs, spec.sync_lanes)
-        n_mac_e = counts.n_mac * (1.0 - s_a) * (1.0 - s_w_e)
-        cc = n_mac_e / counts.n_mac_cycle
+        n_mac_e = shape.macs * (1.0 - s_a) * (1.0 - s_w_e)
+        cc = n_mac_e / n_mac_cycle
     elif spec.sparsity_mode == "bit-skip":
         cc = dense_cc * _lockstep_bit_fraction(layer.weights, spec.sync_lanes)
     elif spec.sparsity_mode == "bit-column-skip":
@@ -366,33 +320,33 @@ def evaluate_layer(layer: Layer, spec: AcceleratorSpec, su: SpatialUnrolling) ->
         # the bcs weight port streams one column slice per lane per cycle;
         # index bytes ride the parser side path, so its port term counts
         # column payload bits only (energy still pays for the index via cr_w)
-        port_bits = counts.sram_read_weight * 8.0 * cl.payload_bits / cl.dense_bits
+        port_bits = weight_reads * 8.0 * cl.payload_bits / cl.dense_bits
 
     # STEP 3: weight traffic shrinks by cr_w; input and output traffic by cr_a
-    dram = counts.dram_read_w / cr_w + counts.dram_read_a / cr_a + counts.dram_write_a / cr_a
-    sram_read_input = counts.sram_read_input / cr_a
-    sram_read_weight = counts.sram_read_weight / cr_w
-    sram_write_output = counts.sram_write_output / cr_a
-    sram = (sram_read_input + sram_read_weight + counts.sram_read_output / cr_a
-            + counts.sram_write_input / cr_a + counts.sram_write_weight / cr_w
-            + sram_write_output)
-    # register traffic follows effective compute cycles (skipped columns and
-    # skipped values both suppress the operand fetches of their cycles). No
-    # guard is needed: LayerShape keeps every dimension >= 1, so
-    # dense_cc = steps * lanes / peak > 0, and peak >= lanes / 8 >= 1/8 (or
-    # peak_macs >= 1).
+    w_stream = w_bytes * passes / cr_w
+    a_stream = a_bytes * passes / cr_a
+    o_stream = o_bytes / cr_a
+    dram = w_stream + a_stream + o_stream
+    sram_read_input = input_reads / cr_a
+    sram_read_weight = weight_reads / cr_w
+    # operand reads, output read, input and weight writes, output write
+    sram = sram_read_input + sram_read_weight + o_stream + a_stream + w_stream + o_stream
+    # register traffic, two reads and one write per MAC, follows effective
+    # compute cycles (skipped columns and skipped values both suppress the
+    # operand fetches of their cycles). No guard is needed: LayerShape keeps
+    # every dimension >= 1, so dense_cc = steps * lanes / peak > 0, and
+    # peak >= lanes / 8 >= 1/8 (or peak_macs >= 1).
     scale = cc / dense_cc
-    reg_read, reg_write = counts.reg_read * scale, counts.reg_write * scale
-    peak = spec.peak_macs_cycle(su)
+    reg_read, reg_write = 2.0 * shape.macs * scale, shape.macs * scale
     costs = spec.costs
     return LayerPerf(
-        layer.name, su.id, counts.utilization, counts.n_mac, n_mac_e, cc, cr_w, cr_a, s_w, s_a,
+        layer.name, su.id, util, shape.macs, n_mac_e, cc, cr_w, cr_a, s_w, s_a,
         # STEP 4: memory counts are bytes; register accesses move 8-bit operands
         energy=EnergyBreakdown(mac=n_mac_e * costs.e_mac, dram=8.0 * dram * costs.e_dram_bit,
                                sram=8.0 * sram * costs.e_sram_bit,
                                reg=8.0 * (reg_read + reg_write) * costs.e_reg_bit),
         terms=LatencyTerms(dram=dram / spec.dram_bytes_per_cycle,
-                           sram_write_output=sram_write_output * 8.0 / su.act_bw,
+                           sram_write_output=o_stream * 8.0 / su.act_bw,
                            sram_read_input=sram_read_input * 8.0 / su.act_bw,
                            sram_read_weight=port_bits / su.w_bw,
                            reg_read=reg_read / (2.0 * peak),

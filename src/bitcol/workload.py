@@ -179,14 +179,9 @@ class Network:
         return sum(l.shape.n_weights for l in self.layers)
 
     def with_weights(self, new_weights: dict[str, np.ndarray]) -> "Network":
-        """Copy of the network with some layers' weights replaced."""
-        layers = []
-        for l in self.layers:
-            if l.name in new_weights:
-                layers.append(replace(l, weights=np.asarray(new_weights[l.name], dtype=np.int8)))
-            else:
-                layers.append(replace(l))
-        return Network(self.name, layers)
+        """Copy of the network with every layer's weights replaced (KeyError
+        if `new_weights` misses a layer)."""
+        return Network(self.name, [replace(l, weights=new_weights[l.name]) for l in self.layers])
 
 
 def check_layer_names(net: Network, given, error: type[Exception] = ManifestError,

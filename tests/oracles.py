@@ -47,6 +47,10 @@ size, as they did before one encode served every group size.
 The ZRE size walks the stream one value at a time, emitting entries. The
 CSR size builds the data, column-index and row-pointer arrays row by row.
 
+The perf model's dense counts are the streaming model of the perf
+module's docstring, spelled out with their own temporal-step count: the
+ceiling of each loop dimension over its unroll, multiplied out.
+
 The perf model's per-layer evaluation copies every dense count into an
 effective-counts record divided by CR, overwrites the effective MACs,
 cycles and register traffic, sums energy and latency terms from that
@@ -584,6 +588,41 @@ def csr_size(values, row_length):
             + len(pointers) * len(data).bit_length())
 
 
+def perf_dense_activity(shape, spec, su):
+    """STEP 1: dense counts of one layer mapped on `su`. Every streamed
+    tensor moves DRAM->SRAM once per pass, where the pass count is max over
+    tensors of ceil(tensor bytes / its SRAM capacity); outputs are written
+    back once. Per temporal step the SU reads C_u*OX_u activation and
+    C_u*K_u weight elements (G_u for C_u on a depthwise unrolling); each MAC
+    makes two register reads and one write."""
+    unrolls = {"ox": su.ox_u, "k": su.g_u} if su.g_u else {"ox": su.ox_u, "k": su.k_u, "c": su.c_u}
+    loops = {"b": shape.b, "k": shape.k, "c": shape.c, "oy": shape.oy, "ox": shape.ox,
+             "fy": shape.fy, "fx": shape.fx}
+    steps = math.prod(math.ceil(n / unrolls.get(dim, 1)) for dim, n in loops.items())
+    n_mac = shape.b * shape.k * shape.c * shape.ox * shape.oy * shape.fx * shape.fy
+    lanes = (su.g_u or su.c_u) * su.ox_u * su.k_u
+    peak = (spec.peak_macs if spec.peak_macs is not None
+            else lanes / (8 if spec.bit_serial else 1))
+    util = n_mac / (steps * lanes)
+
+    in_channels = shape.k if shape.kind == "depthwise-conv" else shape.c
+    w_bytes = shape.k * shape.c * shape.fy * shape.fx
+    a_bytes = (shape.b * in_channels * ((shape.ox - 1) * shape.stride + shape.fx)
+               * ((shape.oy - 1) * shape.stride + shape.fy))
+    o_bytes = shape.b * shape.k * shape.ox * shape.oy
+    passes = max(math.ceil(w_bytes / spec.costs.weight_sram_bytes),
+                 math.ceil((a_bytes + o_bytes) / spec.costs.act_sram_bytes), 1)
+    per_step = su.g_u or su.c_u
+    return SimpleNamespace(
+        n_mac=n_mac, n_mac_cycle=peak * util, utilization=util, steps=steps, passes=passes,
+        dram_read_w=w_bytes * passes, dram_read_a=a_bytes * passes, dram_write_a=float(o_bytes),
+        sram_read_input=float(steps * per_step * su.ox_u),
+        sram_read_weight=float(steps * per_step * su.k_u),
+        sram_read_output=float(o_bytes), sram_write_input=float(a_bytes * passes),
+        sram_write_weight=float(w_bytes * passes), sram_write_output=float(o_bytes),
+        reg_read=2.0 * n_mac, reg_write=float(n_mac))
+
+
 def perf_effective_memory(counts, cr_w, cr_a):
     """STEP 3b: memory traffic under compression (dense counts / CR). Weights
     are never written back, so their DRAM write count is 0."""
@@ -647,12 +686,12 @@ def perf_latency_terms(eff, spec, su):
 
 def perf_evaluate_layer(layer, spec, su):
     """One layer's (effective counts, energy, latency terms, cycles): STEP 1
-    and the compression ratios from the library's step functions, STEP 2
-    written out here (Eq. 1/2 and the lockstep references above), then STEPs
-    3-4 through the overwritten effective-counts record and the
-    after-the-fact bcs port term."""
+    from perf_dense_activity, the compression ratios from the library's step
+    functions, STEP 2 written out here (Eq. 1/2 and the lockstep references
+    above), then STEPs 3-4 through the overwritten effective-counts record
+    and the after-the-fact bcs port term."""
     shape = layer.shape
-    counts = perf.dense_activity(shape, spec, su)
+    counts = perf_dense_activity(shape, spec, su)
 
     s_w = float(np.count_nonzero(layer.weights == 0) / layer.weights.size)
     s_a = layer.act_sparsity(default=0.0)

@@ -165,7 +165,7 @@ def test_07_equation_reproduction(announce):
                            costs=costs)
             (su,) = spec.map_layers(make_network("eq4", [layer]))
             rep = perf.evaluate_layer(layer, spec, su)
-            c = perf.dense_activity(layer.shape, spec, su)
+            c = oracles.perf_dense_activity(layer.shape, spec, su)
             reg_scale = rep.cc_mac_e / (c.n_mac / c.n_mac_cycle)
             br = rep.energy
             assert br.mac == rep.n_mac_e * 0.5

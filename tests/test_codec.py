@@ -331,3 +331,38 @@ class TestSparsityStats:
         (st,) = sparsity_stats(vals, (4,))
         assert st.column_sparsity_sm > st.column_sparsity_tc
         assert st.bit_sparsity_sm > st.bit_sparsity_tc
+
+
+def _bcs(n_groups=1, indexes=(), columns=0):
+    return CompressedLayer("x", 8, "bcs", 8, n_groups, indexes=np.array(indexes, dtype=np.uint8),
+                           columns=np.zeros((columns, 1), dtype=np.uint8))
+
+
+@pytest.mark.parametrize("call,error,message", [
+    pytest.param(lambda: partition_groups(np.zeros((1, 8, 1, 1, 1), dtype=np.int8), 8),
+                 ValueError, r"expected a \(K, C, FY, FX\) tensor", id="partition-5d"),
+    pytest.param(lambda: CompressedLayer("x", 8, "zip", 8, 1), codec.ContainerError,
+                 "unknown mode 'zip'", id="layer-mode"),
+    pytest.param(lambda: CompressedLayer("x", 3, "dense", 8, 3, dense_values=np.zeros(8)),
+                 codec.ContainerError, "group size 3 not in", id="layer-group-size"),
+    pytest.param(lambda: CompressedLayer("x", 8, "bcs", 8, 1), codec.ContainerError,
+                 "bcs layer needs indexes and columns", id="layer-no-indexes"),
+    pytest.param(lambda: _bcs(indexes=[0, 0]), codec.ContainerError,
+                 "index count does not match group count", id="layer-index-count"),
+    pytest.param(lambda: _bcs(indexes=[1]), codec.ContainerError,
+                 "index popcounts do not match stored column count", id="layer-column-count"),
+    pytest.param(lambda: CompressedLayer("x", 8, "dense", 8, 1, dense_values=np.zeros(7)),
+                 codec.ContainerError, "dense layer needs n_values raw bytes",
+                 id="layer-dense-length"),
+    pytest.param(lambda: compress_layer(np.zeros((1, 8, 1, 1), dtype=np.int8), 8, mode="zip"),
+                 ValueError, "unknown mode 'zip'", id="compress-mode"),
+    pytest.param(lambda: csr_size(np.zeros(4), 0), ValueError, "row_length must be >= 1",
+                 id="csr-row-length"),
+    pytest.param(lambda: sparsity_stats(np.zeros((0, 8, 1, 1), dtype=np.int8), [8]),
+                 ValueError, "empty tensor", id="stats-empty"),
+    pytest.param(lambda: sparsity_stats(np.zeros((1, 8, 1, 1), dtype=np.int8), [8, 3]),
+                 ValueError, r"group sizes \[8, 3\] not all in", id="stats-group-size"),
+])
+def test_public_guard_rejects(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

@@ -313,3 +313,17 @@ class TestCsvWriter:
     def test_zero_rows_without_schema_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             write_report_csv([], tmp_path / "r.csv")
+
+
+class TestNetworkGuards:
+    @pytest.mark.parametrize("call,error,message", [
+        pytest.param(lambda net: Layer("w", net.layers[0].shape, np.zeros((1, 4, 1, 2))),
+                     ManifestError, r"weight array shape \(1, 4, 1, 2\) does not match declared "
+                     r"dims \(1, 4, 1, 1\)", id="layer-weight-shape"),
+        pytest.param(lambda net: net.layer("b"), KeyError, "b", id="unknown-layer"),
+        pytest.param(lambda net: net.with_weights({}), KeyError, "a", id="with-weights-missing"),
+    ])
+    def test_guard_rejects(self, rng, call, error, message):
+        net = Network("n", [make_layer("a", rng, k=1, c=4, fy=1, fx=1, ox=1, oy=1)])
+        with pytest.raises(error, match=message):
+            call(net)

@@ -12,13 +12,12 @@ from bitcol.perf import (
     LatencyTerms,
     UnitCosts,
     compare,
-    dense_activity,
     load_spec_configs,
     preset,
     total_latency,
     weight_compression,
 )
-from bitcol.workload import ConfigError, LayerShape, Network
+from bitcol.workload import ConfigError
 
 import oracles
 from conftest import make_layer, make_network
@@ -78,7 +77,7 @@ class TestEffectiveMemory:
         spec = AcceleratorSpec("plain", su=mapper.make_custom_su(8, 4, 8))
         layer = make_layer("p", rng, k=8, c=8, fy=3, fx=3, ox=8, oy=8)
         rep = perf.evaluate_layer(layer, spec, spec.su)
-        counts = dense_activity(layer.shape, spec, spec.su)
+        counts = oracles.perf_dense_activity(layer.shape, spec, spec.su)
         assert rep.cr_w == rep.cr_a == 1.0
         assert rep.terms.dram * spec.dram_bytes_per_cycle == pytest.approx(
             counts.dram_read_w + counts.dram_read_a + counts.dram_write_a)
@@ -94,7 +93,7 @@ class TestEffectiveMemory:
                            k=32, c=8, fy=1, fx=1, ox=16, oy=1)
         su1 = mapper.catalog_su("SU1")
         rep = perf.evaluate_layer(layer, spec, su1)
-        counts = dense_activity(layer.shape, spec, su1)
+        counts = oracles.perf_dense_activity(layer.shape, spec, su1)
         assert rep.cr_w == 2.0 and rep.cr_a == 1.0
         dram = counts.dram_read_w / 2 + counts.dram_read_a + counts.dram_write_a
         assert rep.terms.dram * spec.dram_bytes_per_cycle == pytest.approx(dram)
@@ -112,7 +111,7 @@ class TestEffectiveMemory:
         spec = replace(preset("bitcol"), group_size=8)
         su1 = mapper.catalog_su("SU1")
         rep = perf.evaluate_layer(layer, spec, su1)
-        counts = dense_activity(layer.shape, spec, su1)
+        counts = oracles.perf_dense_activity(layer.shape, spec, su1)
         path = tmp_path / "c.bcsw"
         model_io.write_compressed(path, [weight_compression(layer, spec)[1]])
         payload_bytes = len(path.read_bytes()) - (5 + 2 + len("w") + 2 + 8) - 4
@@ -132,7 +131,7 @@ class TestEffectiveMemory:
                            k=32, c=8, fy=1, fx=1, ox=16, oy=1)
         su1 = mapper.catalog_su("SU1")
         rep = perf.evaluate_layer(layer, spec, su1)
-        counts = dense_activity(layer.shape, spec, su1)
+        counts = oracles.perf_dense_activity(layer.shape, spec, su1)
         cl = codec.compress_layer(layer.weights, 8)
         assert rep.cr_w == 2.0 and rep.cr_a == 1.0
         assert rep.terms.sram_read_weight == (
@@ -212,40 +211,47 @@ class TestImbalance:
 
 
 class TestDenseActivity:
+    """STEP 1 read back from the record: at CR 1 each DRAM byte is one
+    DRAM-cycle sixteenth (16 B/cycle), and each SRAM read one port bit in 8."""
+
     def test_single_mac_layer(self):
         spec = AcceleratorSpec("one", su=mapper.make_custom_su(1, 1, 1, su_id="pe1"))
-        counts = dense_activity(LayerShape(k=1, c=1, fy=1, fx=1, ox=1, oy=1), spec, spec.su)
-        assert counts.n_mac == 1
-        assert counts.dram_read_w == 1
-        assert counts.passes == 1
+        layer = make_layer("one", values=[1], k=1, c=1, fy=1, fx=1, ox=1, oy=1)
+        rep = perf.evaluate_layer(layer, spec, spec.su)
+        assert rep.n_mac == 1
+        # 1 weight byte and 1 input byte, each streamed in 1 pass, plus 1 output byte
+        assert rep.terms.dram * spec.dram_bytes_per_cycle == 1 + 1 + 1
 
     def test_single_pass_when_fits(self, rng):
-        spec = preset("bitcol")
-        shape = LayerShape(k=8, c=8, fy=3, fx=3, ox=8, oy=8)
-        counts = dense_activity(shape, spec, mapper.select_su(shape))
-        assert counts.passes == 1
-        assert counts.dram_read_w == shape.n_weights
+        spec = AcceleratorSpec("plain", bit_serial=True)  # bitcol's costs, no codec
+        layer = make_layer("p", rng, k=8, c=8, fy=3, fx=3, ox=8, oy=8)
+        rep = perf.evaluate_layer(layer, spec, mapper.select_su(layer.shape))
+        # weights, 8 input channels of 10x10 and 8 output channels of 8x8, once each
+        assert rep.terms.dram * spec.dram_bytes_per_cycle == layer.shape.n_weights + 800 + 512
 
-    def test_two_passes_double_weight_reads(self):
-        shape = LayerShape(k=8, c=8, fy=3, fx=3, ox=8, oy=8)
-        spec = preset("bitcol")
-        spec = replace(spec, costs=replace(spec.costs, weight_sram_bytes=shape.n_weights // 2))
-        counts = dense_activity(shape, spec, mapper.select_su(shape))
-        assert counts.passes == 2
-        assert counts.dram_read_w == 2 * shape.n_weights
+    def test_two_passes_double_weight_reads(self, rng):
+        layer = make_layer("p", rng, k=8, c=8, fy=3, fx=3, ox=8, oy=8)
+        spec = AcceleratorSpec("plain", bit_serial=True)
+        spec = replace(spec, costs=replace(spec.costs,
+                                           weight_sram_bytes=layer.shape.n_weights // 2))
+        rep = perf.evaluate_layer(layer, spec, mapper.select_su(layer.shape))
+        # weights and inputs stream twice; outputs are written back once
+        assert rep.terms.dram * spec.dram_bytes_per_cycle == (
+            2 * layer.shape.n_weights + 2 * 800 + 512)
 
-    def test_mac_count(self):
-        shape = LayerShape(k=4, c=3, fy=2, fx=2, ox=5, oy=6, b=2)
-        counts = dense_activity(shape, preset("bitcol"), mapper.select_su(shape))
-        assert counts.n_mac == 2 * 4 * 3 * 5 * 6 * 2 * 2
+    def test_mac_count(self, rng):
+        layer = make_layer("m", rng, k=4, c=3, fy=2, fx=2, ox=5, oy=6, b=2)
+        rep = perf.evaluate_layer(layer, AcceleratorSpec("plain"), mapper.select_su(layer.shape))
+        assert rep.n_mac == 2 * 4 * 3 * 5 * 6 * 2 * 2
 
-    def test_sram_reads_follow_su(self):
+    def test_sram_reads_follow_su(self, rng):
         spec = AcceleratorSpec("fixed", su="SU1", bit_serial=True)
-        shape = LayerShape(k=32, c=8, fy=1, fx=1, ox=16, oy=1)
-        counts = dense_activity(shape, spec, mapper.catalog_su("SU1"))
-        assert counts.steps == 1
-        assert counts.sram_read_input == 8 * 16
-        assert counts.sram_read_weight == 8 * 32
+        layer = make_layer("s", rng, k=32, c=8, fy=1, fx=1, ox=16, oy=1)
+        su1 = mapper.catalog_su("SU1")
+        rep = perf.evaluate_layer(layer, spec, su1)
+        assert rep.utilization == 1.0  # N_mac = lanes: one temporal step
+        assert rep.terms.sram_read_input * su1.act_bw / 8 == 8 * 16
+        assert rep.terms.sram_read_weight * su1.w_bw / 8 == 8 * 32
 
 
 class TestBitColumnCycles:
@@ -257,7 +263,7 @@ class TestBitColumnCycles:
                            k=32, c=8, fy=1, fx=1, ox=16, oy=1)
         su1 = mapper.catalog_su("SU1")
         rep = perf.evaluate_layer(layer, spec, su1)
-        counts = dense_activity(layer.shape, spec, su1)
+        counts = oracles.perf_dense_activity(layer.shape, spec, su1)
         assert rep.cc_mac_e == pytest.approx((counts.n_mac / counts.n_mac_cycle) * 3 / 8)
         # cross-check against the functional simulator
         cl = codec.compress_layer(layer.weights, 8, mode="bcs")
@@ -328,6 +334,10 @@ class TestCompare:
     def test_missing_baseline(self, small_net):
         with pytest.raises(ConfigError):
             compare(small_net, [preset("bitcol")], baseline="scnn")
+
+    def test_no_specs(self, small_net):
+        with pytest.raises(ConfigError, match="no accelerator specs to evaluate"):
+            compare(small_net, [])
 
     def test_uniform_four_columns_doubles_over_none_mode(self):
         # all weights +85 (bits 0,2,4,6): every group has exactly 4 non-zero
