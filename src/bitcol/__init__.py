@@ -25,7 +25,6 @@ from .mapper import (
     CATALOG,
     SpatialUnrolling,
     select_su,
-    spatial_utilization,
     weight_bank_layout,
 )
 from .model_io import load_network, read_compressed, save_network, write_compressed, write_report_csv

@@ -150,7 +150,7 @@ def cmd_simulate(args) -> int:
     # the engine is the bitcol preset: a fixed SU's G is checked before the load
     spec = replace(perf.preset("bitcol"), su=args.su, group_size=args.group_size or "auto")
     net = model_io.load_network(args.manifest)
-    sus = spec.map_layers(net)
+    sus = [m.su for m in spec.map_layers(net)]
     if args.container:
         by_name = {cl.name: cl for cl in model_io.read_compressed(args.container)}
         check_layer_names(net, by_name, ContainerError, "container")
@@ -194,9 +194,9 @@ def cmd_map(args) -> int:
         table = mapper.utilization_table(layer.shape)
         chosen = mapper.best_su(table)
         rows.append({"layer": layer.name, "kind": layer.shape.kind,
-                     **{su_id.lower(): util for su_id, util in table.items()},
-                     "chosen": chosen.id, "chosen_util": table[chosen.id],
-                     "w_bw": chosen.w_bw, "act_bw": chosen.act_bw})
+                     **{su_id.lower(): m and m.utilization for su_id, m in table.items()},
+                     "chosen": chosen.su.id, "chosen_util": chosen.utilization,
+                     "w_bw": chosen.su.w_bw, "act_bw": chosen.su.act_bw})
     if args.out:
         model_io.write_report_csv(rows, args.out)
     _print_table(rows)

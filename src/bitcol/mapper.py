@@ -1,4 +1,4 @@
-"""Spatial-unrolling catalog, per-layer utilization, and SU selection.
+"""Spatial-unrolling catalog, per-layer Mapping records, and SU selection.
 
 The engine deploys 512 column-serial lanes (4096 1b x 8b multipliers) and
 reconfigures its spatial unrolling per layer from a 7-entry catalog. SU1-6
@@ -92,34 +92,37 @@ def check_layer_shape(cl: codec.CompressedLayer, shape: LayerShape) -> None:
         raise MappingError(f"layer {cl.name!r}: group count does not match layer shape")
 
 
-def temporal_steps(shape: LayerShape, su: SpatialUnrolling) -> int:
-    """Cycles needed at full lane occupancy to cover the layer loop nest."""
+@dataclass(frozen=True)
+class Mapping:
+    """One layer on one SU, built by map_layer and read by select_su, `map` and perf."""
+
+    su: SpatialUnrolling
+    steps: int            # temporal steps covering the loop nest at full lane occupancy
+    utilization: float    # N_mac / (steps * lanes)
+
+
+def map_layer(shape: LayerShape, su: SpatialUnrolling) -> Mapping:
+    """The layer's Mapping on `su`; MappingError if `su` cannot map its kind."""
     check_kind_compatible(shape, su)
-    if su.g_u:
-        return (math.ceil(shape.k / su.g_u) * math.ceil(shape.ox / su.ox_u)
-                * shape.c * shape.oy * shape.fx * shape.fy * shape.b)
-    return (math.ceil(shape.c / su.c_u) * math.ceil(shape.ox / su.ox_u)
-            * math.ceil(shape.k / su.k_u) * shape.oy * shape.fx * shape.fy * shape.b)
+    steps = (math.ceil(shape.ox / su.ox_u) * shape.oy * shape.fx * shape.fy * shape.b
+             * (math.ceil(shape.k / su.g_u) * shape.c if su.g_u
+                else math.ceil(shape.c / su.c_u) * math.ceil(shape.k / su.k_u)))
+    return Mapping(su, steps, shape.macs / (steps * su.lanes))
 
 
-def spatial_utilization(shape: LayerShape, su: SpatialUnrolling) -> float:
-    """Fraction of lane-cycles doing real MACs: N_mac / (steps * lanes)."""
-    return shape.macs / (temporal_steps(shape, su) * su.lanes)
-
-
-def utilization_table(shape: LayerShape) -> dict[str, float | None]:
-    """Per-SU utilization; incompatible entries report None."""
-    return {su.id: spatial_utilization(shape, su) if is_compatible(shape, su) else None
+def utilization_table(shape: LayerShape) -> dict[str, Mapping | None]:
+    """The layer's Mapping on each catalog entry; incompatible entries report None."""
+    return {su.id: map_layer(shape, su) if is_compatible(shape, su) else None
             for su in CATALOG}
 
 
-def best_su(table: dict[str, float | None]) -> SpatialUnrolling:
-    """Best-utilization entry of a utilization_table; ties: lower w_bw, then catalog order."""
-    return min((su for su in CATALOG if table[su.id] is not None),
-               key=lambda su: (-table[su.id], su.w_bw))
+def best_su(table: dict[str, Mapping | None]) -> Mapping:
+    """Best-utilization Mapping of a utilization_table; ties: lower w_bw, then catalog order."""
+    return min((m for m in table.values() if m is not None),
+               key=lambda m: (-m.utilization, m.su.w_bw))
 
 
-def select_su(shape: LayerShape) -> SpatialUnrolling:
+def select_su(shape: LayerShape) -> Mapping:
     """best_su of the layer's table; every layer kind has a compatible entry."""
     return best_su(utilization_table(shape))
 

@@ -3,13 +3,14 @@
 evaluate_layer models one (layer, accelerator) pair in four steps and
 returns one LayerPerf record:
 
-1. Dense counts, stated once each at the top of evaluate_layer, from a
-   deliberately simple streaming/tiling model: every streamed tensor moves
-   DRAM->SRAM once per layer pass, where the pass count is max over tensors
-   of ceil(tensor bytes / its SRAM capacity); outputs are written back once.
-   SRAM operand reads follow the spatial unrolling (per temporal step,
-   C_u*OX_u activation and C_u*K_u weight elements); register traffic is two
-   reads and one write per MAC.
+1. Dense counts, stated once each at the top of evaluate_layer. Steps and
+   utilization are the layer's mapper.Mapping (AcceleratorSpec.map_layers);
+   the rest is a deliberately simple streaming/tiling model: every streamed
+   tensor moves DRAM->SRAM once per layer pass, where the pass count is max
+   over tensors of ceil(tensor bytes / its SRAM capacity); outputs are
+   written back once. SRAM operand reads follow the spatial unrolling (per
+   temporal step, C_u*OX_u activation and C_u*K_u weight elements); each
+   MAC makes two register reads and one write.
 2. Sparsity, in one dispatch on the spec's sparsity mode. Value skipping
    shrinks the MAC count, N_e = N(1-S_a)(1-S_w), where S_w is adjusted for
    lockstep load imbalance: each set of sync_lanes kernels skips only its
@@ -43,8 +44,8 @@ from typing import Sequence
 import numpy as np
 
 from . import codec, engine
-from .mapper import (SpatialUnrolling, catalog_su, check_group_size, check_kind_compatible,
-                     make_custom_su, select_su, temporal_steps)
+from .mapper import (Mapping, SpatialUnrolling, catalog_su, check_group_size, make_custom_su,
+                     map_layer, select_su)
 from .workload import BitcolError, ConfigError, Layer, Network
 
 SPARSITY_MODES = ("none", "value-skip", "bit-skip", "bit-column-skip")
@@ -110,18 +111,18 @@ class AcceleratorSpec:
         if self.sparsity_mode == "bit-column-skip" and su != "auto":
             check_group_size(self.group_size, su)
 
-    def map_layers(self, net: Network) -> list[SpatialUnrolling]:
-        """Each layer's SU, in layer order, returned only once every layer has
-        passed its kind check and, for bit-column-skip, its G check."""
-        sus = []
+    def map_layers(self, net: Network) -> list[Mapping]:
+        """Each layer's Mapping, in layer order, returned only once every layer
+        has passed its kind check and, for bit-column-skip, its G check."""
+        mappings = []
         for layer in net.layers:
-            su = (self.su if isinstance(self.su, SpatialUnrolling)
-                  else select_su(layer.shape) if self.su == "auto" else catalog_su(self.su))
-            check_kind_compatible(layer.shape, su)
+            m = (map_layer(layer.shape, self.su) if isinstance(self.su, SpatialUnrolling)
+                 else select_su(layer.shape) if self.su == "auto"
+                 else map_layer(layer.shape, catalog_su(self.su)))
             if self.sparsity_mode == "bit-column-skip":
-                check_group_size(self.group_size, su)
-            sus.append(su)
-        return sus
+                check_group_size(self.group_size, m.su)
+            mappings.append(m)
+        return mappings
 
     def peak_macs_cycle(self, su: SpatialUnrolling) -> float:
         if self.peak_macs is not None:
@@ -226,12 +227,11 @@ def act_compression(layer: Layer, spec: AcceleratorSpec, s_a: float) -> float:
 
 @dataclass
 class LayerPerf:
-    """One layer on one spec: effective MACs and cycles, compression,
+    """One layer on one spec: its mapping, effective MACs and cycles, CR,
     sparsity, energy, and the named latency terms that give its cycles."""
 
     layer: str
-    su_id: str
-    utilization: float
+    mapping: Mapping
     n_mac: int
     n_mac_e: float
     cc_mac_e: float
@@ -249,8 +249,8 @@ class LayerPerf:
     def row(self) -> dict:
         return {
             "layer": self.layer,
-            "su": self.su_id,
-            "utilization": self.utilization,
+            "su": self.mapping.su.id,
+            "utilization": self.mapping.utilization,
             "n_mac": self.n_mac,
             "n_mac_e": self.n_mac_e,
             "cc_mac_e": self.cc_mac_e,
@@ -276,14 +276,12 @@ class PerfReport:
     baseline: str | None = None
 
 
-def evaluate_layer(layer: Layer, spec: AcceleratorSpec, su: SpatialUnrolling) -> LayerPerf:
-    """STEPs 1-4 for one layer mapped on `su`."""
+def evaluate_layer(layer: Layer, spec: AcceleratorSpec, mapping: Mapping) -> LayerPerf:
+    """STEPs 1-4 for one layer under its `mapping`."""
     # STEP 1: dense counts
-    shape = layer.shape
-    steps = temporal_steps(shape, su)
-    util = shape.macs / (steps * su.lanes)
+    shape, su, steps = layer.shape, mapping.su, mapping.steps
     peak = spec.peak_macs_cycle(su)
-    n_mac_cycle = peak * util
+    n_mac_cycle = peak * mapping.utilization
     ix, iy = shape.input_hw
     w_bytes = shape.n_weights
     a_bytes = shape.b * shape.in_channels * ix * iy
@@ -340,7 +338,7 @@ def evaluate_layer(layer: Layer, spec: AcceleratorSpec, su: SpatialUnrolling) ->
     reg_read, reg_write = 2.0 * shape.macs * scale, shape.macs * scale
     costs = spec.costs
     return LayerPerf(
-        layer.name, su.id, util, shape.macs, n_mac_e, cc, cr_w, cr_a, s_w, s_a,
+        layer.name, mapping, shape.macs, n_mac_e, cc, cr_w, cr_a, s_w, s_a,
         # STEP 4: memory counts are bytes; register accesses move 8-bit operands
         energy=EnergyBreakdown(mac=n_mac_e * costs.e_mac, dram=8.0 * dram * costs.e_dram_bit,
                                sram=8.0 * sram * costs.e_sram_bit,
@@ -355,8 +353,8 @@ def evaluate_layer(layer: Layer, spec: AcceleratorSpec, su: SpatialUnrolling) ->
 
 
 def evaluate_network(net: Network, spec: AcceleratorSpec,
-                     sus: Sequence[SpatialUnrolling]) -> PerfReport:
-    layers = [evaluate_layer(l, spec, su) for l, su in zip(net.layers, sus, strict=True)]
+                     mappings: Sequence[Mapping]) -> PerfReport:
+    layers = [evaluate_layer(l, spec, m) for l, m in zip(net.layers, mappings, strict=True)]
     breakdown = EnergyBreakdown(
         mac=sum(l.energy.mac for l in layers),
         dram=sum(l.energy.dram for l in layers),
@@ -393,7 +391,7 @@ def compare(net: Network, specs: Sequence[AcceleratorSpec],
     if base_name not in names:
         raise ConfigError(f"baseline {base_name!r} is not among the evaluated specs")
     mapped = [spec.map_layers(net) for spec in specs]
-    reports = [evaluate_network(net, s, sus) for s, sus in zip(specs, mapped)]
+    reports = [evaluate_network(net, s, ms) for s, ms in zip(specs, mapped)]
     base = reports[names.index(base_name)]
     for r in reports:
         r.baseline = base_name

@@ -3,7 +3,7 @@ import csv
 import numpy as np
 import pytest
 
-from bitcol import codec, model_io
+from bitcol import codec, mapper, model_io, perf
 from bitcol.cli import main
 from bitcol.workload import Layer, LayerShape, Network
 
@@ -24,6 +24,16 @@ def make_layer(name, rng=None, values=None, **shape_kw):
 
 def make_network(name, layers):
     return Network(name, layers)
+
+
+def record_map_layer(monkeypatch):
+    """Wrap mapper.map_layer, in mapper and in perf's `from` import; returns
+    the (layer shape, SU id) of each call, in call order."""
+    mapped, real = [], mapper.map_layer
+    for module in (mapper, perf):
+        monkeypatch.setattr(module, "map_layer", lambda shape, su:
+                            mapped.append((shape, su.id)) or real(shape, su))
+    return mapped
 
 
 def stage_outputs(net, work, group_size="auto"):

@@ -588,6 +588,15 @@ def csr_size(values, row_length):
             + len(pointers) * len(data).bit_length())
 
 
+def temporal_steps(shape, su):
+    """Temporal steps of a layer on `su`: the product over loop dimensions of
+    ceil(dim / unroll), with G_u unrolling K on a depthwise unrolling."""
+    unrolls = {"ox": su.ox_u, "k": su.g_u} if su.g_u else {"ox": su.ox_u, "k": su.k_u, "c": su.c_u}
+    loops = {"b": shape.b, "k": shape.k, "c": shape.c, "oy": shape.oy, "ox": shape.ox,
+             "fy": shape.fy, "fx": shape.fx}
+    return math.prod(math.ceil(n / unrolls.get(dim, 1)) for dim, n in loops.items())
+
+
 def perf_dense_activity(shape, spec, su):
     """STEP 1: dense counts of one layer mapped on `su`. Every streamed
     tensor moves DRAM->SRAM once per pass, where the pass count is max over
@@ -595,10 +604,7 @@ def perf_dense_activity(shape, spec, su):
     back once. Per temporal step the SU reads C_u*OX_u activation and
     C_u*K_u weight elements (G_u for C_u on a depthwise unrolling); each MAC
     makes two register reads and one write."""
-    unrolls = {"ox": su.ox_u, "k": su.g_u} if su.g_u else {"ox": su.ox_u, "k": su.k_u, "c": su.c_u}
-    loops = {"b": shape.b, "k": shape.k, "c": shape.c, "oy": shape.oy, "ox": shape.ox,
-             "fy": shape.fy, "fx": shape.fx}
-    steps = math.prod(math.ceil(n / unrolls.get(dim, 1)) for dim, n in loops.items())
+    steps = temporal_steps(shape, su)
     n_mac = shape.b * shape.k * shape.c * shape.ox * shape.oy * shape.fx * shape.fy
     lanes = (su.g_u or su.c_u) * su.ox_u * su.k_u
     peak = (spec.peak_macs if spec.peak_macs is not None

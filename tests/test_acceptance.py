@@ -147,7 +147,7 @@ def test_07_equation_reproduction(announce):
         layer = make_layer("eq", values=[0] * 10 + [1] * 90, k=1, c=100, fy=1, fx=1, ox=1, oy=1)
         layer.s_a = 0.2
         spec = AcceleratorSpec("eq", su=su, sparsity_mode="value-skip", peak_macs=10)
-        rep = perf.evaluate_layer(layer, spec, su)
+        rep = perf.evaluate_layer(layer, spec, mapper.map_layer(layer.shape, su))
         assert rep.n_mac == 100 and rep.s_w == 0.1
         assert rep.n_mac_e == 72.0
         assert rep.cc_mac_e == 7.2
@@ -163,9 +163,9 @@ def test_07_equation_reproduction(announce):
             layer.s_a = float(rng.random())
             spec = replace(perf.preset(str(rng.choice(["dense", "scnn", "pragmatic", "huaa"]))),
                            costs=costs)
-            (su,) = spec.map_layers(make_network("eq4", [layer]))
-            rep = perf.evaluate_layer(layer, spec, su)
-            c = oracles.perf_dense_activity(layer.shape, spec, su)
+            (m,) = spec.map_layers(make_network("eq4", [layer]))
+            rep = perf.evaluate_layer(layer, spec, m)
+            c = oracles.perf_dense_activity(layer.shape, spec, m.su)
             reg_scale = rep.cc_mac_e / (c.n_mac / c.n_mac_cycle)
             br = rep.energy
             assert br.mac == rep.n_mac_e * 0.5
@@ -200,9 +200,9 @@ def test_08_model_simulator_agreement(announce):
         spec = replace(perf.preset("bitcol"), dram_bytes_per_cycle=512)
         model_cycles = perf.compare(net, [spec])[0].total_cycles
         sim_cycles = 0
-        for layer, su in zip(net.layers, spec.map_layers(net)):
+        for layer, m in zip(net.layers, spec.map_layers(net)):
             _, cl = perf.weight_compression(layer, spec)
-            sim_cycles += engine.simulate_layer(cl, layer.shape, su).total_cycles
+            sim_cycles += engine.simulate_layer(cl, layer.shape, m.su).total_cycles
         deviation = abs(model_cycles - sim_cycles) / sim_cycles
         assert deviation <= 0.06, f"deviation {deviation:.3f}"
         elapsed = time.monotonic() - t0
@@ -212,14 +212,18 @@ def test_08_model_simulator_agreement(announce):
 def test_09_no_single_su_covers_all(announce):
     with criterion(announce, 9, "no fixed SU reaches 0.80 on all four canonical shapes"):
         shapes = list(CANONICAL_SHAPES.values())
+
+        def util(s, su):  # from the oracle's step count, independent of map_layer
+            if not mapper.is_compatible(s, su):
+                return 0.0
+            return s.macs / (oracles.temporal_steps(s, su) * su.lanes)
+
         for su in mapper.CATALOG:
-            utils = [mapper.spatial_utilization(s, su) if mapper.is_compatible(s, su)
-                     else 0.0 for s in shapes]
-            assert min(utils) < 0.80
+            assert min(util(s, su) for s in shapes) < 0.80
         for shape in shapes:
-            table = mapper.utilization_table(shape)
-            best = max(v for v in table.values() if v is not None)
-            assert mapper.spatial_utilization(shape, mapper.select_su(shape)) == best
+            best = max(util(shape, su) for su in mapper.CATALOG)
+            chosen = mapper.select_su(shape)
+            assert util(shape, chosen.su) == chosen.utilization == best
 
 
 def test_10_bitflip_speedup_property(announce):

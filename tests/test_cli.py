@@ -11,7 +11,7 @@ from bitcol import bitflip, codec, engine, mapper, model_io, perf
 from bitcol.cli import main
 from bitcol.workload import Layer, LayerShape, Network
 
-from conftest import make_layer, make_network
+from conftest import make_layer, make_network, record_map_layer
 
 
 @pytest.fixture
@@ -411,7 +411,18 @@ def test_map_builds_one_table_per_layer(net_dir, monkeypatch):
     net = model_io.load_network(net_dir / "model/manifest.txt")
     assert tables == [layer.shape for layer in net.layers]
     monkeypatch.undo()
-    assert [r["chosen"] for r in read_csv(out)] == [mapper.select_su(l.shape).id for l in net.layers]
+    assert [r["chosen"] for r in read_csv(out)] == [mapper.select_su(l.shape).su.id
+                                                     for l in net.layers]
+
+
+@pytest.mark.parametrize("stage", ["map", "simulate"])
+def test_stage_maps_each_layer_once_per_su(net_dir, monkeypatch, stage):
+    mapped = record_map_layer(monkeypatch)
+    manifest = net_dir / "model/manifest.txt"
+    assert main([stage, "--manifest", str(manifest)]) == 0
+    net = model_io.load_network(manifest)
+    assert mapped == [(l.shape, su.id) for l in net.layers for su in mapper.CATALOG
+                      if mapper.is_compatible(l.shape, su)]
 
 
 def test_perf(net_dir):
@@ -805,7 +816,7 @@ def su2_net_dir(tmp_path):
         make_layer("conv1", rng, k=4, c=8, fy=3, fx=3, ox=8, oy=8),
         make_layer("conv2", rng, k=4, c=16, fy=3, fx=3, ox=8, oy=8),
     ])
-    assert [mapper.select_su(l.shape).id for l in net.layers] == ["SU1", "SU2"]
+    assert [mapper.select_su(l.shape).su.id for l in net.layers] == ["SU1", "SU2"]
     model_io.save_network(net, tmp_path / "model")
     return tmp_path
 
@@ -843,7 +854,7 @@ def test_simulate_checks_on_the_fly_packs_before_any_layer_runs(tmp_path, capsys
         make_layer("conv1", rng, k=4, c=8, fy=3, fx=3, ox=8, oy=8),
         make_layer("conv2", values=conv2, k=4, c=16, fy=3, fx=3, ox=8, oy=8),
     ])
-    assert [mapper.select_su(l.shape).id for l in net.layers] == ["SU1", "SU2"]
+    assert [mapper.select_su(l.shape).su.id for l in net.layers] == ["SU1", "SU2"]
     assert codec.best_pack(conv2, "auto").group_size == 8
     model_io.save_network(net, tmp_path / "model")
     for name in ("simulate_layer", "verify_layer"):

@@ -50,7 +50,7 @@ def networks(draw):
 @PROPERTY
 @given(net=networks(), group_size=st.sampled_from(("auto", 8, 16, 32)))
 def test_stages_pick_the_same_pack_per_layer(net, group_size):
-    assert [mapper.select_su(l.shape).id for l in net.layers] == ["SU1", "SU7", "SU1"]
+    assert [mapper.select_su(l.shape).su.id for l in net.layers] == ["SU1", "SU7", "SU1"]
     with tempfile.TemporaryDirectory() as tmp:
         out = stage_outputs(net, Path(tmp), group_size)
     for l in net.layers:

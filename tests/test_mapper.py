@@ -1,18 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bitcol import codec, engine, mapper
 from bitcol.mapper import (
     CATALOG,
     catalog_su,
     make_custom_su,
+    map_layer,
     select_su,
-    spatial_utilization,
     utilization_table,
     weight_bank_layout,
 )
 from bitcol.workload import LAYER_KINDS, LayerShape, MappingError
 
+import oracles
 from conftest import CANONICAL_SHAPES
 
 
@@ -57,16 +60,16 @@ class TestCatalog:
 class TestUtilization:
     def test_exact_fit_is_one(self):
         shape = LayerShape(k=32, c=8, fy=1, fx=1, ox=16, oy=1)
-        assert spatial_utilization(shape, catalog_su("SU1")) == 1.0
+        assert map_layer(shape, catalog_su("SU1")).utilization == 1.0
 
     def test_early_conv_su1(self):
         shape = LayerShape(k=64, c=3, fy=1, fx=1, ox=224, oy=1)
-        assert spatial_utilization(shape, catalog_su("SU1")) == pytest.approx(0.375)
+        assert map_layer(shape, catalog_su("SU1")).utilization == pytest.approx(0.375)
 
     def test_pointwise_su4_beats_su1(self):
         shape = LayerShape(k=256, c=128, fy=1, fx=1, ox=1, oy=1, kind="pointwise-conv")
-        su1 = spatial_utilization(shape, catalog_su("SU1"))
-        su4 = spatial_utilization(shape, catalog_su("SU4"))
+        su1 = map_layer(shape, catalog_su("SU1")).utilization
+        su4 = map_layer(shape, catalog_su("SU4")).utilization
         assert su4 > su1
         assert su4 == 1.0
 
@@ -78,67 +81,105 @@ class TestUtilization:
                 ox=int(rng.integers(1, 250)), oy=int(rng.integers(1, 250)),
             )
             for su in CATALOG[:-1]:
-                assert 0 < spatial_utilization(shape, su) <= 1.0
+                assert 0 < map_layer(shape, su).utilization <= 1.0
 
     def test_depthwise_only_su7(self):
         dw = CANONICAL_SHAPES["depthwise"]
-        assert spatial_utilization(dw, catalog_su("SU7")) == 0.5
+        assert map_layer(dw, catalog_su("SU7")).utilization == 0.5
         with pytest.raises(MappingError):
-            spatial_utilization(dw, catalog_su("SU1"))
+            map_layer(dw, catalog_su("SU1"))
         with pytest.raises(MappingError):
-            spatial_utilization(CANONICAL_SHAPES["early"], catalog_su("SU7"))
+            map_layer(CANONICAL_SHAPES["early"], catalog_su("SU7"))
 
 
 class TestSelectSu:
     def test_depthwise_selects_su7(self):
-        assert select_su(CANONICAL_SHAPES["depthwise"]).id == "SU7"
+        assert select_su(CANONICAL_SHAPES["depthwise"]).su.id == "SU7"
 
     def test_exact_fit_selects_su1(self):
-        assert select_su(LayerShape(k=32, c=8, fy=1, fx=1, ox=16, oy=1)).id == "SU1"
+        assert select_su(LayerShape(k=32, c=8, fy=1, fx=1, ox=16, oy=1)).su.id == "SU1"
 
     def test_deep_narrow_selects_k_heavy(self):
         chosen = select_su(LayerShape(k=512, c=512, fy=1, fx=1, ox=7, oy=7))
-        assert chosen.id in ("SU4", "SU5", "SU6")
+        assert chosen.su.id in ("SU4", "SU5", "SU6")
 
     def test_choice_attains_max(self):
         for shape in CANONICAL_SHAPES.values():
             table = utilization_table(shape)
-            best = max(v for v in table.values() if v is not None)
-            assert table[select_su(shape).id] == best
+            best = max(m.utilization for m in table.values() if m is not None)
+            assert table[select_su(shape).su.id].utilization == best
 
     def test_tie_breaks_by_bandwidth_then_id(self):
         # pointwise 512-channel shape: SU1/SU2/SU3/SU6 tie; SU1 has lowest W BW
         shape = CANONICAL_SHAPES["pointwise"]
-        assert select_su(shape).id == "SU1"
+        assert select_su(shape).su.id == "SU1"
 
     def test_fc_maps_as_1x1(self):
         # single-token fully-connected layer: only the OX_u=1 entries fit fully
         shape = LayerShape(k=128, c=512, fy=1, fx=1, ox=1, oy=1, kind="fully-connected")
-        su = select_su(shape)
-        assert su.id in ("SU4", "SU5", "SU6")
-        assert spatial_utilization(shape, su) == 1.0
+        m = select_su(shape)
+        assert m.su.id in ("SU4", "SU5", "SU6")
+        assert m.utilization == 1.0
 
 
     @pytest.mark.parametrize("kind", LAYER_KINDS)
     def test_every_kind_has_a_compatible_entry(self, kind):
         shape = LayerShape(k=8, c=1 if kind == "depthwise-conv" else 8, fy=1, fx=1, ox=4,
                            oy=1, kind=kind)
-        su = select_su(shape)
+        su = select_su(shape).su
         assert su in CATALOG and mapper.is_compatible(shape, su)
 
 
+def oracle_utilization(shape, su):
+    return shape.macs / (oracles.temporal_steps(shape, su) * su.lanes)
+
+
 class TestFig7Style:
+    """Utilization from the oracle's own step count, not from map_layer."""
+
     def test_no_single_su_covers_all_four(self):
         for su in CATALOG:
-            utils = [spatial_utilization(s, su) if mapper.is_compatible(s, su) else 0.0
+            utils = [oracle_utilization(s, su) if mapper.is_compatible(s, su) else 0.0
                      for s in CANONICAL_SHAPES.values()]
             assert min(utils) < 0.80
 
     def test_selection_attains_per_layer_max(self):
         for shape in CANONICAL_SHAPES.values():
-            table = utilization_table(shape)
-            best = max(v for v in table.values() if v is not None)
-            assert spatial_utilization(shape, select_su(shape)) == best
+            best = max(oracle_utilization(shape, su) for su in CATALOG
+                       if mapper.is_compatible(shape, su))
+            chosen = select_su(shape)
+            assert oracle_utilization(shape, chosen.su) == chosen.utilization == best
+
+
+@st.composite
+def shapes(draw, kind):
+    unit = kind in ("pointwise-conv", "fully-connected", "matmul")
+    window = st.just(1) if unit else st.integers(1, 7)
+    return LayerShape(k=draw(st.integers(1, 600)),
+                      c=1 if kind == "depthwise-conv" else draw(st.integers(1, 600)),
+                      fy=draw(window), fx=draw(window), ox=draw(st.integers(1, 250)),
+                      oy=draw(st.integers(1, 250)), b=draw(st.integers(1, 4)),
+                      stride=draw(st.integers(1, 3)), kind=kind)
+
+
+@pytest.mark.parametrize("su", [*CATALOG, make_custom_su(32, 4, 32),
+                                make_custom_su(8, 8, 8, bit_serial=True),
+                                make_custom_su(3, 5, 7)], ids=lambda su: su.id)
+@pytest.mark.parametrize("kind", LAYER_KINDS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_mapping_record_matches_the_oracle_step_count(kind, su, data):
+    shape = data.draw(shapes(kind))
+    if not mapper.is_compatible(shape, su):
+        with pytest.raises(MappingError) as e:
+            map_layer(shape, su)
+        assert str(e.value) == f"{su.id} cannot map a {kind} layer"
+        return
+    m = map_layer(shape, su)
+    assert m.su is su
+    assert m.steps == oracles.temporal_steps(shape, su)
+    assert m.utilization == shape.macs / (m.steps * su.lanes)
+    assert 0 < m.utilization <= 1
 
 
 class TestCustomSu:

@@ -20,7 +20,7 @@ from bitcol.perf import (
 from bitcol.workload import ConfigError
 
 import oracles
-from conftest import make_layer, make_network
+from conftest import make_layer, make_network, record_map_layer
 
 
 # Eq. 1/2 on a crafted layer: N = 100 MACs, one kernel of 100 weights on a
@@ -29,11 +29,16 @@ from conftest import make_layer, make_network
 EQ_SU = mapper.make_custom_su(100, 1, 1, su_id="eq100")
 
 
+def evaluate(layer, spec, su):
+    """evaluate_layer on the layer's mapping onto `su`."""
+    return perf.evaluate_layer(layer, spec, mapper.map_layer(layer.shape, su))
+
+
 def eq_layer_perf(mode, s_a, weights):
     layer = make_layer("eq", values=weights, k=1, c=100, fy=1, fx=1, ox=1, oy=1)
     layer.s_a = s_a
     spec = AcceleratorSpec("eq", su=EQ_SU, sparsity_mode=mode, peak_macs=10)
-    return perf.evaluate_layer(layer, spec, EQ_SU)
+    return evaluate(layer, spec, EQ_SU)
 
 
 def with_zeros(n_zeros, value=1):
@@ -76,7 +81,7 @@ class TestEffectiveMemory:
     def test_identity_at_cr_one(self, rng):
         spec = AcceleratorSpec("plain", su=mapper.make_custom_su(8, 4, 8))
         layer = make_layer("p", rng, k=8, c=8, fy=3, fx=3, ox=8, oy=8)
-        rep = perf.evaluate_layer(layer, spec, spec.su)
+        rep = evaluate(layer, spec, spec.su)
         counts = oracles.perf_dense_activity(layer.shape, spec, spec.su)
         assert rep.cr_w == rep.cr_a == 1.0
         assert rep.terms.dram * spec.dram_bytes_per_cycle == pytest.approx(
@@ -92,7 +97,7 @@ class TestEffectiveMemory:
         layer = make_layer("u", values=np.full(32 * 8, 21, dtype=np.int8),
                            k=32, c=8, fy=1, fx=1, ox=16, oy=1)
         su1 = mapper.catalog_su("SU1")
-        rep = perf.evaluate_layer(layer, spec, su1)
+        rep = evaluate(layer, spec, su1)
         counts = oracles.perf_dense_activity(layer.shape, spec, su1)
         assert rep.cr_w == 2.0 and rep.cr_a == 1.0
         dram = counts.dram_read_w / 2 + counts.dram_read_a + counts.dram_write_a
@@ -110,7 +115,7 @@ class TestEffectiveMemory:
         layer.weights[rng.random(size=layer.weights.shape) < 0.6] = 0
         spec = replace(preset("bitcol"), group_size=8)
         su1 = mapper.catalog_su("SU1")
-        rep = perf.evaluate_layer(layer, spec, su1)
+        rep = evaluate(layer, spec, su1)
         counts = oracles.perf_dense_activity(layer.shape, spec, su1)
         path = tmp_path / "c.bcsw"
         model_io.write_compressed(path, [weight_compression(layer, spec)[1]])
@@ -130,7 +135,7 @@ class TestEffectiveMemory:
         layer = make_layer("u", values=np.full(32 * 8, 21, dtype=np.int8),
                            k=32, c=8, fy=1, fx=1, ox=16, oy=1)
         su1 = mapper.catalog_su("SU1")
-        rep = perf.evaluate_layer(layer, spec, su1)
+        rep = evaluate(layer, spec, su1)
         counts = oracles.perf_dense_activity(layer.shape, spec, su1)
         cl = codec.compress_layer(layer.weights, 8)
         assert rep.cr_w == 2.0 and rep.cr_a == 1.0
@@ -147,13 +152,13 @@ class TestTotalEnergy:
     def test_all_zero_costs(self, rng):
         spec = replace(preset("scnn"), costs=UNIT_FREE)
         layer = make_layer("s", rng, k=8, c=8, fy=3, fx=3, ox=8, oy=8)
-        rep = perf.evaluate_layer(layer, spec, spec.su)
+        rep = evaluate(layer, spec, spec.su)
         assert rep.energy == EnergyBreakdown(0.0, 0.0, 0.0, 0.0)
 
     def test_ten_macs_at_unit_cost(self, rng):
         spec = AcceleratorSpec("one", su=PE1, costs=replace(UNIT_FREE, e_mac=1.0))
         layer = make_layer("m", rng, k=1, c=10, fy=1, fx=1, ox=1, oy=1, kind="pointwise-conv")
-        assert perf.evaluate_layer(layer, spec, PE1).energy.total == 10.0
+        assert evaluate(layer, spec, PE1).energy.total == 10.0
 
     def test_hand_computed_breakdown(self, rng):
         # 2x3 pointwise over 2 pixels on one PE: 12 MACs; DRAM 6 weight +
@@ -163,7 +168,7 @@ class TestTotalEnergy:
         spec = AcceleratorSpec("one", su=PE1, costs=UnitCosts(e_mac=2.0, e_dram_bit=1.0,
                                                               e_sram_bit=0.5, e_reg_bit=0.25))
         layer = make_layer("h", rng, k=2, c=3, fy=1, fx=1, ox=2, oy=1, kind="pointwise-conv")
-        br = perf.evaluate_layer(layer, spec, PE1).energy
+        br = evaluate(layer, spec, PE1).energy
         assert br.mac == 12 * 2.0
         assert br.dram == (6 + 6 + 4) * 8 * 1.0
         assert br.sram == (12 + 12 + 4 + 6 + 6 + 4) * 8 * 0.5
@@ -201,12 +206,12 @@ class TestImbalance:
 
     def test_uniform_no_adjustment(self):
         layer = make_layer("u", values=[0, 5] * 32, k=32, c=2, fy=1, fx=1, ox=1, oy=1)
-        rep = perf.evaluate_layer(layer, replace(preset("scnn"), su=PE1), PE1)
+        rep = evaluate(layer, replace(preset("scnn"), su=PE1), PE1)
         assert rep.n_mac_e == pytest.approx(rep.n_mac * 0.5)
 
     def test_lockstep_max_work(self):
         layer = make_layer("m", values=[0, 5, 5, 5], k=2, c=2, fy=1, fx=1, ox=1, oy=1)
-        rep = perf.evaluate_layer(layer, replace(preset("scnn"), su=PE1, sync_lanes=2), PE1)
+        rep = evaluate(layer, replace(preset("scnn"), su=PE1, sync_lanes=2), PE1)
         assert rep.s_w == 0.25 and rep.n_mac_e == rep.n_mac
 
 
@@ -217,7 +222,7 @@ class TestDenseActivity:
     def test_single_mac_layer(self):
         spec = AcceleratorSpec("one", su=mapper.make_custom_su(1, 1, 1, su_id="pe1"))
         layer = make_layer("one", values=[1], k=1, c=1, fy=1, fx=1, ox=1, oy=1)
-        rep = perf.evaluate_layer(layer, spec, spec.su)
+        rep = evaluate(layer, spec, spec.su)
         assert rep.n_mac == 1
         # 1 weight byte and 1 input byte, each streamed in 1 pass, plus 1 output byte
         assert rep.terms.dram * spec.dram_bytes_per_cycle == 1 + 1 + 1
@@ -248,8 +253,8 @@ class TestDenseActivity:
         spec = AcceleratorSpec("fixed", su="SU1", bit_serial=True)
         layer = make_layer("s", rng, k=32, c=8, fy=1, fx=1, ox=16, oy=1)
         su1 = mapper.catalog_su("SU1")
-        rep = perf.evaluate_layer(layer, spec, su1)
-        assert rep.utilization == 1.0  # N_mac = lanes: one temporal step
+        rep = evaluate(layer, spec, su1)
+        assert rep.mapping.utilization == 1.0  # N_mac = lanes: one temporal step
         assert rep.terms.sram_read_input * su1.act_bw / 8 == 8 * 16
         assert rep.terms.sram_read_weight * su1.w_bw / 8 == 8 * 32
 
@@ -262,7 +267,7 @@ class TestBitColumnCycles:
         layer = make_layer("u", values=np.full(32 * 8, 21, dtype=np.int8),
                            k=32, c=8, fy=1, fx=1, ox=16, oy=1)
         su1 = mapper.catalog_su("SU1")
-        rep = perf.evaluate_layer(layer, spec, su1)
+        rep = evaluate(layer, spec, su1)
         counts = oracles.perf_dense_activity(layer.shape, spec, su1)
         assert rep.cc_mac_e == pytest.approx((counts.n_mac / counts.n_mac_cycle) * 3 / 8)
         # cross-check against the functional simulator
@@ -279,7 +284,7 @@ class TestBitColumnCycles:
         real = codec.compress_layer
         monkeypatch.setattr(codec, "compress_layer",
                             lambda *a, **k: packs.append(a[1]) or real(*a, **k))
-        rep = perf.evaluate_layer(layer, spec, mapper.catalog_su("SU1"))
+        rep = evaluate(layer, spec, mapper.catalog_su("SU1"))
         assert packs == [8]  # weight_compression packs once; nothing else packs
         sim = engine.simulate_layer(real(layer.weights, 8), layer.shape,
                                     mapper.catalog_su("SU1"), sign_cycle)
@@ -295,9 +300,9 @@ class TestBitColumnCycles:
         ])
         model = compare(net, [spec])[0].total_cycles
         sim = 0
-        for layer, su in zip(net.layers, spec.map_layers(net)):
+        for layer, m in zip(net.layers, spec.map_layers(net)):
             _, cl = weight_compression(layer, spec)
-            sim += engine.simulate_layer(cl, layer.shape, su).total_cycles
+            sim += engine.simulate_layer(cl, layer.shape, m.su).total_cycles
         assert abs(model - sim) / sim <= 0.06
 
 
@@ -327,9 +332,15 @@ class TestCompare:
         for name in ("select_su", "catalog_su"):
             monkeypatch.setattr(perf, name, lambda *a, _name=name, _real=getattr(perf, name):
                                 calls.append(_name) or _real(*a))
+        mapped = record_map_layer(monkeypatch)
         reports = compare(net, specs)
         assert calls == ["select_su"] * 3 + ["catalog_su"] * 3
-        assert [[l.su_id for l in r.layers] for r in reports] == [["SU1"] * 3] * 2
+        assert [[l.mapping.su.id for l in r.layers] for r in reports] == [["SU1"] * 3] * 2
+        # each (layer, SU) is mapped once per spec: the auto-SU spec on every
+        # compatible catalog entry, the fixed-SU spec on SU1 alone
+        assert mapped == [(l.shape, su.id) for l in net.layers for su in mapper.CATALOG
+                          if mapper.is_compatible(l.shape, su)] + [
+                              (l.shape, "SU1") for l in net.layers]
 
     def test_missing_baseline(self, small_net):
         with pytest.raises(ConfigError):

@@ -77,22 +77,22 @@ def specs(draw):
 @given(layer=layers(), spec=specs())
 def test_layer_record_equals_reference_exactly(layer, spec):
     try:
-        (su,) = spec.map_layers(make_network("n", [layer]))
+        (m,) = spec.map_layers(make_network("n", [layer]))
     except MappingError:
         assume(False)
     try:
-        rep = perf.evaluate_layer(layer, spec, su)
+        rep = perf.evaluate_layer(layer, spec, m)
     except BitcolError as e:  # defect 4b: the auto G does not split into C_u
         with pytest.raises(type(e), match=re.escape(str(e))):
-            oracles.perf_evaluate_layer(layer, spec, su)
+            oracles.perf_evaluate_layer(layer, spec, m.su)
         return
-    eff, energy, terms, cycles = oracles.perf_evaluate_layer(layer, spec, su)
+    eff, energy, terms, cycles = oracles.perf_evaluate_layer(layer, spec, m.su)
     assert asdict(rep.energy) == asdict(energy)
     assert rep.energy.total == rep.energy.mac + rep.energy.dram + rep.energy.sram + rep.energy.reg
     assert asdict(rep.terms) == asdict(terms)
     assert rep.cycles == cycles
     assert rep.row() == {
-        "layer": "l", "su": su.id, "utilization": eff.utilization, "n_mac": eff.n_mac,
+        "layer": "l", "su": m.su.id, "utilization": eff.utilization, "n_mac": eff.n_mac,
         "n_mac_e": eff.n_mac_e, "cc_mac_e": eff.cc_mac_e, "cycles": cycles,
         "energy": energy.total, "cr_w": eff.cr_w, "cr_a": eff.cr_a, "s_w": eff.s_w,
         "s_a": eff.s_a}
