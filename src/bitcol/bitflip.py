@@ -178,6 +178,8 @@ def flip_layer(values: np.ndarray, group_size: int, z: int) -> FlipResult:
 
     Error is measured against the sign-magnitude-clamped input (-128 reads
     as -127, matching the codec); |error| <= 254, so it is taken in int16.
+    The error statistics come from the groups that the solver changed (those
+    of non-zero squared error): every other group has zero error.
     """
     values = np.asarray(values, dtype=np.int8)
     groups = codec.partition_groups(values, group_size)
@@ -186,11 +188,13 @@ def flip_layer(values: np.ndarray, group_size: int, z: int) -> FlipResult:
     zero_bits = 8 - np.bitwise_count(idx)
     if zero_bits.min(initial=8) < z:
         raise RuntimeError(f"flip left a group with {zero_bits.min()} < z={z} zero columns")
+    changed = np.flatnonzero(err)
     return FlipResult(
         values=codec.unpartition_groups(flipped, values.shape),
         indexes=idx,
         total_sq_error=int(err.sum()),
-        max_abs_error=int(np.abs(np.subtract(flipped, clamped, dtype=np.int16)).max(initial=0)),
+        max_abs_error=int(np.abs(np.subtract(flipped[changed], clamped[changed],
+                                             dtype=np.int16)).max(initial=0)),
         zero_col_hist=np.bincount(zero_bits, minlength=9),
         compression_ratio=8 * values.size / codec.bcs_size(idx, group_size),
         group_size=group_size,

@@ -14,15 +14,22 @@ significance 6 down to 0 (SLOT_BIT lists them per index for the bank
 layout). Packing transposes each 8-byte word of sign-magnitude bytes as an
 8x8 bit matrix (_transpose8, its own inverse) and keeps the columns that the
 index bits mask; unpacking scatters them back and transposes again.
+_transpose8 runs its swaps block by block (whole rows of a 2-D array), each
+block small enough to stay in cache across the three swaps.
 
 Sign-magnitude cannot express -128: sm_clamp reads it as -127 (1 LSB of error;
 the codec stays total, and `compress` counts the -128 weights in its own
-`clamped` column). best_pack is the one group-size and mode choice: the
-auto-mode pack of best CR over the candidate Gs, the smaller G on ties.
-sparsity_stats partitions a layer once, at the smallest G it reports, and
-sign-magnitude encodes that copy: both bit sparsities and both column index
-sets come from the two, since the zero padding sets no bit. Each larger G ORs
-adjacent block pairs of the G half its size (an odd row gets a zero block).
+`clamped` column). An int8 array clamps in int8, without widening to int16.
+sm_encode sets the sign and magnitude bits in place on sm_clamp's new
+array and writes nothing else: partition_groups returns a view of its input
+for 1x1 layers, so a write there would change the caller's tensor.
+
+best_pack is the one group-size and mode choice: the auto-mode pack of best
+CR over the candidate Gs, the smaller G on ties. sparsity_stats partitions a
+layer once, at the smallest G it reports, and sign-magnitude encodes that
+copy: both bit sparsities and both column index sets come from the two,
+since the zero padding sets no bit. Each larger G ORs adjacent block pairs of
+the G half its size (an odd row gets a zero block).
 
 compress_layer defers a bcs layer's pack: the layer keeps its sign-magnitude
 groups and packs them on the first read of `columns`, then drops them. The
@@ -32,7 +39,7 @@ packed. Assigning `columns` replaces the deferred payload.
 
 Popcounts run on np.bitwise_count (numpy >= 2.0); _popcount sums a byte
 array's set bits 8 bytes at a time, as <u8 words. _or_index ORs the bytes of
-each group 8 at a time, as <u8 words.
+each group 8 at a time, as <u8 words, then halves each word.
 """
 
 from __future__ import annotations
@@ -60,14 +67,25 @@ SLOT_BIT = np.sort(np.where(_keep(np.arange(256, dtype=np.uint8)), np.arange(7, 
 
 
 def sm_clamp(values: np.ndarray) -> np.ndarray:
-    """The int8 values that sign-magnitude stores: -128 reads as -127."""
+    """The int8 values that sign-magnitude stores, in a new array: -128 reads
+    as -127. An int8 array clamps without widening, as values + (values ==
+    -128); any other input goes through int16, so a value outside int16 raises."""
+    if isinstance(values, np.ndarray) and values.dtype == np.int8:
+        v = (values == -128).view(np.int8)
+        v += values
+        return v
     return np.clip(np.asarray(values, dtype=np.int16), -127, 127).astype(np.int8)
 
 
 def sm_encode(values: np.ndarray) -> np.ndarray:
-    """Vectorized sign-magnitude bits (uint8) of the sm_clamp values."""
-    v = sm_clamp(values)
-    return np.abs(v).view(np.uint8) | (v.view(np.uint8) & 0x80)
+    """Vectorized sign-magnitude bits (uint8) of the sm_clamp values, set in
+    place on sm_clamp's result (never on `values`, which may be a view)."""
+    v = np.asarray(sm_clamp(values))
+    bits = v.view(np.uint8)
+    sign = bits & 0x80
+    np.abs(v, out=v)
+    bits |= sign
+    return bits
 
 
 def sm_decode(bits: np.ndarray) -> np.ndarray:
@@ -122,7 +140,7 @@ def _or_index(sm: np.ndarray) -> np.ndarray:
     """(n,) uint8 OR of each row of an (n, G) int8 or uint8 array.
 
     For G a power of two from 8, the rows are <u8 words: halve the words per
-    row, then fold each word's 8 bytes into its low byte.
+    row, then OR each word's two halves, as <u4, <u2 and uint8 pairs.
     """
     g = sm.shape[1]
     if g < 8 or g & (g - 1):
@@ -130,10 +148,10 @@ def _or_index(sm: np.ndarray) -> np.ndarray:
     x = np.ascontiguousarray(sm).view("<u8")
     while x.shape[1] > 1:
         x = x[:, :x.shape[1] // 2] | x[:, x.shape[1] // 2:]
-    x = x[:, 0] | x[:, 0] >> 32
-    x |= x >> 16
-    x |= x >> 8
-    return x.astype(np.uint8)
+    for half in ("<u4", "<u2", np.uint8):
+        x = x.view(half).reshape(-1, 2)
+        x = x[:, 0] | x[:, 1]
+    return x
 
 
 def _popcount(x: np.ndarray) -> int:
@@ -232,20 +250,29 @@ class CompressedLayer:
         return self.dense_bits if self.mode == "dense" else self.group_size * _popcount(self.indexes)
 
 
+_BLOCK_WORDS = 1 << 14  # <u8 words per _transpose8 block: 128 KiB stays in L2
+
+
 def _transpose8(words: np.ndarray) -> np.ndarray:
     """Transpose each <u8 word in place as an 8x8 bit matrix: byte i, bit j <-> byte j, bit i.
 
-    Three delta swaps (Hacker's Delight, 7-3) on the whole array; the kernel
-    is its own inverse. Returns `words`.
+    Three delta swaps (Hacker's Delight, 7-3) per block of about _BLOCK_WORDS
+    words (whole rows of a 2-D array), so the block stays in cache across
+    the swaps; the kernel is its own inverse. Returns `words`.
     """
-    for shift, mask in ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC),
-                        (28, 0x00000000F0F0F0F0)):
-        t = words >> shift
-        t ^= words
-        t &= mask
-        words ^= t
-        t <<= shift
-        words ^= t
+    step = max(1, _BLOCK_WORDS // math.prod(words.shape[1:]))
+    t_all = np.empty_like(words[:step])
+    for start in range(0, len(words), step):
+        block = words[start:start + step]
+        t = t_all[:len(block)]
+        for shift, mask in ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC),
+                            (28, 0x00000000F0F0F0F0)):
+            np.right_shift(block, shift, out=t)
+            t ^= block
+            t &= mask
+            block ^= t
+            t <<= shift
+            block ^= t
     return words
 
 
@@ -259,11 +286,14 @@ def pack_columns(sm_bits: np.ndarray, indexes: np.ndarray) -> np.ndarray:
     columns = np.empty((_popcount(indexes), cb), dtype=np.uint8)
     words = np.zeros((n, cb), dtype="<u8")
     words.view(np.uint8)[:, :g] = sm_bits
-    # byte s of word j: bit 7 - s of elements 8j..8j+7, then one cb-byte item per column
-    planes = _transpose8(words).byteswap(inplace=True).view(np.uint8)
-    items = np.ascontiguousarray(planes.reshape(n, cb, 8).transpose(0, 2, 1)) \
-        .view(f"<u{cb}").reshape(n, 8)
-    columns.view(f"<u{cb}")[:, 0] = items[keep]
+    # byte s of word j: bit 7 - s of elements 8j..8j+7; a group's column item s
+    # is byte s of each of its cb words, copied one word slab at a time
+    planes = _transpose8(words).byteswap(inplace=True).view(np.uint8).reshape(n, cb, 8)
+    items = np.empty((n, 8, cb), dtype=np.uint8)
+    for j in range(cb):
+        items[:, :, j] = planes[:, j]
+    np.compress(keep.reshape(-1), items.view(f"<u{cb}").reshape(-1),
+                out=columns.view(f"<u{cb}").reshape(-1))
     return columns
 
 

@@ -27,14 +27,14 @@ the scalar loops as their reference.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
 from . import codec
-from .mapper import SpatialUnrolling, check_kind_compatible, check_layer_shape, lockstep_waves
+from .mapper import (SpatialUnrolling, check_kind_compatible, check_layer_shape,
+                     lockstep_waves, output_steps)
 from .workload import LayerShape
 
 
@@ -153,7 +153,7 @@ def simulate_layer(cl: codec.CompressedLayer, shape: LayerShape,
     nz = codec.nz_columns(cl, sign_cycle)
     steps, loss, repeat = lockstep_waves(nz, shape, cl.group_size, su)
     wave_max_sum = int(steps.sum())
-    t_out = math.ceil(shape.ox / su.ox_u) * shape.oy * shape.b
+    t_out = output_steps(shape, su)
     return CycleCount(
         group_cycles=nz,
         total_cycles=wave_max_sum * repeat * t_out,

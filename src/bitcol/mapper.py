@@ -101,10 +101,16 @@ class Mapping:
     utilization: float    # N_mac / (steps * lanes)
 
 
+def output_steps(shape: LayerShape, su: SpatialUnrolling) -> int:
+    """Temporal steps over the outputs, ceil(OX/OX_u) * OY * B: each one
+    streams the layer's weights once more."""
+    return math.ceil(shape.ox / su.ox_u) * shape.oy * shape.b
+
+
 def map_layer(shape: LayerShape, su: SpatialUnrolling) -> Mapping:
     """The layer's Mapping on `su`; MappingError if `su` cannot map its kind."""
     check_kind_compatible(shape, su)
-    steps = (math.ceil(shape.ox / su.ox_u) * shape.oy * shape.fx * shape.fy * shape.b
+    steps = (output_steps(shape, su) * shape.fx * shape.fy
              * (math.ceil(shape.k / su.g_u) * shape.c if su.g_u
                 else math.ceil(shape.c / su.c_u) * math.ceil(shape.k / su.k_u)))
     return Mapping(su, steps, shape.macs / (steps * su.lanes))

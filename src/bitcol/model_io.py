@@ -18,7 +18,8 @@ element count u32-LE, group count u32-LE, payload, u32-LE zlib.crc32 of the
 payload. Dense payload is the raw int8 bytes; bcs payload is the index bytes
 (CompressedLayer.indexes), then the column bytes (.columns): ceil(G/8) per set
 index bit, group by group, sign column first then bit 6..0. The index popcount
-sum sizes the column slice, so no read walks the groups.
+sum sizes the column slice, so no read walks the groups. A write passes the
+index and column arrays to the file as they are, with no joined copy.
 """
 
 from __future__ import annotations
@@ -156,10 +157,13 @@ def write_compressed(path: str | Path, layers: Sequence[CompressedLayer]) -> Non
             name = cl.name.encode("utf-8")
             f.write(struct.pack("<H", len(name)) + name +
                     struct.pack("<BBII", cl.group_size, cl.mode == "bcs", cl.n_values, cl.n_groups))
-            payload = (cl.dense_values.astype(np.int8) if cl.mode == "dense"
-                       else np.concatenate([cl.indexes, cl.columns.reshape(-1)]))
-            f.write(payload)
-            f.write(struct.pack("<I", zlib.crc32(payload)))
+            parts = ((cl.dense_values.astype(np.int8, copy=False),) if cl.mode == "dense"
+                     else (cl.indexes, cl.columns))
+            crc = 0
+            for part in map(np.ascontiguousarray, parts):  # the CRC chains over the parts
+                f.write(part)
+                crc = zlib.crc32(part, crc)
+            f.write(struct.pack("<I", crc))
 
 
 def read_compressed(path: str | Path) -> list[CompressedLayer]:

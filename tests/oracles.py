@@ -18,7 +18,9 @@ nearest-value tables with the per-mask loop the library used before it
 derived them from one magnitude table.
 
 The sign-magnitude decode looks each byte up in a 256-entry value table,
-as the codec did before it decoded arithmetically.
+as the codec did before it decoded arithmetically. The encode is the
+definition, in int16: the magnitude, plus bit 7 for a negative value, with
+-128 read as -127.
 
 The column packer builds every group's eight bit columns and keeps the
 ones its index names, as the codec did before packing and unpacking walked
@@ -86,6 +88,12 @@ SM_VALUE = np.r_[0:128, 0:-128:-1].astype(np.int8)  # the value of each sign-mag
 
 def sm_decode(bits) -> np.ndarray:
     return SM_VALUE[np.asarray(bits, dtype=np.uint8)]
+
+
+def sm_bytes(values) -> np.ndarray:
+    """Sign-magnitude bytes of int8 values: |v| with bit 7 for v < 0, -128 as -127."""
+    v = np.clip(np.asarray(values, dtype=np.int16), -127, 127)
+    return np.where(v < 0, 0x80 - v, v).astype(np.uint8)
 
 
 def transpose8(words: np.ndarray) -> np.ndarray:

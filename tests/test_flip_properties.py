@@ -15,6 +15,11 @@ nearest-value tables must equal the oracle's per-mask loop.
 The proxy's one-pass layer error at several group sizes must equal
 flip_layer's total error at each of them, with any chunk size, and a
 candidate table that sets a column it zeroes must be refused.
+
+flip_layer takes its error statistics from the groups the solver changed;
+its maximum and total error and its zero-column histogram must equal a
+recount over the whole flipped tensor against the clamped input, also on
+layers holding -128 and on layers in which no group changes.
 """
 
 from unittest import mock
@@ -234,3 +239,40 @@ def test_candidate_that_sets_a_zeroed_column_is_refused(monkeypatch):
     with pytest.raises(RuntimeError, match="z=4 candidate sets a column it zeroes"):
         bitflip.proxy_oracle(net)({"l": (8, 4)})
     assert scores == []
+
+
+def _check_flip_statistics(values, g, z):
+    res = bitflip.flip_layer(values, g, z)
+    diff = res.values.astype(np.int64) - np.clip(values, -127, 127)
+    assert res.max_abs_error == np.abs(diff).max()
+    assert res.total_sq_error == (diff ** 2).sum()
+    idx = np.bitwise_or.reduce(oracles.sm_bytes(codec.partition_groups(res.values, g)), axis=1)
+    assert np.array_equal(res.indexes, idx)
+    assert res.zero_col_hist.tolist() == np.bincount(8 - oracles.POPCOUNT[idx],
+                                                     minlength=9).tolist()
+    return res
+
+
+@PROPERTY
+@given(layers(), st.sampled_from(codec.GROUP_SIZES), st.integers(0, 8))
+def test_flip_statistics_match_a_full_tensor_recount(values, g, z):
+    _check_flip_statistics(values, g, z)
+
+
+@pytest.mark.parametrize("g", [1, 8, 32])
+def test_flip_statistics_when_no_group_changes(g):
+    # magnitudes of bit 0 only, no sign: seven zero columns in every group
+    values = np.random.default_rng(g).integers(0, 2, size=(4, 40, 3, 3)).astype(np.int8)
+    for z in range(8):
+        res = _check_flip_statistics(values, g, z)
+        assert res.max_abs_error == res.total_sq_error == 0
+        assert np.array_equal(res.values, values)
+
+
+@pytest.mark.parametrize("z", [0, 2, 5, 8])
+def test_flip_statistics_on_a_layer_holding_minus_128(z):
+    rng = np.random.default_rng(z)
+    values = np.clip(np.rint(rng.normal(0, 20, size=(5, 24, 3, 3))), -128, 127).astype(np.int8)
+    values[rng.random(values.shape) < 0.1] = -128
+    res = _check_flip_statistics(values, 8, z)
+    assert (res.max_abs_error == 0) == (z == 0)  # -128 -> -127 is the clamp, not a flip

@@ -22,6 +22,11 @@ int8 copy; it must equal oracles.sm_decode, the 256-entry value table, on
 uint8 arrays of any shape, strided views (unpack_groups returns one for
 G < 8), a 0-d array and a Python list, return int8 and leave its input as
 it was.
+
+No kernel writes into its input. partition_groups returns a view of the
+tensor for an int8 (K, C, 1, 1) layer with C a multiple of G, so an encode,
+pack, group-size choice, statistics pass, flip or round-trip check that
+wrote into its groups would change the manifest's tensor.
 """
 
 import numpy as np
@@ -31,7 +36,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import oracles
-from bitcol import codec
+from bitcol import bitflip, codec, engine
 
 PROPERTY = settings(max_examples=150, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -129,3 +134,30 @@ def test_sm_decode_takes_a_0d_array_and_a_list():
     for b in (0x00, 0x7F, 0x80, 0x81, 0xFF):
         _decodes_like_the_table(np.array(b, dtype=np.uint8))
     _decodes_like_the_table([0, 1, 127, 128, 129, 200, 255])
+
+
+@pytest.mark.parametrize("g", [8, 16, 32])
+def test_no_kernel_writes_into_its_input(g):
+    rng = np.random.default_rng(g)
+    values = np.clip(np.rint(rng.normal(0, 6, size=(6, 64, 1, 1))), -127, 127).astype(np.int8)
+    values[rng.random(values.shape) < 0.1] = -128
+    before = values.copy()
+    assert np.shares_memory(codec.partition_groups(values, g), values)
+
+    def unchanged(what):
+        assert values.tobytes() == before.tobytes(), what
+
+    codec.sm_encode(codec.partition_groups(values, g))
+    unchanged("sm_encode")
+    cl = codec.compress_layer(values, g, "bcs")
+    cl.columns  # the deferred pack
+    unchanged("compress_layer")
+    assert engine.verify_layer(cl, values) == 0
+    unchanged("verify_layer")
+    codec.best_pack(values, "auto").columns
+    unchanged("best_pack")
+    codec.sparsity_stats(values, codec.GROUP_SIZES)
+    unchanged("sparsity_stats")
+    for z in (0, 3, 8):
+        bitflip.flip_layer(values, g, z)
+        unchanged(f"flip_layer z={z}")

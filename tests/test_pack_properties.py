@@ -7,6 +7,12 @@ payloads must be byte-identical at every group size, and unpacking a packed
 layer must give back its sign-magnitude groups. The transpose kernel is
 checked against a bit-by-bit reference and as its own inverse, and
 SLOT_BIT against the keep mask that packing and unpacking use.
+
+_transpose8 works through blocks of codec._BLOCK_WORDS words (whole rows of
+a 2-D array), so it is also checked on 1-D and (n, cb) arrays of two full
+blocks and a ragged third, and packing and unpacking on layers whose group
+count spans as many blocks, at every group size with more than one column
+byte and at G = 8.
 """
 
 import numpy as np
@@ -92,3 +98,35 @@ def test_slot_bit_agrees_with_the_keep_mask():
         assert keep[i].tolist() == [bool(i >> (7 - s) & 1) for s in range(8)]
         bits = [7 - s for s in np.flatnonzero(keep[i])]
         assert codec.SLOT_BIT[i].tolist() == bits + [-1] * (8 - len(bits))
+
+
+@pytest.mark.parametrize("cb", [None, 1, 2, 4, 8])
+def test_transpose8_spans_blocks_and_a_ragged_last_block(cb):
+    rows = 2 * codec._BLOCK_WORDS // (cb or 1) + 37  # two full blocks, then 37 rows
+    shape = (rows,) if cb is None else (rows, cb)
+    words = np.random.default_rng(rows).integers(0, 2**64, size=shape, dtype=np.uint64)
+    words[-1] = 2**64 - 1  # the last word of the ragged block
+    work = words.astype("<u8")
+    assert codec._transpose8(work) is work
+    np.testing.assert_array_equal(work, oracles.transpose8(words))
+    np.testing.assert_array_equal(codec._transpose8(work), words)
+
+
+@pytest.mark.parametrize("g", [8, 16, 32, 64])
+def test_pack_and_unpack_span_blocks(g):
+    cb = g // 8
+    c = 3 * g - 5  # three channel blocks per position, the last one padded
+    k = (2 * codec._BLOCK_WORDS // cb + 99) // 3 + 1  # groups past two full blocks
+    rng = np.random.default_rng(g)
+    values = np.clip(np.rint(rng.normal(0, 6, size=(k, c, 1, 1))), -128, 127).astype(np.int8)
+    values[rng.random(values.shape) < 0.2] = 0
+    values[0, 0, 0, 0] = values[-1, -1, 0, 0] = -128
+    sm = oracles.sm_bytes(codec.partition_groups(values, g))
+    assert len(sm) * cb > 2 * codec._BLOCK_WORDS
+
+    cl = codec.compress_layer(values, g, "bcs")
+    np.testing.assert_array_equal(cl.indexes, np.bitwise_or.reduce(sm, axis=1))
+    assert cl.columns.tobytes() == oracles.pack_columns(sm, cl.indexes).tobytes()
+    np.testing.assert_array_equal(codec.unpack_groups(cl), sm)
+    np.testing.assert_array_equal(codec.decompress_layer(cl, values.shape),
+                                  np.maximum(values, -127))
