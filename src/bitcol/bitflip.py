@@ -29,6 +29,10 @@ element rounds to the smaller magnitude, then to its own sign.
 A network-level greedy search (one committed (layer, group size, z+1) move
 per sweep, driven by an accuracy oracle) tunes per-layer constraints. Both
 oracles read a strategy from one (layer, G, z) table, each key filled once.
+
+FlipResult is a typing.NamedTuple, which is cheaper than a dataclass to
+create at import. As a tuple it is iterable, equal to a plain tuple of the
+same values, and cannot be modified.
 """
 
 from __future__ import annotations
@@ -37,10 +41,9 @@ import math
 import shlex
 import subprocess
 import tempfile
-from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -161,8 +164,7 @@ def _sse_by_group_size(values: np.ndarray, z: int, sizes) -> dict[int, int]:
     return sse
 
 
-@dataclass
-class FlipResult:
+class FlipResult(NamedTuple):
     values: np.ndarray            # flipped (K, C, FY, FX) int8 tensor
     indexes: np.ndarray           # (n_groups,) achieved zero-column indexes
     total_sq_error: int

@@ -40,6 +40,11 @@ packed. Assigning `columns` replaces the deferred payload.
 Popcounts run on np.bitwise_count (numpy >= 2.0); _popcount sums a byte
 array's set bits 8 bytes at a time, as <u8 words. _or_index ORs the bytes of
 each group 8 at a time, as <u8 words, then halves each word.
+
+SparsityStats is a typing.NamedTuple, which is cheaper than a dataclass to
+create at import. As a tuple it is iterable, equal to a plain tuple of the
+same values, and cannot be modified. CompressedLayer validates its fields
+and stays a dataclass.
 """
 
 from __future__ import annotations
@@ -351,8 +356,8 @@ def unpack_groups(cl: CompressedLayer) -> np.ndarray:
         raise ContainerError(f"layer {cl.name!r}: index/payload length mismatch")
     sm = np.empty((n, 8 * cb), dtype=np.uint8)  # before the temporaries, as in packing
     items = np.zeros((n, 8), dtype=f"<u{cb}")
-    items[_keep(cl.indexes)] = np.ascontiguousarray(cl.columns, dtype=np.uint8) \
-        .view(f"<u{cb}").reshape(-1)
+    items.reshape(-1)[np.flatnonzero(_keep(cl.indexes))] = \
+        np.ascontiguousarray(cl.columns, dtype=np.uint8).view(f"<u{cb}").reshape(-1)
     sm.reshape(n, cb, 8)[...] = items.view(np.uint8).reshape(n, 8, cb).transpose(0, 2, 1)
     _transpose8(sm.view("<u8").byteswap(inplace=True))
     return sm[:, :g]
@@ -438,8 +443,7 @@ def csr_size(values: np.ndarray, row_length: int) -> int:
     return nnz * (8 + col_bits) + ptr_bits
 
 
-@dataclass(frozen=True)
-class SparsityStats:
+class SparsityStats(NamedTuple):
     """Per-layer sparsity summary at a given group size.
 
     Column sparsities are fractions of zero columns over 8 * n_groups

@@ -23,12 +23,16 @@ shared core: codec.unpack_groups for the column payload and
 mapper.lockstep_waves for the wave schedule, which the bank layout uses as
 well; perf takes its bit-column cycle count from simulate_layer. Tests keep
 the scalar loops as their reference.
+
+ParsedIndex, PackedGroup and CycleCount are typing.NamedTuple records,
+which are cheaper than dataclasses to create at import. As tuples they are
+iterable, equal to a plain tuple of the same values, and cannot be
+modified. PackedGroup.index, the zero-column index, hides tuple.index.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -38,8 +42,7 @@ from .mapper import (SpatialUnrolling, check_kind_compatible, check_layer_shape,
 from .workload import LayerShape
 
 
-@dataclass(frozen=True)
-class ParsedIndex:
+class ParsedIndex(NamedTuple):
     sign_rqst: bool
     schedule: tuple[int, ...]  # significances of set magnitude bits, descending
     nz_count: int
@@ -63,8 +66,7 @@ def bce_column(acts, bits, signs, shift: int) -> int:
     return total << shift
 
 
-@dataclass
-class PackedGroup:
+class PackedGroup(NamedTuple):
     """One group's compressed form: index, sign column, magnitude columns."""
 
     index: int
@@ -129,8 +131,7 @@ def dot_ref(acts, weights) -> int:
     return int((a * w).sum())
 
 
-@dataclass
-class CycleCount:
+class CycleCount(NamedTuple):
     group_cycles: np.ndarray   # per-group non-zero column counts
     total_cycles: int          # lockstep cycles including output-side repeats
     barrier_loss: int          # idle lane-cycles lost to the sync barrier
@@ -177,5 +178,5 @@ def verify_layer(cl: codec.CompressedLayer, values: np.ndarray) -> int:
     if cl.mode == "dense":
         got = codec.partition_groups(cl.dense_values.reshape(values.shape), cl.group_size)
     else:
-        got, want = codec.sm_decode(codec.unpack_groups(cl)), np.clip(want, -127, 127)
+        got, want = codec.sm_decode(codec.unpack_groups(cl)), want + (want == -128)
     return int(np.count_nonzero(np.bincount(np.flatnonzero(got != want) // cl.group_size)))

@@ -5,12 +5,16 @@ reconfigures its spatial unrolling per layer from a 7-entry catalog. SU1-6
 unroll (C, OX, K); SU7 is specialized for depthwise convolutions and
 unrolls 64 kernel groups with OX_u=2 (128 lanes). OY, FX, FY and B are
 always iterated temporally.
+
+SpatialUnrolling and Mapping are typing.NamedTuple records, which are
+cheaper than dataclasses to create at import. As tuples they are iterable,
+equal to a plain tuple of the same values, and cannot be modified.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -18,8 +22,7 @@ from . import codec
 from .workload import LayerShape, MappingError
 
 
-@dataclass(frozen=True)
-class SpatialUnrolling:
+class SpatialUnrolling(NamedTuple):
     id: str
     ox_u: int
     k_u: int
@@ -92,8 +95,7 @@ def check_layer_shape(cl: codec.CompressedLayer, shape: LayerShape) -> None:
         raise MappingError(f"layer {cl.name!r}: group count does not match layer shape")
 
 
-@dataclass(frozen=True)
-class Mapping:
+class Mapping(NamedTuple):
     """One layer on one SU, built by map_layer and read by select_su, `map` and perf."""
 
     su: SpatialUnrolling

@@ -32,6 +32,12 @@ Shipped presets express the sparsity-mode / compression / dataflow
 distinctions of the published baselines they are named after; their unit
 costs and lane parameters are documented defaults, not reproductions of
 anyone's silicon measurements.
+
+EnergyBreakdown, LatencyTerms, LayerPerf and PerfReport are typing.NamedTuple
+records, which are cheaper than dataclasses to create at import. As tuples
+they are iterable, equal to a plain tuple of the same values, and cannot be
+modified: compare returns new reports with `_replace`. UnitCosts and
+AcceleratorSpec validate their fields and stay dataclasses.
 """
 
 from __future__ import annotations
@@ -39,7 +45,7 @@ from __future__ import annotations
 import configparser
 import math
 from dataclasses import dataclass, field, fields, replace
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -130,8 +136,7 @@ class AcceleratorSpec:
         return su.lanes / (8 if self.bit_serial else 1)
 
 
-@dataclass
-class EnergyBreakdown:
+class EnergyBreakdown(NamedTuple):
     mac: float
     dram: float
     sram: float
@@ -142,8 +147,7 @@ class EnergyBreakdown:
         return self.mac + self.dram + self.sram + self.reg
 
 
-@dataclass
-class LatencyTerms:
+class LatencyTerms(NamedTuple):
     """Eq-level latency inputs, already normalized to cycles."""
 
     dram: float
@@ -225,8 +229,7 @@ def act_compression(layer: Layer, spec: AcceleratorSpec, s_a: float) -> float:
     return min(8.0 / max((1.0 - s_a) * 16.0, 0.125), 64.0)
 
 
-@dataclass
-class LayerPerf:
+class LayerPerf(NamedTuple):
     """One layer on one spec: its mapping, effective MACs and cycles, CR,
     sparsity, energy, and the named latency terms that give its cycles."""
 
@@ -263,8 +266,7 @@ class LayerPerf:
         }
 
 
-@dataclass
-class PerfReport:
+class PerfReport(NamedTuple):
     spec: str
     network: str
     total_cycles: float
@@ -292,7 +294,8 @@ def evaluate_layer(layer: Layer, spec: AcceleratorSpec, mapping: Mapping) -> Lay
     input_reads = float(steps * c_par * su.ox_u)
     weight_reads = float(steps * c_par * su.k_u)
 
-    s_w = float(np.count_nonzero(layer.weights == 0) / layer.weights.size)
+    w = layer.weights
+    s_w = float((w.size - np.count_nonzero(w)) / w.size)
     s_a = layer.act_sparsity(default=0.0)
     cr_w, cl = weight_compression(layer, spec)
     cr_a = act_compression(layer, spec, s_a)
@@ -305,13 +308,13 @@ def evaluate_layer(layer: Layer, spec: AcceleratorSpec, mapping: Mapping) -> Lay
     n_mac_e, cc = float(shape.macs), dense_cc
     port_bits = weight_reads / cr_w * 8.0
     if spec.sparsity_mode == "value-skip":
-        kernel_fracs = np.count_nonzero(layer.weights == 0, axis=(1, 2, 3)) / (
-            shape.c * shape.fy * shape.fx)
+        kernel = shape.c * shape.fy * shape.fx
+        kernel_fracs = (kernel - np.count_nonzero(w, axis=(1, 2, 3))) / kernel
         s_w_e = _lockstep_skip_fraction(kernel_fracs, spec.sync_lanes)
         n_mac_e = shape.macs * (1.0 - s_a) * (1.0 - s_w_e)
         cc = n_mac_e / n_mac_cycle
     elif spec.sparsity_mode == "bit-skip":
-        cc = dense_cc * _lockstep_bit_fraction(layer.weights, spec.sync_lanes)
+        cc = dense_cc * _lockstep_bit_fraction(w, spec.sync_lanes)
     elif spec.sparsity_mode == "bit-column-skip":
         share = engine.simulate_layer(cl, shape, su, spec.sign_cycle).total_cycles / dense_cc
         cc = dense_cc * share
@@ -393,11 +396,11 @@ def compare(net: Network, specs: Sequence[AcceleratorSpec],
     mapped = [spec.map_layers(net) for spec in specs]
     reports = [evaluate_network(net, s, ms) for s, ms in zip(specs, mapped)]
     base = reports[names.index(base_name)]
-    for r in reports:
-        r.baseline = base_name
-        r.speedup = base.total_cycles / r.total_cycles if r.total_cycles else math.inf
-        r.energy_ratio = base.total_energy / r.total_energy if r.total_energy else math.inf
-    return reports
+    return [r._replace(
+        baseline=base_name,
+        speedup=base.total_cycles / r.total_cycles if r.total_cycles else math.inf,
+        energy_ratio=base.total_energy / r.total_energy if r.total_energy else math.inf)
+        for r in reports]
 
 
 # ---------------------------------------------------------------------------

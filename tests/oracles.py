@@ -750,6 +750,6 @@ def perf_evaluate_layer(layer, spec, su):
         # bytes ride the parser side path, so the port term counts column
         # payload bits only (energy above still pays for the index via CR)
         port_bits = counts.sram_read_weight * 8.0 * cl.payload_bits / cl.dense_bits
-        terms.sram_read_weight = port_bits / su.w_bw
+        terms = terms._replace(sram_read_weight=port_bits / su.w_bw)
     cycles = perf_total_latency(terms)
     return eff, energy, terms, cycles

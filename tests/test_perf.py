@@ -195,8 +195,8 @@ class TestTotalLatency:
     def test_monotone_in_every_term(self, rng):
         base = LatencyTerms(10, 5, 3, 4, 2, 1, 6)
         t0 = total_latency(base)
-        for field in vars(base):
-            bumped = LatencyTerms(**{**vars(base), field: getattr(base, field) + 5})
+        for field in base._fields:
+            bumped = LatencyTerms(**{**base._asdict(), field: getattr(base, field) + 5})
             assert total_latency(bumped) >= t0
 
 
@@ -341,6 +341,17 @@ class TestCompare:
         assert mapped == [(l.shape, su.id) for l in net.layers for su in mapper.CATALOG
                           if mapper.is_compatible(l.shape, su)] + [
                               (l.shape, "SU1") for l in net.layers]
+
+    def test_reports_carry_the_baseline_and_its_ratios(self, small_net):
+        reports = compare(small_net, [preset("scnn"), preset("bitcol")], baseline="scnn")
+        assert [r.baseline for r in reports] == ["scnn", "scnn"]
+        assert (reports[0].speedup, reports[0].energy_ratio) == (1.0, 1.0)
+        bitcol = reports[1]
+        assert bitcol.speedup == reports[0].total_cycles / bitcol.total_cycles
+        assert bitcol.energy_ratio == reports[0].total_energy / bitcol.total_energy
+        # a report is a tuple: compare builds new ones instead of writing fields
+        with pytest.raises(AttributeError):
+            bitcol.speedup = 2.0
 
     def test_missing_baseline(self, small_net):
         with pytest.raises(ConfigError):

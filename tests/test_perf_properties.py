@@ -10,7 +10,7 @@ peak MACs, lane-set sizes, sign cycles and group sizes.
 """
 
 import re
-from dataclasses import asdict, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -87,9 +87,9 @@ def test_layer_record_equals_reference_exactly(layer, spec):
             oracles.perf_evaluate_layer(layer, spec, m.su)
         return
     eff, energy, terms, cycles = oracles.perf_evaluate_layer(layer, spec, m.su)
-    assert asdict(rep.energy) == asdict(energy)
+    assert rep.energy._asdict() == energy._asdict()
     assert rep.energy.total == rep.energy.mac + rep.energy.dram + rep.energy.sram + rep.energy.reg
-    assert asdict(rep.terms) == asdict(terms)
+    assert rep.terms._asdict() == terms._asdict()
     assert rep.cycles == cycles
     assert rep.row() == {
         "layer": "l", "su": m.su.id, "utilization": eff.utilization, "n_mac": eff.n_mac,
