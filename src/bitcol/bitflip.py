@@ -29,10 +29,6 @@ element rounds to the smaller magnitude, then to its own sign.
 A network-level greedy search (one committed (layer, group size, z+1) move
 per sweep, driven by an accuracy oracle) tunes per-layer constraints. Both
 oracles read a strategy from one (layer, G, z) table, each key filled once.
-
-FlipResult is a typing.NamedTuple, which is cheaper than a dataclass to
-create at import. As a tuple it is iterable, equal to a plain tuple of the
-same values, and cannot be modified.
 """
 
 from __future__ import annotations

@@ -31,6 +31,13 @@ def _print_table(rows: list[dict]) -> None:
         print("  ".join(v.ljust(w) for v, w in zip(row, widths)))
 
 
+def _emit(rows: list[dict], path: str | None, fieldnames: list[str] | None = None) -> None:
+    """Write the report CSV when a path is given, then print the table."""
+    if path:
+        model_io.write_report_csv(rows, path, fieldnames)
+    _print_table(rows)
+
+
 def _int_in(allowed, what: str, auto: bool = False):
     """argparse type: an int that must be one of `allowed` (or "auto" if `auto`)."""
     def integer(arg: str) -> int | str:  # argparse names the function in its messages
@@ -56,18 +63,10 @@ def cmd_analyze(args) -> int:
         for st in codec.sparsity_stats(layer.weights, args.group_size):
             rows.append({
                 "network": net.name, "layer": layer.name, "kind": layer.shape.kind,
-                "n_values": st.n_values, "group_size": st.group_size,
-                "value_sparsity": st.value_sparsity,
-                "bit_sparsity_tc": st.bit_sparsity_tc,
-                "bit_sparsity_sm": st.bit_sparsity_sm,
-                "column_sparsity_tc": st.column_sparsity_tc,
-                "column_sparsity_sm": st.column_sparsity_sm,
-                "sr_tc": st.sr_tc, "sr_sm": st.sr_sm,
+                **st._asdict(),
                 "s_a": layer.act_sparsity() if (layer.s_a is not None or layer.acts is not None) else None,
             })
-    if args.out:
-        model_io.write_report_csv(rows, args.out)
-    _print_table(rows)
+    _emit(rows, args.out)
     return 0
 
 
@@ -92,9 +91,7 @@ def cmd_compress(args) -> int:
         })
         chosen.append(cl)
     model_io.write_compressed(args.out, chosen)
-    if args.csv:
-        model_io.write_report_csv(rows, args.csv)
-    _print_table(rows)
+    _emit(rows, args.csv)
     if args.verify:
         reread = model_io.read_compressed(args.out)
         for cl, layer in zip(reread, net.layers):
@@ -138,9 +135,7 @@ def cmd_bitflip(args) -> int:
             "cr_real": res.compression_ratio,
             "zero_col_hist": "/".join(str(int(x)) for x in res.zero_col_hist),
         })
-    if args.csv:
-        model_io.write_report_csv(rows, args.csv)
-    _print_table(rows)
+    _emit(rows, args.csv)
     return 0
 
 
@@ -174,9 +169,7 @@ def cmd_simulate(args) -> int:
             "barrier_loss": cc.barrier_loss, "t_out": cc.t_out,
             "mean_nz": float(cc.group_cycles.mean()) if cc.group_cycles.size else 0.0,
         })
-    if args.out:
-        model_io.write_report_csv(rows, args.out)
-    _print_table(rows)
+    _emit(rows, args.out)
     if args.verify:
         if mismatches:
             total = sum(cl.n_groups for cl in compressed)
@@ -197,9 +190,7 @@ def cmd_map(args) -> int:
                      **{su_id.lower(): m and m.utilization for su_id, m in table.items()},
                      "chosen": chosen.su.id, "chosen_util": chosen.utilization,
                      "w_bw": chosen.su.w_bw, "act_bw": chosen.su.act_bw})
-    if args.out:
-        model_io.write_report_csv(rows, args.out)
-    _print_table(rows)
+    _emit(rows, args.out)
     return 0
 
 
@@ -219,12 +210,10 @@ def cmd_perf(args) -> int:
         "e_sram": r.breakdown.sram, "e_reg": r.breakdown.reg,
         "baseline": r.baseline, "speedup": r.speedup, "energy_ratio": r.energy_ratio,
     } for r in reports]
-    if args.out:
-        model_io.write_report_csv(rows, args.out)
+    _emit(rows, args.out)
     if args.per_layer:
         detail = [dict(r.row(), spec=rep.spec) for rep in reports for r in rep.layers]
         model_io.write_report_csv(detail, args.per_layer)
-    _print_table(rows)
     return 0
 
 
@@ -237,11 +226,8 @@ def cmd_report(args) -> int:
         "cr_ideal": codec.compression_ratio(cl, include_index=False),
         "bits": cl.bcs_bits,
     } for cl in layers]
-    if args.out:
-        model_io.write_report_csv(rows, args.out,
-                                  fieldnames=["layer", "group_size", "mode", "elements",
-                                              "groups", "cr_real", "cr_ideal", "bits"])
-    _print_table(rows)
+    _emit(rows, args.out, ["layer", "group_size", "mode", "elements", "groups", "cr_real",
+                           "cr_ideal", "bits"])
     return 0
 
 

@@ -41,10 +41,7 @@ Popcounts run on np.bitwise_count (numpy >= 2.0); _popcount sums a byte
 array's set bits 8 bytes at a time, as <u8 words. _or_index ORs the bytes of
 each group 8 at a time, as <u8 words, then halves each word.
 
-SparsityStats is a typing.NamedTuple, which is cheaper than a dataclass to
-create at import. As a tuple it is iterable, equal to a plain tuple of the
-same values, and cannot be modified. CompressedLayer validates its fields
-and stays a dataclass.
+CompressedLayer validates its fields and stays a dataclass.
 """
 
 from __future__ import annotations
@@ -394,8 +391,6 @@ def compression_ratio(cl: CompressedLayer, include_index: bool = True) -> float:
     Without the index (ideal) an all-zero layer has zero payload; the ratio
     is reported as inf.
     """
-    if cl.mode == "dense":
-        return 1.0
     denom = cl.bcs_bits if include_index else cl.payload_bits
     if denom == 0:
         return math.inf
@@ -451,8 +446,8 @@ class SparsityStats(NamedTuple):
     are inf when the tensor has no zero values.
     """
 
-    group_size: int
     n_values: int
+    group_size: int
     value_sparsity: float
     bit_sparsity_tc: float
     bit_sparsity_sm: float
@@ -489,6 +484,6 @@ def sparsity_stats(values: np.ndarray, group_sizes: Sequence[int]) -> list[Spars
             idx = [x[:, 0::2] | x[:, 1::2] for x in idx]
         set_tc, set_sm = (_popcount(x) for x in idx)
         n_cols = 8 * idx[0].size
-        stats[g] = SparsityStats(g, n, value_sp, bit_tc, bit_sm, 1.0 - set_tc / n_cols,
+        stats[g] = SparsityStats(n, g, value_sp, bit_tc, bit_sm, 1.0 - set_tc / n_cols,
                                  1.0 - set_sm / n_cols, sr_tc, sr_sm)
     return [stats[g] for g in group_sizes]

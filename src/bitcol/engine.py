@@ -24,10 +24,7 @@ mapper.lockstep_waves for the wave schedule, which the bank layout uses as
 well; perf takes its bit-column cycle count from simulate_layer. Tests keep
 the scalar loops as their reference.
 
-ParsedIndex, PackedGroup and CycleCount are typing.NamedTuple records,
-which are cheaper than dataclasses to create at import. As tuples they are
-iterable, equal to a plain tuple of the same values, and cannot be
-modified. PackedGroup.index, the zero-column index, hides tuple.index.
+PackedGroup.index, the zero-column index, hides tuple.index.
 """
 
 from __future__ import annotations

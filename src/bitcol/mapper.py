@@ -5,10 +5,6 @@ reconfigures its spatial unrolling per layer from a 7-entry catalog. SU1-6
 unroll (C, OX, K); SU7 is specialized for depthwise convolutions and
 unrolls 64 kernel groups with OX_u=2 (128 lanes). OY, FX, FY and B are
 always iterated temporally.
-
-SpatialUnrolling and Mapping are typing.NamedTuple records, which are
-cheaper than dataclasses to create at import. As tuples they are iterable,
-equal to a plain tuple of the same values, and cannot be modified.
 """
 
 from __future__ import annotations

@@ -39,7 +39,9 @@ from .workload import ContainerError, Layer, LayerShape, ManifestError, Network
 MAGIC = b"BCSW"
 VERSION = 2
 
-_LAYER_KEYS = ("layer", "kind", "K", "C", "FX", "FY", "OX", "OY", "B", "stride", "weights")
+_DIMS = {"K": "k", "C": "c", "FX": "fx", "FY": "fy", "OX": "ox", "OY": "oy", "B": "b",
+         "stride": "stride"}  # manifest key -> LayerShape field, in manifest order
+_LAYER_KEYS = ("layer", "kind", *_DIMS, "weights")
 _OPT_KEYS = ("s_a", "acts")
 
 
@@ -97,13 +99,8 @@ def load_network(manifest_path: str | Path) -> Network:
         if unknown:
             raise ManifestError(f"line {lineno}: unknown keys {unknown}")
         try:
-            shape = LayerShape(
-                k=int(fields["K"]), c=int(fields["C"]),
-                fy=int(fields["FY"]), fx=int(fields["FX"]),
-                ox=int(fields["OX"]), oy=int(fields["OY"]),
-                b=int(fields["B"]), stride=int(fields["stride"]),
-                kind=fields["kind"],
-            )
+            shape = LayerShape(**{f: int(fields[key]) for key, f in _DIMS.items()},
+                               kind=fields["kind"])
         except ValueError as e:
             raise ManifestError(f"line {lineno}: {e}") from e
         weights = _read_int8(base / fields["weights"], shape.n_weights,
@@ -131,8 +128,8 @@ def save_network(net: Network, out_dir: str | Path) -> Path:
         s = l.shape
         wfile = f"{l.name}.w.bin"
         l.weights.astype(np.int8).tofile(out_dir / wfile)
-        rec = (f"layer={l.name} kind={s.kind} K={s.k} C={s.c} FX={s.fx} FY={s.fy} "
-               f"OX={s.ox} OY={s.oy} B={s.b} stride={s.stride} weights={wfile}")
+        dims = " ".join(f"{key}={getattr(s, f)}" for key, f in _DIMS.items())
+        rec = f"layer={l.name} kind={s.kind} {dims} weights={wfile}"
         if l.s_a is not None:
             rec += f" s_a={l.s_a:g}"
         if l.acts is not None:

@@ -33,11 +33,9 @@ distinctions of the published baselines they are named after; their unit
 costs and lane parameters are documented defaults, not reproductions of
 anyone's silicon measurements.
 
-EnergyBreakdown, LatencyTerms, LayerPerf and PerfReport are typing.NamedTuple
-records, which are cheaper than dataclasses to create at import. As tuples
-they are iterable, equal to a plain tuple of the same values, and cannot be
-modified: compare returns new reports with `_replace`. UnitCosts and
-AcceleratorSpec validate their fields and stay dataclasses.
+The result records are NamedTuples, so compare returns new reports with
+`_replace`; UnitCosts and AcceleratorSpec validate their fields and stay
+dataclasses.
 """
 
 from __future__ import annotations
@@ -296,7 +294,7 @@ def evaluate_layer(layer: Layer, spec: AcceleratorSpec, mapping: Mapping) -> Lay
 
     w = layer.weights
     s_w = float((w.size - np.count_nonzero(w)) / w.size)
-    s_a = layer.act_sparsity(default=0.0)
+    s_a = layer.act_sparsity()
     cr_w, cl = weight_compression(layer, spec)
     cr_a = act_compression(layer, spec, s_a)
 

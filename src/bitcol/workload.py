@@ -136,13 +136,13 @@ class Layer:
         if self.acts is not None:
             self.acts = np.asarray(self.acts, dtype=np.int8)
 
-    def act_sparsity(self, default: float = 0.0) -> float:
-        """Activation value sparsity: scalar if given, else sample-derived."""
+    def act_sparsity(self) -> float:
+        """Activation value sparsity: scalar if given, else sample-derived, else 0."""
         if self.s_a is not None:
             return self.s_a
         if self.acts is not None and self.acts.size:
             return float(np.count_nonzero(self.acts == 0) / self.acts.size)
-        return default
+        return 0.0
 
 
 def _check_name(name: str) -> None:

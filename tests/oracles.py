@@ -560,7 +560,7 @@ def sparsity_stats(values: np.ndarray, group_size: int) -> SparsityStats:
 
     sr_tc = bit_tc / value_sp if value_sp > 0 else math.inf
     sr_sm = bit_sm / value_sp if value_sp > 0 else math.inf
-    return SparsityStats(group_size, n, value_sp, bit_tc, bit_sm, col_tc, col_sm, sr_tc, sr_sm)
+    return SparsityStats(n, group_size, value_sp, bit_tc, bit_sm, col_tc, col_sm, sr_tc, sr_sm)
 
 
 def zre_size(values):
@@ -708,7 +708,7 @@ def perf_evaluate_layer(layer, spec, su):
     counts = perf_dense_activity(shape, spec, su)
 
     s_w = float(np.count_nonzero(layer.weights == 0) / layer.weights.size)
-    s_a = layer.act_sparsity(default=0.0)
+    s_a = layer.act_sparsity()
     cr_w, cl = perf.weight_compression(layer, spec)
     cr_a = perf.act_compression(layer, spec, s_a)
 

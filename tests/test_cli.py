@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import io
+import runpy
 import sys
 from pathlib import Path
 
@@ -529,6 +530,16 @@ def test_bitflip_oracle_flags_checked(net_dir, capsys, argv, message):
 
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
+
+
+@pytest.mark.filterwarnings("ignore:'bitcol.cli' found in sys.modules:RuntimeWarning")
+def test_module_entry_point_exits_zero_on_help(monkeypatch, capsys):
+    # python -m bitcol.cli runs entry(), which exits with main()'s status
+    monkeypatch.setattr(sys, "argv", ["bitcol", "--help"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("bitcol.cli", run_name="__main__")
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: bitcol")
 
 
 def test_unsupported_compress_group_size(net_dir, capsys):

@@ -61,6 +61,12 @@ class TestBceColumn:
             bce_column([1], [1], [0], 7)
 
 
+def test_packed_groups_rejects_dense_layer():
+    cl = codec.compress_layer(layer_of_groups([[1, 2]]), 2, mode="dense")
+    with pytest.raises(ValueError, match="needs a bcs-mode layer"):
+        next(packed_groups(cl))
+
+
 class TestBceGroup:
     def test_worked_example(self):
         cl = compress_groups([[5, -1]])
@@ -118,6 +124,12 @@ class TestBceGroup:
         cl = compress_groups(np.full((1, 8), 127, dtype=np.int8))
         with pytest.raises(ValueError, match="accumulator range exceeded"):
             bce_group(np.full(8, 129, dtype=np.int64), next(packed_groups(cl)))
+
+    def test_schedule_longer_than_stored_columns_raises(self):
+        # index 0x03 schedules magnitude columns 1 and 0, but only column 1 is stored
+        pg = engine.PackedGroup(0x03, np.zeros(2, np.uint8), {1: np.ones(2, np.uint8)})
+        with pytest.raises(ValueError, match="schedule does not match stored columns"):
+            bce_group([1, 1], pg)
 
     def test_skip_soundness_full_walk(self, rng):
         # summing all 8 columns (zero columns included) equals the scheduled walk

@@ -10,7 +10,11 @@ dataclasses.replace, stay dataclasses.
 import dataclasses
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -42,3 +46,14 @@ def test_plain_records_are_tuples(name):
     cls = dict(defined_classes())[name]
     assert issubclass(cls, tuple) and not dataclasses.is_dataclass(cls)
     assert cls._fields
+
+
+def test_package_root_imports_nothing():
+    # the root once re-exported 40 names, so each had two import paths and nothing
+    # used the root's; an empty root keeps one path per name and loads no numpy
+    code = ("import sys, bitcol; "
+            "print(sorted(m for m in sys.modules if m.startswith(('bitcol.', 'numpy'))))")
+    env = {**os.environ, "PYTHONPATH": str(Path(bitcol.__path__[0]).parent)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    assert out.stdout == "[]\n"
